@@ -33,6 +33,7 @@ from .fock import (
     LiouvilleVector,
     apply_c,
     apply_c_dagger,
+    as_amplitudes,
     devectorize,
     liouville_inner,
     vectorize,
@@ -93,6 +94,7 @@ __all__ = [
     "approx_purity_longtime",
     "apply_c",
     "apply_c_dagger",
+    "as_amplitudes",
     "broken_chain_segments",
     "build_P_operator",
     "build_dissipators",

@@ -29,16 +29,16 @@ from scipy.integrate import solve_ivp
 
 from .fock import (
     LiouvilleVector,
+    as_amplitudes,
     devectorize,
     hermiticity_defect,
     liouville_inner,
+    site_count,
     vector_trace,
-    vectorize,
-    vectorize_operator,
 )
 from .liouvillian import Superoperator, build_liouvillian_direct, build_liouvillian_thirdq
 from .model import ModelParams
-from .pauli import OperatorSum, PauliString
+from .pauli import OperatorSum
 from .sectors import SectorLabel, enumerate_sector_basis, sector_eigenvalues
 
 
@@ -66,14 +66,6 @@ def _liouvillian_for(params: ModelParams) -> Superoperator:
     if params.is_unperturbed():
         return build_liouvillian_thirdq(params)
     return build_liouvillian_direct(params)
-
-
-def _initial_amplitudes(rho0, n_sites) -> np.ndarray:
-    if isinstance(rho0, LiouvilleVector):
-        return rho0.amplitudes.copy()
-    if isinstance(rho0, OperatorSum):
-        return vectorize_operator(rho0).amplitudes
-    return vectorize(np.asarray(rho0, dtype=complex), n_sites).amplitudes
 
 
 def check_physical_initial_state(rho: np.ndarray, tol: float = 1e-10) -> None:
@@ -188,18 +180,21 @@ def evolve(
 
     t_grid is in units of 1/gamma when the dephasing rates are homogeneous
     and positive, absolute otherwise. rho0 may be a dense matrix, a
-    LiouvilleVector, or an OperatorSum. With use_sectors (default: on
-    whenever the model preserves the parity pairs and method is
-    "integrator"), each occupied sector is integrated separately with
-    purely relative error control.
+    LiouvilleVector, an OperatorSum or a raw amplitude vector; check_initial
+    tests only dense matrices. With use_sectors (default: on whenever the
+    model preserves the parity pairs and method is "integrator"), each
+    occupied sector is integrated separately with purely relative error
+    control.
     """
     n = params.n_sites
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be a nondecreasing 1-D array")
     if check_initial and not isinstance(rho0, (LiouvilleVector, OperatorSum)):
-        check_physical_initial_state(np.asarray(rho0, dtype=complex))
-    v0 = _initial_amplitudes(rho0, n)
+        rho0 = np.asarray(rho0, dtype=complex)
+        if rho0.ndim == 2:
+            check_physical_initial_state(rho0)
+    v0, _ = as_amplitudes(rho0, n)
 
     gamma = params.homogeneous_gamma()
     if gamma is not None:
@@ -247,36 +242,18 @@ def evolve(
 # ---------------------------------------------------------------------------
 
 
-def _observable_vector(X, n_sites) -> np.ndarray:
-    if isinstance(X, LiouvilleVector):
-        return X.amplitudes
-    if isinstance(X, PauliString):
-        X = OperatorSum.from_pauli(X)
-    if isinstance(X, OperatorSum):
-        return vectorize_operator(X).amplitudes
-    return vectorize(np.asarray(X, dtype=complex), n_sites).amplitudes
-
-
 def expectation(X, state, n_sites: int | None = None) -> complex:
     """tr(X rho), evaluated as the Liouville inner product <<X|rho>>.
 
     X must be Hermitian for the inner-product form to equal tr(X rho);
-    both dense matrices and symbolic operators are accepted for X and rho.
+    X and rho each take any form `fock.as_amplitudes` accepts.
     """
-    if n_sites is None:
-        if isinstance(state, LiouvilleVector):
-            n_sites = state.n_sites
-        elif isinstance(X, (OperatorSum, PauliString)):
-            n_sites = X.n_sites
-        else:
-            n_sites = int(round(np.log2(np.asarray(state).shape[0])))
-    xv = _observable_vector(X, n_sites)
-    sv = _initial_amplitudes(state, n_sites)
-    return liouville_inner(xv, sv, n_sites)
+    sv, n = as_amplitudes(state, n_sites)
+    return liouville_inner(X, sv, n)
 
 
 def expectation_series(X, result: EvolutionResult) -> np.ndarray:
-    xv = _observable_vector(X, result.n_sites)
+    xv, _ = as_amplitudes(X, result.n_sites)
     return 2 ** result.n_sites * (result.amplitudes @ np.conj(xv))
 
 
@@ -360,7 +337,7 @@ def spectrum_analysis(
     trace_defects = None
     if check_traces:
         if n_sites is None and basis_indices is None:
-            n_sites = round(np.log(dense.shape[0]) / np.log(4))
+            n_sites = site_count(dense.shape[:1])
         decaying = lam.imag < -1e-9
         vals = np.zeros(lam.size)
         if basis_indices is None:

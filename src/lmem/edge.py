@@ -35,12 +35,12 @@ import numpy as np
 
 from .dynamics import EvolutionResult, expectation_series
 from .fock import (
-    LiouvilleVector,
+    as_amplitudes,
     devectorize,
     liouville_inner,
+    pauli_coefficients,
+    site_count,
     vector_purity,
-    vectorize,
-    vectorize_operator,
 )
 from .kappa import edge_annihilator, edge_correlator
 from .pauli import OperatorSum, PauliString, parity_word
@@ -128,15 +128,9 @@ class ProductStateSpec:
                     )
 
 
-def product_state_operator(spec: ProductStateSpec, n_sites: int) -> OperatorSum:
-    """Symbolic density operator of the bulk-edge product construction."""
-    spec.validate(n_sites)
-    n = n_sites
+def _brackets(spec: ProductStateSpec, n: int):
+    """The bracketed operators I + sum a A + sum c C M and sum b B M + sum d D."""
     m_op = OperatorSum.from_pauli(parity_word(n))
-    ident = OperatorSum.identity(n)
-    plus = ident + m_op.scaled(spec.zeta)  # I + zeta M
-    minus = ident - m_op.scaled(spec.zeta)  # I - zeta M
-
     front = OperatorSum.identity(n)
     for coeff, word in spec.a_terms:
         front.add_term(float(np.real(coeff)), word)
@@ -148,7 +142,18 @@ def product_state_operator(spec: ProductStateSpec, n_sites: int) -> OperatorSum:
         back = back + (OperatorSum.from_pauli(word, float(np.real(coeff))) @ m_op)
     for coeff, word in spec.d_terms:
         back.add_term(float(np.real(coeff)), word)
+    return front, back
 
+
+def product_state_operator(spec: ProductStateSpec, n_sites: int) -> OperatorSum:
+    """Symbolic density operator of the bulk-edge product construction."""
+    spec.validate(n_sites)
+    n = n_sites
+    m_op = OperatorSum.from_pauli(parity_word(n))
+    ident = OperatorSum.identity(n)
+    plus = ident + m_op.scaled(spec.zeta)  # I + zeta M
+    minus = ident - m_op.scaled(spec.zeta)  # I - zeta M
+    front, back = _brackets(spec, n)
     return (front @ plus - back @ minus).scaled(2.0 ** -n)
 
 
@@ -182,18 +187,7 @@ def sufficient_positivity_margin(spec: ProductStateSpec, n_sites: int) -> float:
     Nonnegative margin guarantees positivity of the assembled state; a
     negative margin is inconclusive (the eigenvalue check decides).
     """
-    n = n_sites
-    m_op = OperatorSum.from_pauli(parity_word(n))
-    front = OperatorSum.identity(n)
-    for coeff, word in spec.a_terms:
-        front.add_term(float(np.real(coeff)), word)
-    for coeff, word in spec.c_terms:
-        front = front + (OperatorSum.from_pauli(word, float(np.real(coeff))) @ m_op)
-    back = OperatorSum.zero(n)
-    for coeff, word in spec.b_terms:
-        back = back + (OperatorSum.from_pauli(word, float(np.real(coeff))) @ m_op)
-    for coeff, word in spec.d_terms:
-        back.add_term(float(np.real(coeff)), word)
+    front, back = _brackets(spec, n_sites)
     lam_front = float(np.linalg.eigvalsh(front.to_matrix()).min())
     if len(back) == 0:
         return lam_front
@@ -238,16 +232,7 @@ def edge_factorization_test(
     factor a|1> + b|0> is returned up to one common complex scale, with the
     convention that a is real and nonnegative.
     """
-    if isinstance(state, LiouvilleVector):
-        v, n = state.amplitudes, state.n_sites
-    elif isinstance(state, np.ndarray) and state.ndim == 2:
-        n = state.shape[0].bit_length() - 1
-        v = vectorize(state, n).amplitudes
-    else:
-        if n_sites is None:
-            raise ValueError("n_sites required for raw amplitude input")
-        v, n = np.asarray(state, dtype=complex), n_sites
-
+    v, n = as_amplitudes(state, n_sites)
     d = edge_annihilator(n)
     down = d @ v  # a |psi_bulk> mapped into the edge-empty component
     kept = d @ (d.conj().T @ v)  # b times the same bulk vector
@@ -284,22 +269,13 @@ def kappa_correlation(state, n_sites: int | None = None, path: str = "kappa") ->
     evaluates the equivalent spin-picture expression
     tr(rho M sx1 sxN rho sx1 sxN). The two agree for Hermitian rho.
     """
-    if isinstance(state, np.ndarray) and state.ndim == 2:
-        n = state.shape[0].bit_length() - 1
-        rho = state
-        v = vectorize(rho, n).amplitudes
-    else:
-        v, n = (state.amplitudes, state.n_sites) if isinstance(state, LiouvilleVector) else (
-            np.asarray(state, dtype=complex),
-            n_sites,
-        )
-        rho = None
+    v, n = as_amplitudes(state, n_sites)
     if path == "kappa":
         corr = edge_correlator(n)
         return float(np.real(2 ** n * np.vdot(v, corr @ v)))
     if path == "trace":
-        if rho is None:
-            rho = devectorize(v, n)
+        dense = isinstance(state, np.ndarray) and state.ndim == 2
+        rho = state if dense else devectorize(v, n)
         m = parity_word(n).to_matrix()
         sx1 = PauliString.single(n, 1, "X").to_matrix()
         sxn = PauliString.single(n, n, "X").to_matrix()
@@ -311,11 +287,7 @@ def purity(state, n_sites: int | None = None) -> float:
     """tr(rho^2) = <<rho|rho>>."""
     if isinstance(state, np.ndarray) and state.ndim == 2:
         return float(np.real(np.trace(state @ state)))
-    v, n = (state.amplitudes, state.n_sites) if isinstance(state, LiouvilleVector) else (
-        np.asarray(state, dtype=complex),
-        n_sites,
-    )
-    return vector_purity(v, n)
+    return vector_purity(state, n_sites)
 
 
 def purity_from_observables(rho: np.ndarray, observables=None) -> float:
@@ -324,19 +296,10 @@ def purity_from_observables(rho: np.ndarray, observables=None) -> float:
     With the full 4^N word set this equals tr(rho^2) exactly (completeness
     of the word basis); a subset gives a lower truncation.
     """
-    n = rho.shape[0].bit_length() - 1
+    n = site_count(rho.shape)
     if observables is None:
-        codes = "IXYZ"
-        observables = []
-        for w in range(4 ** n):
-            digits = []
-            rem = w
-            for _ in range(n):
-                digits.append(rem % 4)
-                rem //= 4
-            observables.append(
-                PauliString.from_codes("".join(codes[d] for d in reversed(digits)))
-            )
+        # <P_W> = 2^N t_W for the Pauli coefficients t_W of rho
+        return float(2 ** n * np.sum(np.abs(pauli_coefficients(rho, n)) ** 2))
     total = 0.0
     for word in observables:
         val = np.trace(word.to_matrix() @ rho)
@@ -374,16 +337,10 @@ def approx_purity_longtime(state, n_sites: int | None = None, form: str = "obser
     (1 + zeta^2)(1 + <sz1>^2 + <sy1 sx2>^2) / 2^N with zeta = <M>, valid
     when every pair satisfies <O M> = zeta <O>.
     """
-    if isinstance(state, np.ndarray) and state.ndim == 2:
-        n = state.shape[0].bit_length() - 1
-        v = vectorize(state, n).amplitudes
-    else:
-        v, n = (state.amplitudes, state.n_sites) if isinstance(state, LiouvilleVector) else (
-            np.asarray(state, dtype=complex),
-            n_sites,
-        )
+    v, n = as_amplitudes(state, n_sites)
+
     def expval(word):
-        return float(np.real(liouville_inner(vectorize_operator(OperatorSum.from_pauli(word)).amplitudes, v, n)))
+        return float(np.real(liouville_inner(word, v, n)))
 
     if form == "observables":
         total = sum(expval(w) ** 2 for w in longtime_observable_set(n))

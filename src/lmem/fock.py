@@ -25,6 +25,7 @@ are orthogonal with squared norm 2^N; the factor is carried explicitly in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +37,6 @@ from .pauli import (
     OperatorSum,
     PauliString,
     operator_to_majorana_terms,
-    spin_to_majorana,
 )
 
 BASIS_CONVENTION = "majorana-canonical"
@@ -71,16 +71,39 @@ class LiouvilleVector:
         return LiouvilleVector(self.n_sites, self.amplitudes.copy())
 
 
-def _as_amplitudes(state, n_sites=None):
+def site_count(shape) -> int:
+    """N of a 4^N amplitude vector or a 2^N x 2^N matrix, exact in integers."""
+    shape = tuple(shape)
+    size = math.prod(shape)
+    n = (size.bit_length() - 1) // 2
+    if n < 1 or shape not in ((4 ** n,), (2 ** n, 2 ** n)):
+        raise ValueError(
+            f"expected a 4^N amplitude vector or a 2^N x 2^N matrix, got shape {shape}"
+        )
+    return n
+
+
+def as_amplitudes(state, n_sites: int | None = None):
+    """(amplitudes, N) of a state or operator in any accepted form.
+
+    Accepts a LiouvilleVector, an OperatorSum or PauliString (expanded
+    symbolically), a 2^N x 2^N matrix, or a raw 4^N amplitude vector. A
+    given n_sites must agree with the input.
+    """
+    if isinstance(state, PauliString):
+        state = OperatorSum.from_pauli(state)
+    if isinstance(state, OperatorSum):
+        state = vectorize_operator(state)
     if isinstance(state, LiouvilleVector):
-        return state.amplitudes, state.n_sites
-    v = np.asarray(state, dtype=complex)
-    if n_sites is None:
-        n = round(np.log(v.size) / np.log(4))
-        if 4 ** n != v.size:
-            raise ValueError("amplitude length is not a power of 4")
-        n_sites = n
-    return v, n_sites
+        v, n = state.amplitudes, state.n_sites
+    else:
+        v = np.asarray(state, dtype=complex)
+        n = site_count(v.shape)
+    if n_sites is not None and n_sites != n:
+        raise ValueError(f"n_sites={n_sites} contradicts input shape {v.shape} ({n} sites)")
+    if v.ndim == 2:
+        v = vectorize(v, n).amplitudes
+    return v, n
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +138,7 @@ def _check_mode(j: int, n_sites: int) -> None:
 
 def apply_c_dagger(j: int, state, n_sites=None):
     """Create mode j; annihilates components with a_j = 1."""
-    v, n = _as_amplitudes(state, n_sites)
+    v, n = as_amplitudes(state, n_sites)
     _check_mode(j, n)
     idx = _index_range(2 * n)
     bit = np.int64(1) << (j - 1)
@@ -127,7 +150,7 @@ def apply_c_dagger(j: int, state, n_sites=None):
 
 def apply_c(j: int, state, n_sites=None):
     """Annihilate mode j; kills components with a_j = 0."""
-    v, n = _as_amplitudes(state, n_sites)
+    v, n = as_amplitudes(state, n_sites)
     _check_mode(j, n)
     idx = _index_range(2 * n)
     bit = np.int64(1) << (j - 1)
@@ -238,29 +261,40 @@ def right_mult_operator(op: OperatorSum, n_sites: int) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 
 
+_PHASE_OF_POWER = np.array([1, 1j, -1, -1j])  # i^q for q = 0..3
+
+
 @lru_cache(maxsize=8)
 def pauli_word_table(n_sites: int):
     """For each Pauli word index W = sum mu_j 4^{N-j}: its monomial mask and
     the phase with word = phase * w^{mask}. Returns (masks, phases, word_of_mask).
+
+    Closed form of `spin_to_majorana` over the whole index range. Sites are
+    multiplied in from the left, X_j = (-i)^{j-1} w_1 ... w_{2j-2} w_{2j-1},
+    Y_j = (-i)^{j-1} w_1 ... w_{2j-2} w_{2j} and Z_j = -i w_{2j-1} w_{2j}.
+    The product so far lives on modes below 2j-1, so only the string
+    w_1 ... w_{2j-2} crosses it: each present mode w_m is passed by the
+    m-1 string modes below it, and the sign is the parity of the present
+    even modes.
     """
     dim = 4 ** n_sites
-    masks = np.empty(dim, dtype=np.int64)
-    phases = np.empty(dim, dtype=complex)
-    codes = "IXYZ"
-    for w in range(dim):
-        digits = []
-        rem = w
-        for _ in range(n_sites):
-            digits.append(rem % 4)
-            rem //= 4
-        digits.reverse()  # site 1 is the most significant digit
-        word = PauliString.from_codes("".join(codes[d] for d in digits))
-        mono = spin_to_majorana(word)
-        masks[w] = mono.mask
-        phases[w] = mono.coeff
+    words = _index_range(2 * n_sites)
+    masks = np.zeros(dim, dtype=np.int64)
+    power = np.zeros(dim, dtype=np.int64)  # phase = i^power
+    even_modes = int("10" * n_sites, 2)  # w_2, w_4, ..., w_{2N}
+    for j in range(1, n_sites + 1):
+        mu = (words >> (2 * (n_sites - j))) & 3  # I, X, Y, Z = 0..3
+        string = (1 << (2 * j - 2)) - 1
+        site_masks = np.array(
+            [0, string | 1 << (2 * j - 2), string | 1 << (2 * j - 1), 0b11 << (2 * j - 2)]
+        )
+        site_power = np.array([0, 3 * (j - 1), 3 * (j - 1), 3])
+        crossings = np.where((mu == 1) | (mu == 2), _bitcount(masks & even_modes), 0)
+        power += site_power[mu] + 2 * crossings
+        masks ^= site_masks[mu]
     word_of_mask = np.empty(dim, dtype=np.int64)
-    word_of_mask[masks] = np.arange(dim)
-    return masks, phases, word_of_mask
+    word_of_mask[masks] = words
+    return masks, _PHASE_OF_POWER[power & 3], word_of_mask
 
 
 def pauli_coefficients(rho: np.ndarray, n_sites: int) -> np.ndarray:
@@ -301,7 +335,7 @@ def vectorize(rho: np.ndarray, n_sites: int | None = None) -> LiouvilleVector:
     """
     rho = np.asarray(rho, dtype=complex)
     if n_sites is None:
-        n_sites = rho.shape[0].bit_length() - 1
+        n_sites = site_count(rho.shape)
     if rho.shape != (2 ** n_sites, 2 ** n_sites):
         raise ValueError(f"expected 2^{n_sites} square matrix, got {rho.shape}")
     coeffs = pauli_coefficients(rho, n_sites).reshape(-1)
@@ -314,7 +348,7 @@ def vectorize(rho: np.ndarray, n_sites: int | None = None) -> LiouvilleVector:
 
 def devectorize(state, n_sites: int | None = None) -> np.ndarray:
     """Rebuild the dense matrix from Majorana amplitudes."""
-    v, n = _as_amplitudes(state, n_sites)
+    v, n = as_amplitudes(state, n_sites)
     masks, phases, _ = pauli_word_table(n)
     coeffs = v[masks] / phases
     return matrix_from_pauli_coefficients(coeffs.reshape((4,) * n), n)
@@ -336,8 +370,8 @@ def vectorize_operator(op: OperatorSum) -> LiouvilleVector:
 
 def liouville_inner(a, b, n_sites=None) -> complex:
     """<<A|B>> = tr(A^dag B) = 2^N (conj(a) . b)."""
-    va, na = _as_amplitudes(a, n_sites)
-    vb, nb = _as_amplitudes(b, n_sites)
+    va, na = as_amplitudes(a, n_sites)
+    vb, nb = as_amplitudes(b, n_sites)
     if na != nb:
         raise ValueError("site-count mismatch in inner product")
     return 2 ** na * np.vdot(va, vb)
@@ -345,13 +379,13 @@ def liouville_inner(a, b, n_sites=None) -> complex:
 
 def vector_trace(state, n_sites=None) -> complex:
     """tr(A) = 2^N c_0 (only the empty monomial has trace)."""
-    v, n = _as_amplitudes(state, n_sites)
+    v, n = as_amplitudes(state, n_sites)
     return 2 ** n * v[0]
 
 
 def vector_purity(state, n_sites=None) -> float:
     """tr(A^dag A) = 2^N sum |c_a|^2; equals tr(rho^2) for Hermitian rho."""
-    v, n = _as_amplitudes(state, n_sites)
+    v, n = as_amplitudes(state, n_sites)
     return float(2 ** n * np.vdot(v, v).real)
 
 
@@ -364,14 +398,14 @@ def reversal_signs(n_sites: int) -> np.ndarray:
 
 def conjugate_vector(state, n_sites=None):
     """Amplitudes of A^dag given those of A."""
-    v, n = _as_amplitudes(state, n_sites)
+    v, n = as_amplitudes(state, n_sites)
     out = reversal_signs(n) * np.conj(v)
     return LiouvilleVector(n, out) if isinstance(state, LiouvilleVector) else out
 
 
 def hermiticity_defect(state, n_sites=None) -> float:
     """max |c_a - s_a conj(c_a)|; zero iff the operator is Hermitian."""
-    v, n = _as_amplitudes(state, n_sites)
+    v, n = as_amplitudes(state, n_sites)
     return float(np.abs(v - reversal_signs(n) * np.conj(v)).max())
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import _index_range
+from .fock import _index_range, site_count
 from .kappa import build_P_operator, kappa_all
 from .liouvillian import Superoperator
 from .model import ModelParams
@@ -140,9 +140,7 @@ def restrict_liouvillian(
     """
     matrix = superop.matrix if isinstance(superop, Superoperator) else superop
     n_sites = (
-        superop.n_sites
-        if isinstance(superop, Superoperator)
-        else round(np.log(matrix.shape[0]) / np.log(4))
+        superop.n_sites if isinstance(superop, Superoperator) else site_count(matrix.shape[:1])
     )
     idx = enumerate_sector_basis(label, n_sites)
     csc = sp.csc_matrix(matrix)

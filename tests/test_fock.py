@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmem.fock import (
     LiouvilleVector,
@@ -16,6 +18,7 @@ from lmem.fock import (
     number_values,
     parity_values,
     pauli_coefficients,
+    pauli_word_table,
     right_mult_monomial,
     right_mult_operator,
     vector_purity,
@@ -29,6 +32,7 @@ from lmem.pauli import (
     PauliString,
     majorana_to_spin,
     parity_word,
+    spin_to_majorana,
 )
 
 
@@ -166,6 +170,34 @@ class TestVectorize:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             vectorize(np.eye(6), 2)
+
+
+def word_codes(index, n):
+    """Pauli symbols of word index W = sum mu_j 4^{N-j}, site 1 first."""
+    return "".join("IXYZ"[(index >> (2 * (n - j))) & 3] for j in range(1, n + 1))
+
+
+def assert_table_entry(table, index, n):
+    masks, phases, word_of_mask = table
+    mono = spin_to_majorana(PauliString.from_codes(word_codes(index, n)))
+    assert masks[index] == mono.mask
+    assert phases[index] == mono.coeff
+    assert word_of_mask[mono.mask] == index
+
+
+class TestPauliWordTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_word_matches_scalar_map(self, n):
+        table = pauli_word_table(n)
+        for index in range(4 ** n):
+            assert_table_entry(table, index, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_words_match_scalar_map(self, data):
+        n = data.draw(st.integers(6, 9))
+        index = data.draw(st.integers(0, 4 ** n - 1))
+        assert_table_entry(pauli_word_table(n), index, n)
 
 
 class TestMultiplicationSuperoperators:
