@@ -130,6 +130,8 @@ class ExperimentConfig:
         self.transverse_values = [float(v) for v in data.get("transverse_values", (0.0, 2.0))]
         self.max_n_sites = int(data.get("max_n_sites", 4))
         self.with_spectra = bool(data.get("with_spectra", False))
+        # accepted so that existing configs load; the exact propagator has
+        # no tolerance to set, so it does not affect any result
         self.rtol = float(data.get("rtol", 1e-10))
 
         if exp != "oracle-suite" or "model" in data:
@@ -144,8 +146,11 @@ class ExperimentConfig:
             raise ConfigError("time_grid accepts only t_max and n_samples")
         self.t_max = float(tg.get("t_max", 10.0))
         self.n_samples = int(tg.get("n_samples", 51))
-        if self.t_max < 0 or self.n_samples < 2:
-            raise ConfigError("time_grid requires t_max >= 0 and n_samples >= 2")
+        if not (np.isfinite(self.t_max) and self.t_max >= 0) or self.n_samples < 2:
+            raise ConfigError(
+                "time_grid requires a finite t_max >= 0 and n_samples >= 2, "
+                f"got time_grid.t_max={self.t_max}, n_samples={self.n_samples}"
+            )
 
         gs = data.get("gamma_scan", {"gamma_min": 0.5, "gamma_max": 4.0, "n_points": 36})
         if set(gs) - {"gamma_min", "gamma_max", "n_points"}:
@@ -155,8 +160,12 @@ class ExperimentConfig:
             float(gs.get("gamma_max", 4.0)),
             int(gs.get("n_points", 36)),
         )
-        if self.gamma_scan[1] < self.gamma_scan[0] or self.gamma_scan[2] < 2:
-            raise ConfigError("gamma_scan range must increase with n_points >= 2")
+        lo, hi, k = self.gamma_scan
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi) or k < 2:
+            raise ConfigError(
+                "gamma_scan needs finite gamma_min <= gamma_max and n_points >= 2, "
+                f"got gamma_scan=({lo}, {hi}, {k})"
+            )
 
         self.sector = data.get("sector")
         if self.sector is not None:
@@ -318,7 +327,7 @@ def run_fig3a(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
 
     results = {}
     for tag, rho0 in (("product", rho_prod), ("nonproduct", rho_nonp)):
-        res = evolve(rho0, params, t_grid, method="expm", check_initial=True)
+        res = evolve(rho0, params, t_grid, check_initial=True)
         tr = ratio_trace(x1, x2, res)
         fac = edge_factorization_test(vectorize(rho0, n))
         write_csv(
@@ -343,7 +352,7 @@ def run_fig3a(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
                 "x1_terms": [w.to_label() for w in interior_word_family(n)],
                 "x2": "x1 times total parity",
             },
-            "evolution": "exact exponential stepping per symmetry sector",
+            "evolution": "exact expm_multiply propagation on the occupied symmetry sectors",
             "results": results,
         },
     )
@@ -351,14 +360,14 @@ def run_fig3a(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
 
 
 def _fig3b_single(args):
-    (n, zeta, amplitude, u, draw_seed, t_grid, rtol) = args
+    (n, zeta, amplitude, u, draw_seed, t_grid) = args
     params = random_perturbed_params(n, u=u, rng_seed=draw_seed)
     rho0 = product_initial_state(n, zeta, amplitude)
     x1, x2 = ratio_observables(n)
-    res = evolve(rho0, params, t_grid, rtol=rtol, atol=1e-14)
+    res = evolve(rho0, params, t_grid)
     tr = ratio_trace(x1, x2, res)
     phys = physicality_report(res)
-    return tr, phys, params
+    return tr, phys, res.method_tag
 
 
 def run_fig3b(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
@@ -373,7 +382,7 @@ def run_fig3b(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
     tasks = []
     for u in config.transverse_values:
         for k, ds in enumerate(draw_seeds):
-            tasks.append((u, k, (n, zeta, config.bulk_amplitude, u, ds, t_grid, config.rtol)))
+            tasks.append((u, k, (n, zeta, config.bulk_amplitude, u, ds, t_grid)))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -384,7 +393,9 @@ def run_fig3b(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
     summary_rows = []
     per_draw = {}
     worst_phys = {"max_trace_deviation": 0.0, "max_hermiticity_defect": 0.0, "max_negative_eigenvalue": 0.0}
-    for (u, k, _), (tr, phys, drawn) in zip(tasks, outputs):
+    evolution = {}
+    for (u, k, _), (tr, phys, method_tag) in zip(tasks, outputs):
+        evolution[f"u={u:g}"] = method_tag
         write_csv(
             outdir / f"fig3b_u{u:g}_draw{k:02d}.csv",
             ["t", "x1", "x2", "ratio"],
@@ -407,7 +418,7 @@ def run_fig3b(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
         "ratio_expected": 1.0 / zeta,
         "time_unit": "absolute",
     }
-    write_metadata(outdir, config, {"results": results, "integrator": {"rtol": config.rtol, "atol": 1e-14}})
+    write_metadata(outdir, config, {"results": results, "evolution": evolution})
     return results
 
 
@@ -418,7 +429,7 @@ def run_fig4_purity(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> di
     zeta = config.zeta
     rho0 = edge_occupied_state(n, zeta, config.edge_state_amplitude)
     t_grid = config.time_grid()
-    res = evolve(rho0, params, t_grid, rtol=config.rtol, check_initial=True)
+    res = evolve(rho0, params, t_grid, check_initial=True)
 
     rows = []
     rel_errors = []
@@ -454,7 +465,7 @@ def run_fig4_purity(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> di
         {
             "results": results,
             "approximation": "truncated word family {I, M, sz1, sy1 sx2} + parity partners",
-            "integrator": {"rtol": config.rtol},
+            "evolution": res.method_tag,
         },
     )
     return results

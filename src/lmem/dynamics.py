@@ -3,16 +3,15 @@
 States are carried as Liouville amplitude vectors and evolve under
 i d|rho>/dt = L |rho>. Two methods are provided and cross-validated:
 
-* "integrator": adaptive Runge-Kutta 5(4) on the amplitude vector (default
-  tolerances rtol 1e-8 / atol 1e-10). When the model commutes with every
-  parity pair, the vector is split into its sector components and each
-  block is integrated independently with purely relative error control;
-  this keeps deeply decaying components relatively accurate and is the
-  fast path for large chains.
+* "expm" (default): the exact action of exp(-i L t) on the state,
+  scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
+  Comput. 33, 488 (2011)). When the model commutes with every parity pair,
+  L is restricted to the union of the sectors the state occupies; the other
+  sectors carry no weight at any time. A uniform grid costs one call.
 
 * "eigen": dense eigendecomposition with biorthogonal left/right pairs,
-  |rho(t)> = R exp(-i diag(lambda) t) R^{-1} |rho(0)>. Useful for long-time
-  queries; unreliable exactly at defective (exceptional) points.
+  |rho(t)> = R exp(-i diag(lambda) t) R^{-1} |rho(0)>. The independent
+  oracle for "expm"; unreliable exactly at defective (exceptional) points.
 
 Spectral reports check the structural facts every Lindblad generator obeys:
 eigenvalues in the closed lower half plane, anti-conjugate pairing
@@ -25,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
+from scipy.spatial import cKDTree
 
 from .fock import (
     LiouvilleVector,
@@ -39,7 +39,7 @@ from .fock import (
 from .liouvillian import Superoperator, build_liouvillian_direct, build_liouvillian_thirdq
 from .model import ModelParams
 from .pauli import OperatorSum
-from .sectors import SectorLabel, enumerate_sector_basis, sector_eigenvalues
+from .sectors import SectorLabel, restrict_liouvillian, sector_eigenvalues
 
 
 @dataclass
@@ -80,40 +80,6 @@ def check_physical_initial_state(rho: np.ndarray, tol: float = 1e-10) -> None:
         raise ValueError(f"initial state has negative eigenvalue {lam.min():.3e}")
 
 
-def _operator_inf_norm(matrix) -> float:
-    if sp.issparse(matrix):
-        return float(abs(matrix).sum(axis=1).max())
-    return float(np.abs(matrix).sum(axis=1).max())
-
-
-def _integrate(matrix, v0, t_phys, rtol, atol) -> np.ndarray:
-    """RK45 on i dv/dt = M v, sampled at t_phys (t_phys[0] may be > 0)."""
-    if sp.issparse(matrix):
-        rhs = lambda t, v: -1j * (matrix @ v)
-    else:
-        rhs = lambda t, v: -1j * matrix.dot(v)
-    t0, t1 = 0.0, float(t_phys[-1])
-    if t1 == t0:
-        return np.tile(v0, (len(t_phys), 1))
-    # an explicit first step keeps the step selector away from components
-    # that are exactly zero when atol is effectively zero
-    scale = _operator_inf_norm(matrix)
-    first = min(t1 - t0, 0.1 / scale) if scale > 0 else t1 - t0
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        v0.astype(complex),
-        t_eval=t_phys,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        first_step=first,
-    )
-    if not sol.success:
-        raise RuntimeError(f"integrator failed: {sol.message}")
-    return sol.y.T
-
-
 def _eigen_evolve(matrix, v0, t_phys) -> np.ndarray:
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
     lam, R = np.linalg.eig(dense)
@@ -122,74 +88,76 @@ def _eigen_evolve(matrix, v0, t_phys) -> np.ndarray:
     return (phases * g) @ R.T
 
 
-def _expm_step_evolve(block: np.ndarray, v0: np.ndarray, t_phys: np.ndarray) -> np.ndarray:
-    """Exact exponential stepping on a uniform grid.
+def _propagate(A, v0: np.ndarray, t_phys: np.ndarray) -> np.ndarray:
+    """exp(A t) v0 at every t of a nondecreasing grid with t_phys[0] >= 0.
 
-    Diagonal blocks (broken-coupling sectors) evolve in closed form; other
-    blocks step with one Pade exponential of the grid spacing.
+    The state is first carried to t_phys[0] by a call of its own, because
+    the start/stop/num mode sizes its Taylor steps for stop - start and
+    loses accuracy on a start far beyond that span. The rest of a uniform
+    grid is then one start/stop/num call, any other grid one call per
+    interval.
     """
-    from scipy.linalg import expm
-
-    off = block - np.diag(np.diag(block))
-    if np.abs(off).max() == 0.0:
-        return np.exp(-1j * np.outer(t_phys, np.diag(block))) * v0
-    steps = np.diff(t_phys)
-    if steps.size and np.abs(steps - steps[0]).max() > 1e-12 * max(steps.max(), 1e-300):
-        raise ValueError("expm evolution requires a uniform time grid")
-    out = np.empty((len(t_phys), v0.size), dtype=complex)
-    v = v0.astype(complex)
-    if t_phys[0] != 0.0:
-        v = expm(-1j * block * t_phys[0]) @ v
+    v = expm_multiply(t_phys[0] * A, v0) if t_phys[0] > 0 else v0.astype(complex)
+    span = t_phys - t_phys[0]
+    uniform = np.linspace(0.0, span[-1], span.size)
+    if span[-1] > 0 and np.abs(span - uniform).max() <= 8 * np.finfo(float).eps * span[-1]:
+        return expm_multiply(A, v, start=0.0, stop=span[-1], num=span.size, endpoint=True)
+    out = np.empty((span.size, v.size), dtype=complex)
     out[0] = v
-    if steps.size:
-        E = expm(-1j * block * steps[0])
-        for k in range(1, len(t_phys)):
-            v = E @ v
-            out[k] = v
+    for k, dt in enumerate(np.diff(t_phys), start=1):
+        if dt > 0:
+            v = expm_multiply(dt * A, v)
+        out[k] = v
     return out
 
 
-def _occupied_sectors(v0: np.ndarray, n_sites: int):
-    """Sector labels carrying weight, with their basis index arrays."""
-    nz = np.flatnonzero(np.abs(v0) > 0)
-    if nz.size == 0:
-        nz = np.array([0])
-    patterns = sector_eigenvalues(nz, n_sites)
-    out = []
-    seen = set()
-    for row in patterns:
-        key = tuple(int(x) for x in row)
-        if key not in seen:
-            seen.add(key)
-            label = SectorLabel(key)
-            out.append((label, enumerate_sector_basis(label, n_sites)))
-    return out
+def _occupied_indices(v0: np.ndarray, n_sites: int) -> np.ndarray:
+    """Basis indices of the union of the parity-pair sectors v0 occupies."""
+    weights = 1 << np.arange(n_sites - 1)
+    codes = (1 - sector_eigenvalues(np.arange(v0.size), n_sites)) // 2 @ weights
+    # a zero state keeps one sector, so the restricted block is never empty
+    occupied = codes[np.flatnonzero(v0)] if v0.any() else codes[:1]
+    return np.flatnonzero(np.isin(codes, occupied))
+
+
+def _check_time_grid(t_grid) -> np.ndarray:
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size < 1:
+        raise ValueError("t_grid must be a nonempty 1-D array")
+    bad = t_grid[~np.isfinite(t_grid)]
+    if bad.size:
+        raise ValueError(f"t_grid holds the non-finite time {bad[0]}")
+    if t_grid.min() < 0:
+        raise ValueError(
+            f"t_grid holds the negative time {t_grid.min()}; "
+            "a Lindblad generator evolves forward only"
+        )
+    if np.any(np.diff(t_grid) < 0):
+        raise ValueError("t_grid must be nondecreasing")
+    return t_grid
 
 
 def evolve(
     rho0,
     params: ModelParams,
     t_grid,
-    method: str = "integrator",
-    use_sectors: bool | None = None,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
+    method: str = "expm",
     check_initial: bool = False,
 ) -> EvolutionResult:
     """Evolve an initial state over t_grid.
 
-    t_grid is in units of 1/gamma when the dephasing rates are homogeneous
-    and positive, absolute otherwise. rho0 may be a dense matrix, a
-    LiouvilleVector, an OperatorSum or a raw amplitude vector; check_initial
-    tests only dense matrices. With use_sectors (default: on whenever the
-    model preserves the parity pairs and method is "integrator"), each
-    occupied sector is integrated separately with purely relative error
-    control.
+    t_grid is a nondecreasing grid of finite times >= 0, repeats allowed,
+    in units of 1/gamma when the dephasing rates are homogeneous and
+    positive, absolute otherwise. rho0 may be a dense matrix, a
+    LiouvilleVector, an OperatorSum or a raw amplitude vector;
+    check_initial tests only dense matrices. method "expm" (default) is
+    the exact propagator, restricted to the occupied sectors whenever the
+    model preserves the parity pairs; "eigen" is the eigen-expansion oracle.
     """
     n = params.n_sites
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be a nondecreasing 1-D array")
+    t_grid = _check_time_grid(t_grid)
+    if method not in ("expm", "eigen"):
+        raise ValueError(f"unknown evolution method {method!r}; use 'expm' or 'eigen'")
     if check_initial and not isinstance(rho0, (LiouvilleVector, OperatorSum)):
         rho0 = np.asarray(rho0, dtype=complex)
         if rho0.ndim == 2:
@@ -204,36 +172,18 @@ def evolve(
         t_phys = t_grid
         unit = "absolute"
 
-    superop = _liouvillian_for(params)
-    if use_sectors is None:
-        use_sectors = params.preserves_sectors() and method == "integrator"
-
+    matrix = _liouvillian_for(params).matrix
     if method == "eigen":
-        amps = _eigen_evolve(superop.matrix, v0, t_phys)
+        amps = _eigen_evolve(matrix, v0, t_phys)
         tag = "eigen-expansion"
-    elif method == "expm":
-        if not params.preserves_sectors():
-            raise ValueError("expm sector evolution requires a sector-preserving model")
-        amps = np.zeros((len(t_phys), 4 ** n), dtype=complex)
-        csc = sp.csc_matrix(superop.matrix)
-        for label, idx in _occupied_sectors(v0, n):
-            block = csc[:, idx][idx, :].toarray()
-            amps[:, idx] = _expm_step_evolve(block, v0[idx], t_phys)
-        tag = "expm-sector"
-    elif method == "integrator":
-        if use_sectors and params.preserves_sectors():
-            amps = np.zeros((len(t_phys), 4 ** n), dtype=complex)
-            csc = sp.csc_matrix(superop.matrix)
-            for label, idx in _occupied_sectors(v0, n):
-                block = csc[:, idx][idx, :].toarray()
-                seg = _integrate(block, v0[idx], t_phys, rtol=rtol, atol=1e-300)
-                amps[:, idx] = seg
-            tag = "integrator-sector"
-        else:
-            amps = _integrate(superop.matrix, v0, t_phys, rtol=rtol, atol=atol)
-            tag = "integrator"
+    elif params.preserves_sectors():
+        idx = _occupied_indices(v0, n)
+        amps = np.zeros((t_phys.size, v0.size), dtype=complex)
+        amps[:, idx] = _propagate(-1j * matrix[idx][:, idx], v0[idx], t_phys)
+        tag = "expm-multiply-sector"
     else:
-        raise ValueError(f"unknown evolution method {method!r}")
+        amps = _propagate(-1j * matrix, v0, t_phys)
+        tag = "expm-multiply"
     return EvolutionResult(n, t_grid.copy(), amps, tag, unit)
 
 
@@ -311,8 +261,6 @@ def spectrum_analysis(
     target = -np.conj(lam)
     used = np.zeros(lam.size, dtype=bool)
     pairing, unpaired = [], []
-    from scipy.spatial import cKDTree
-
     tree = cKDTree(np.column_stack([lam.real, lam.imag]))
     for i in range(lam.size):
         if used[i]:
@@ -395,8 +343,6 @@ def exceptional_point_scan(
     cond_threshold; the condition number distinguishes a defective
     coalescence from an ordinary degeneracy.
     """
-    from .sectors import restrict_liouvillian
-
     out = []
     for g in np.asarray(gamma_values, dtype=float):
         p = ModelParams(
@@ -408,8 +354,6 @@ def exceptional_point_scan(
         block = restrict_liouvillian(build_liouvillian_thirdq(p), sector)
         lam, R = np.linalg.eig(block.matrix)
         if lam.size > 1:
-            from scipy.spatial import cKDTree
-
             tree = cKDTree(np.column_stack([lam.real, lam.imag]))
             dists, _ = tree.query(np.column_stack([lam.real, lam.imag]), k=2)
             min_gap = float(dists[:, 1].min())

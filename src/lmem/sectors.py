@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from .fock import _index_range, site_count
 from .kappa import build_P_operator, kappa_all
@@ -275,8 +276,6 @@ def spectra_match(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
         return True
     if np.abs(a - b).max() < tol:
         return True
-    from scipy.spatial import cKDTree
-
     tree = cKDTree(np.column_stack([b.real, b.imag]))
     used = np.zeros(b.size, dtype=bool)
     for val in a:

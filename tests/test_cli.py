@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(
                 {"experiment": "fig3a", "model": base_model(4), "time_grid": {"t_max": -1}}
+            )
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_t_max_rejected(self, tmp_path, text):
+        # json.load accepts these literals; they must not reach the propagator
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            '{"experiment": "fig3b", "model": %s, "time_grid": {"t_max": %s}}'
+            % (json.dumps(base_model(4)), text)
+        )
+        with pytest.raises(ConfigError, match=r"time_grid\.t_max"):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            {"gamma_min": float("nan"), "gamma_max": 4.0},
+            {"gamma_min": 0.5, "gamma_max": float("nan")},
+            {"gamma_min": 0.5, "gamma_max": float("inf")},
+        ],
+    )
+    def test_non_finite_gamma_scan_rejected(self, scan):
+        with pytest.raises(ConfigError, match="gamma_scan"):
+            ExperimentConfig(
+                {"experiment": "fig4-spectrum", "model": base_model(4), "gamma_scan": scan}
             )
 
     def test_sector_parsing(self):
@@ -206,3 +235,17 @@ def test_dense_limit_env(tmp_path, monkeypatch):
         PauliString.identity(3).to_matrix()
     monkeypatch.setenv("LMEM_DENSE_LIMIT", "3")
     PauliString.identity(3).to_matrix()
+
+
+def test_import_does_not_load_scipy_integrate():
+    # the run path imports what it needs at load time; scipy.integrate would
+    # add ~0.3 s of imports that no experiment uses
+    import lmem
+
+    src = str(Path(lmem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, lmem, lmem.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from lmem.dynamics import (
     evolve,
@@ -11,8 +13,8 @@ from lmem.dynamics import (
     spectrum_analysis,
 )
 from lmem.fock import vector_purity, vectorize
-from lmem.liouvillian import build_liouvillian_thirdq
-from lmem.model import ModelParams
+from lmem.liouvillian import build_liouvillian_direct, build_liouvillian_thirdq
+from lmem.model import ModelParams, random_perturbed_params
 from lmem.pauli import OperatorSum, PauliString, parity_word
 from lmem.sectors import SectorLabel, restrict_liouvillian
 
@@ -21,6 +23,14 @@ def params(n, J=1.0, gamma=0.5):
     return ModelParams(
         n_sites=n, couplings=np.full(n - 1, float(J)), dephasing_rates=np.full(n, float(gamma))
     )
+
+
+def dense_reference(rho0, p, t_grid):
+    """Dense Pade exp(-i L t) of the direct generator applied to rho0."""
+    L = build_liouvillian_direct(p).toarray()
+    t_phys = np.asarray(t_grid, dtype=float) / (p.homogeneous_gamma() or 1.0)
+    v0 = vectorize(rho0, p.n_sites).amplitudes
+    return np.array([expm(-1j * L * t) @ v0 for t in t_phys])
 
 
 def up_state(n):
@@ -50,15 +60,15 @@ class TestEvolve:
                 res.density_matrix(k), rho_s, atol=1e-9
             )
 
-    def test_integrator_matches_eigen_expansion(self):
+    def test_expm_matches_eigen_expansion(self):
         n = 2
         p = params(n, J=1.0, gamma=0.5)
         t = np.linspace(0, 4, 9)
-        res_i = evolve(up_state(n), p, t, method="integrator")
+        res_x = evolve(up_state(n), p, t, method="expm")
         res_e = evolve(up_state(n), p, t, method="eigen")
         x = PauliString.single(n, 1, "Z")
         np.testing.assert_allclose(
-            expectation_series(x, res_i).real,
+            expectation_series(x, res_x).real,
             expectation_series(x, res_e).real,
             atol=1e-6,
         )
@@ -68,33 +78,102 @@ class TestEvolve:
         p = params(n, J=0.9, gamma=0.6)
         rho0 = up_state(n)
         t = np.linspace(0, 3, 5)
-        res_s = evolve(rho0, p, t, use_sectors=True)
-        res_f = evolve(rho0, p, t, use_sectors=False)
-        assert res_s.method_tag == "integrator-sector"
-        np.testing.assert_allclose(res_s.amplitudes, res_f.amplitudes, atol=1e-7)
+        res_s = evolve(rho0, p, t)
+        assert res_s.method_tag == "expm-multiply-sector"
+        A = -1j * build_liouvillian_thirdq(p).matrix
+        v0 = vectorize(rho0, n).amplitudes
+        stop = t[-1] / p.homogeneous_gamma()
+        full = expm_multiply(A, v0, start=0.0, stop=stop, num=t.size, endpoint=True)
+        np.testing.assert_allclose(res_s.amplitudes, full, atol=1e-7)
 
-    def test_expm_stepping_matches_integrator(self):
+    def test_expm_matches_dense_expm(self):
         n = 3
         p = params(n, J=1.1, gamma=0.7)
         rho0 = up_state(n)
         t = np.linspace(0, 4, 9)
-        res_e = evolve(rho0, p, t, method="expm")
-        res_i = evolve(rho0, p, t, method="integrator", rtol=1e-11)
-        assert res_e.method_tag == "expm-sector"
-        np.testing.assert_allclose(res_e.amplitudes, res_i.amplitudes, atol=1e-8)
+        res = evolve(rho0, p, t, method="expm")
+        np.testing.assert_allclose(res.amplitudes, dense_reference(rho0, p, t), atol=1e-12)
 
-    def test_expm_requires_sector_preserving_model(self):
-        from lmem.model import random_perturbed_params
-
+    def test_sector_breaking_model_matches_dense_expm(self):
         p = random_perturbed_params(3, u=2.0, rng_seed=1)
-        with pytest.raises(ValueError, match="sector-preserving"):
-            evolve(up_state(3), p, np.linspace(0, 1, 3), method="expm")
+        t = np.linspace(0, 1, 3)
+        res = evolve(up_state(3), p, t, method="expm")
+        assert res.method_tag == "expm-multiply"
+        np.testing.assert_allclose(res.amplitudes, dense_reference(up_state(3), p, t), atol=1e-12)
 
-    def test_expm_rejects_nonuniform_grid(self):
+    def test_nonuniform_grid_matches_dense_expm(self):
         n = 2
         p = params(n, J=1.0, gamma=0.5)
-        with pytest.raises(ValueError, match="uniform"):
-            evolve(up_state(n), p, np.array([0.0, 0.5, 2.0]), method="expm")
+        t = np.array([0.0, 0.5, 2.0])
+        res = evolve(up_state(n), p, t, method="expm")
+        np.testing.assert_allclose(res.amplitudes, dense_reference(up_state(n), p, t), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            [1.5, 2.0, 2.5],  # uniform, starting late
+            # start far beyond the span: scipy sizes the Taylor steps of its
+            # start/stop/num mode for the span, so the first leg is its own call
+            [3.0, 3.1, 3.2],
+            [10.0, 10.01],
+            [0.7],  # single sample
+            [0.0],
+            [0.0, 1.0, 1.0, 2.0],  # repeated time
+            [2.0, 2.0, 2.0],
+        ],
+    )
+    def test_grid_shapes_match_dense_expm(self, t):
+        n = 3
+        p = params(n, J=1.1, gamma=0.7)
+        rho0 = self._mixed_state(n)
+        res = evolve(rho0, p, t)
+        np.testing.assert_array_equal(res.times, t)
+        np.testing.assert_allclose(res.amplitudes, dense_reference(rho0, p, t), atol=1e-12)
+
+    @staticmethod
+    def _mixed_state(n):
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+        rho = m @ m.conj().T
+        return rho / np.trace(rho)
+
+    def test_zero_coupling_model_matches_dense_expm(self):
+        n = 3
+        p = params(n, J=0.0, gamma=0.8)
+        rho0 = self._mixed_state(n)
+        t = np.linspace(0, 3, 7)
+        res = evolve(rho0, p, t)
+        np.testing.assert_allclose(res.amplitudes, dense_reference(rho0, p, t), atol=1e-12)
+
+    def test_result_does_not_depend_on_global_rng(self):
+        # the norm estimates behind the Taylor degree draw from np.random
+        # once ||L t||_1 is large; the trajectory must not change with them
+        p = random_perturbed_params(3, u=2.0, rng_seed=1)
+        t = np.linspace(0, 10, 11)
+        runs = []
+        for seed in range(4):
+            np.random.seed(seed)
+            runs.append(evolve(up_state(3), p, t).amplitudes)
+        for amps in runs[1:]:
+            np.testing.assert_array_equal(amps, runs[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite time"):
+            evolve(up_state(2), params(2), [0.0, bad])
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match=r"negative time -1\.0"):
+            evolve(up_state(2), params(2), [-1.0, 0.0])
+
+    def test_decreasing_grid_rejected(self):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            evolve(up_state(2), params(2), [0.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("method", ["integrator", "rk45", ""])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValueError, match="unknown evolution method"):
+            evolve(up_state(2), params(2), [0.0, 1.0], method=method)
 
     def test_time_unit_tagging(self):
         n = 2
@@ -103,9 +182,6 @@ class TestEvolve:
         assert res.time_unit == "1/gamma"
         # gamma t = 2 at gamma = 2 is physical time 1: verify against the
         # eigen-expansion propagator of the same model at absolute time
-        from lmem.liouvillian import build_liouvillian_thirdq
-        from scipy.linalg import expm
-
         L = build_liouvillian_thirdq(p).toarray()
         v0 = vectorize(up_state(n), n).amplitudes
         expected = expm(-1j * L * 1.0) @ v0

@@ -194,7 +194,7 @@ class TestFactorization:
         spec = ProductStateSpec(zeta=0.4, a_terms=[(0.15, w) for w in bulk_words(n)])
         rho0 = build_product_state(spec, n)
         p = params(n, J=1.0, gamma=1.0)
-        res = evolve(rho0, p, np.linspace(0, 10, 11), rtol=1e-10)
+        res = evolve(rho0, p, np.linspace(0, 10, 11))
         ratios = []
         for k in range(len(res)):
             f = edge_factorization_test(res.state(k))
@@ -287,7 +287,7 @@ class TestLongtimePurity:
         # at time zero the truncation misses the longer words
         assert approx_purity_longtime(rho0) < purity(rho0) - 1e-4
         p = params(n, J=2.0, gamma=3.0)
-        res = evolve(rho0, p, np.linspace(0.0, 12.0, 7), rtol=1e-10)
+        res = evolve(rho0, p, np.linspace(0.0, 12.0, 7))
         final = res.state(-1)
         exact = purity(final)
         approx = approx_purity_longtime(final)
@@ -303,7 +303,7 @@ class TestRatioTrace:
         x1 = OperatorSum(n, [(1.0, w) for w in bulk_words(n)])
         x2 = x1 @ OperatorSum.from_pauli(parity_word(n))
         p = params(n, J=1.0, gamma=1.0)
-        res = evolve(rho0, p, np.linspace(0, 10, 21), rtol=1e-10)
+        res = evolve(rho0, p, np.linspace(0, 10, 21))
         tr = ratio_trace(x1, x2, res)
         assert not tr.guarded.any()
         assert tr.values[0] == pytest.approx(1 / zeta, abs=1e-9)
@@ -325,7 +325,7 @@ class TestRatioTrace:
         pert = random_perturbed_params(n, u=0.0, rng_seed=77)
         x1 = OperatorSum.from_pauli(word(n, {2: "Z"}))
         x2 = x1 @ OperatorSum.from_pauli(parity_word(n))
-        res = evolve(rho0, pert, np.linspace(0, 10, 11), rtol=1e-10, atol=1e-14)
+        res = evolve(rho0, pert, np.linspace(0, 10, 11))
         tr = ratio_trace(x1, x2, res)
         expected = classify_operator(word(n, {2: "Z"})).ratio_constant(0.5)
         assert tr.values[0] == pytest.approx(expected, abs=1e-7)
@@ -344,7 +344,7 @@ class TestRatioTrace:
         assert not edge_factorization_test(rho0).factorized
         x1 = OperatorSum(n, [(1.0, w) for w in bulk_words(n)])
         x2 = x1 @ OperatorSum.from_pauli(parity_word(n))
-        res = evolve(rho0, params(n), np.linspace(0, 10, 21), rtol=1e-10)
+        res = evolve(rho0, params(n), np.linspace(0, 10, 21))
         tr = ratio_trace(x1, x2, res)
         assert tr.max_drift < 1e-8
 
@@ -365,7 +365,7 @@ class TestRatioTrace:
         assert not edge_factorization_test(rho0).factorized
         x1 = OperatorSum(n, [(1.0, w) for w in bulk_words(n)])
         x2 = x1 @ OperatorSum.from_pauli(parity_word(n))
-        res = evolve(rho0, params(n), np.linspace(0, 10, 21), rtol=1e-10)
+        res = evolve(rho0, params(n), np.linspace(0, 10, 21))
         tr = ratio_trace(x1, x2, res)
         assert tr.values[0] == pytest.approx(2.0, abs=1e-8)
         assert tr.max_drift > 0.01
