@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +38,7 @@ import numpy as np
 from . import __version__
 from .dynamics import evolve, exceptional_point_scan, physicality_report
 from .edge import (
+    PositivityError,
     ProductStateSpec,
     approx_purity_longtime,
     build_product_state,
@@ -256,7 +256,10 @@ def product_initial_state(n: int, zeta: float, amplitude: float) -> np.ndarray:
     spec = ProductStateSpec(
         zeta=zeta, a_terms=[(amplitude, w) for w in interior_word_family(n)]
     )
-    return build_product_state(spec, n)
+    try:
+        return build_product_state(spec, n)
+    except PositivityError as exc:
+        raise ConfigError(f"{exc}; reduce bulk_amplitude or |zeta|") from exc
 
 
 def nonproduct_initial_state(
@@ -276,6 +279,12 @@ def nonproduct_initial_state(
     rho = rho + e1 * PauliString.single(n, 1, "Z").to_matrix() @ minus / 2 ** n
     sxsy = PauliString.single(n, 1, "X").mul(PauliString.single(n, 2, "Y"))
     rho = rho + e2 * sxsy.to_matrix() @ minus / 2 ** n
+    lam_min = float(np.linalg.eigvalsh(rho).min())
+    if lam_min < -1e-10:
+        raise ConfigError(
+            f"non-product state is not positive (min eigenvalue {lam_min:.3e}); "
+            "reduce nonproduct_amplitudes"
+        )
     return rho
 
 
@@ -310,7 +319,7 @@ def edge_occupied_state(n: int, zeta: float, amplitude: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def run_fig3a(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
+def run_fig3a(config: ExperimentConfig, outdir: Path) -> dict:
     """Paired-observable ratio along product and non-product trajectories."""
     params = config.model
     n = params.n_sites
@@ -352,61 +361,45 @@ def run_fig3a(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
                 "x1_terms": [w.to_label() for w in interior_word_family(n)],
                 "x2": "x1 times total parity",
             },
-            "evolution": "exact expm_multiply propagation on the occupied symmetry sectors",
+            "evolution": "exact Taylor-step propagation (Al-Mohy-Higham) on the occupied symmetry sectors",
             "results": results,
         },
     )
     return results
 
 
-def _fig3b_single(args):
-    (n, zeta, amplitude, u, draw_seed, t_grid) = args
-    params = random_perturbed_params(n, u=u, rng_seed=draw_seed)
-    rho0 = product_initial_state(n, zeta, amplitude)
-    x1, x2 = ratio_observables(n)
-    res = evolve(rho0, params, t_grid)
-    tr = ratio_trace(x1, x2, res)
-    phys = physicality_report(res)
-    return tr, phys, res.method_tag
-
-
-def run_fig3b(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
+def run_fig3b(config: ExperimentConfig, outdir: Path) -> dict:
     """Seeded random symmetry-preserving perturbations, u = 0 vs u != 0."""
     params = config.model
     n = params.n_sites
     zeta = config.zeta
     t_grid = config.time_grid()
-    # one counted seed stream: scheduling cannot change the draws
+    # one counted seed stream: draw k of every u uses the same seed
     draw_seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(config.n_draws)]
-
-    tasks = []
-    for u in config.transverse_values:
-        for k, ds in enumerate(draw_seeds):
-            tasks.append((u, k, (n, zeta, config.bulk_amplitude, u, ds, t_grid)))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_fig3b_single, [t[2] for t in tasks]))
-    else:
-        outputs = [_fig3b_single(t[2]) for t in tasks]
+    rho0 = product_initial_state(n, zeta, config.bulk_amplitude)
+    x1, x2 = ratio_observables(n)
 
     summary_rows = []
     per_draw = {}
     worst_phys = {"max_trace_deviation": 0.0, "max_hermiticity_defect": 0.0, "max_negative_eigenvalue": 0.0}
     evolution = {}
-    for (u, k, _), (tr, phys, method_tag) in zip(tasks, outputs):
-        evolution[f"u={u:g}"] = method_tag
-        write_csv(
-            outdir / f"fig3b_u{u:g}_draw{k:02d}.csv",
-            ["t", "x1", "x2", "ratio"],
-            zip(tr.times, tr.x1, tr.x2, tr.values),
-        )
-        summary_rows.append((u, k, tr.values[0], tr.max_drift))
-        per_draw.setdefault(f"u={u:g}", []).append(
-            {"draw": k, "seed": int(draw_seeds[k]), "ratio_initial": float(tr.values[0]), "max_drift": tr.max_drift}
-        )
-        for key in worst_phys:
-            worst_phys[key] = max(worst_phys[key], phys[key])
+    for u in config.transverse_values:
+        for k, ds in enumerate(draw_seeds):
+            res = evolve(rho0, random_perturbed_params(n, u=u, rng_seed=ds), t_grid)
+            tr = ratio_trace(x1, x2, res)
+            phys = physicality_report(res)
+            evolution[f"u={u:g}"] = res.method_tag
+            write_csv(
+                outdir / f"fig3b_u{u:g}_draw{k:02d}.csv",
+                ["t", "x1", "x2", "ratio"],
+                zip(tr.times, tr.x1, tr.x2, tr.values),
+            )
+            summary_rows.append((u, k, tr.values[0], tr.max_drift))
+            per_draw.setdefault(f"u={u:g}", []).append(
+                {"draw": k, "seed": ds, "ratio_initial": float(tr.values[0]), "max_drift": tr.max_drift}
+            )
+            for key in worst_phys:
+                worst_phys[key] = max(worst_phys[key], phys[key])
     write_csv(
         outdir / "fig3b_summary.csv",
         ["u", "draw", "ratio_initial", "max_drift"],
@@ -422,7 +415,7 @@ def run_fig3b(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
     return results
 
 
-def run_fig4_purity(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
+def run_fig4_purity(config: ExperimentConfig, outdir: Path) -> dict:
     """Exact purity vs the slow-mode truncation on a dissipative trajectory."""
     params = config.model
     n = params.n_sites
@@ -471,7 +464,7 @@ def run_fig4_purity(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> di
     return results
 
 
-def run_fig4_spectrum(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
+def run_fig4_spectrum(config: ExperimentConfig, outdir: Path) -> dict:
     """Sector spectrum scan over dissipation with exceptional-point flags."""
     params = config.model
     n = params.n_sites
@@ -483,14 +476,7 @@ def run_fig4_spectrum(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> 
         sector = SectorLabel(tuple(p))
     gammas = config.gamma_values()
 
-    def one(g):
-        return exceptional_point_scan(params, [g], sector)[0]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(one, gammas))
-    else:
-        points = [one(g) for g in gammas]
+    points = exceptional_point_scan(params, gammas, sector)
 
     rows = []
     for pt in points:
@@ -520,7 +506,7 @@ def run_fig4_spectrum(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> 
     return results
 
 
-def run_sector_census(config: ExperimentConfig, outdir: Path, jobs: int = 1) -> dict:
+def run_sector_census(config: ExperimentConfig, outdir: Path) -> dict:
     """Sector table with dimensions and broken-chain segments."""
     params = config.model
     n = params.n_sites
@@ -653,7 +639,7 @@ def _oracle_checks(max_n: int, seed: int, flip_kappa_sign: bool = False):
 
 
 def run_oracle_suite(
-    config: ExperimentConfig, outdir: Path, jobs: int = 1, flip_kappa_sign: bool = False
+    config: ExperimentConfig, outdir: Path, flip_kappa_sign: bool = False
 ) -> dict:
     """Machine-readable equivalence report; nonzero exit on any failure."""
     checks = []
@@ -686,9 +672,10 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, outdir: Path | None = None, jobs: int = 1, **kw):
+    """Run config's experiment; jobs is accepted for compatibility and ignored."""
     outdir = Path(outdir) if outdir is not None else config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[config.experiment](config, outdir, jobs=jobs, **kw)
+    return _RUNNERS[config.experiment](config, outdir, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +693,16 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the experiment described by a JSON config")
     p_run.add_argument("config", type=Path)
-    p_run.add_argument("--jobs", type=int, default=1, help="worker thread bound")
+    p_run.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; ignored, runs are serial"
+    )
     p_run.add_argument("--out", type=Path, default=None, help="override output directory")
 
     p_ver = sub.add_parser("verify", help="run the cross-construction oracle suite")
     p_ver.add_argument("config", type=Path, nargs="?", default=None)
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; ignored, runs are serial"
+    )
     p_ver.add_argument("--out", type=Path, default=None)
     p_ver.add_argument(
         "--debug-flip-kappa-sign",
@@ -723,7 +714,7 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         config = ExperimentConfig.from_file(args.config)
-        results = run_experiment(config, outdir=args.out, jobs=args.jobs)
+        results = run_experiment(config, outdir=args.out)
         if config.experiment == "oracle-suite":
             ok = results["all_passed"]
             for chk in results["checks"]:
@@ -743,7 +734,7 @@ def main(argv=None) -> int:
             config = _default_verify_config()
         outdir = args.out if args.out is not None else config.output_dir
         report = run_oracle_suite(
-            config, Path(outdir), jobs=args.jobs, flip_kappa_sign=args.debug_flip_kappa_sign
+            config, Path(outdir), flip_kappa_sign=args.debug_flip_kappa_sign
         )
         for chk in report["checks"]:
             status = "pass" if chk["passed"] else "FAIL"

@@ -412,11 +412,6 @@ class MajoranaMonomial:
         return abs(d.coeff - self.coeff) <= tol
 
 
-def reversal_sign_of_mask(mask: int) -> int:
-    k = _popcount(mask)
-    return 1 - 2 * ((k * (k - 1) // 2) % 2)
-
-
 def _site_generator(n_sites: int, site: int, code: str) -> MajoranaMonomial:
     """Majorana image of sigma_site^{code} under the Jordan-Wigner map."""
     n_modes = 2 * n_sites

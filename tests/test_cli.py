@@ -127,6 +127,22 @@ def test_fig3a_odd_sites_rejected(tmp_path):
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("experiment", ["fig3a", "fig3b"])
+def test_nonpositive_product_state_names_setting(tmp_path, experiment):
+    # at N=6 a bulk amplitude of 0.3 gives minimum eigenvalue -1.4e-2
+    cfg = ExperimentConfig(
+        make_config(tmp_path, experiment=experiment, model=base_model(6), bulk_amplitude=0.3)
+    )
+    with pytest.raises(ConfigError, match=r"bulk_amplitude or \|zeta\|"):
+        run_experiment(cfg)
+
+
+def test_nonpositive_nonproduct_state_names_setting(tmp_path):
+    cfg = ExperimentConfig(make_config(tmp_path, nonproduct_amplitudes=[0.6, 0.6]))
+    with pytest.raises(ConfigError, match="nonproduct_amplitudes"):
+        run_experiment(cfg)
+
+
 def test_fig3b_u_split(tmp_path):
     data = make_config(
         tmp_path,

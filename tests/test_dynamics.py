@@ -4,6 +4,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from lmem.dynamics import (
+    _taylor_plan,
     evolve,
     exceptional_point_scan,
     expectation,
@@ -79,7 +80,7 @@ class TestEvolve:
         rho0 = up_state(n)
         t = np.linspace(0, 3, 5)
         res_s = evolve(rho0, p, t)
-        assert res_s.method_tag == "expm-multiply-sector"
+        assert res_s.method_tag == "taylor-sector"
         A = -1j * build_liouvillian_thirdq(p).matrix
         v0 = vectorize(rho0, n).amplitudes
         stop = t[-1] / p.homogeneous_gamma()
@@ -98,7 +99,7 @@ class TestEvolve:
         p = random_perturbed_params(3, u=2.0, rng_seed=1)
         t = np.linspace(0, 1, 3)
         res = evolve(up_state(3), p, t, method="expm")
-        assert res.method_tag == "expm-multiply"
+        assert res.method_tag == "taylor"
         np.testing.assert_allclose(res.amplitudes, dense_reference(up_state(3), p, t), atol=1e-12)
 
     def test_nonuniform_grid_matches_dense_expm(self):
@@ -112,9 +113,7 @@ class TestEvolve:
         "t",
         [
             [1.5, 2.0, 2.5],  # uniform, starting late
-            # start far beyond the span: scipy sizes the Taylor steps of its
-            # start/stop/num mode for the span, so the first leg is its own call
-            [3.0, 3.1, 3.2],
+            [3.0, 3.1, 3.2],  # first leg far longer than the rest
             [10.0, 10.01],
             [0.7],  # single sample
             [0.0],
@@ -146,8 +145,8 @@ class TestEvolve:
         np.testing.assert_allclose(res.amplitudes, dense_reference(rho0, p, t), atol=1e-12)
 
     def test_result_does_not_depend_on_global_rng(self):
-        # the norm estimates behind the Taylor degree draw from np.random
-        # once ||L t||_1 is large; the trajectory must not change with them
+        # the stepper plans from the exact 1-norm and draws no random
+        # numbers, so reseeding np.random must not change a single bit
         p = random_perturbed_params(3, u=2.0, rng_seed=1)
         t = np.linspace(0, 10, 11)
         runs = []
@@ -156,6 +155,49 @@ class TestEvolve:
             runs.append(evolve(up_state(3), p, t).amplitudes)
         for amps in runs[1:]:
             np.testing.assert_array_equal(amps, runs[0])
+
+    @staticmethod
+    def _shifted_norm(A):
+        """Exact 1-norm of A shifted by its mean diagonal, as the stepper plans."""
+        dim = A.shape[0]
+        mu = A.diagonal().sum() / dim
+        return np.abs(A.toarray() - mu * np.eye(dim)).sum(axis=0).max()
+
+    def test_many_substeps_match_dense_expm(self):
+        n = 3
+        p = params(n, J=1.1, gamma=0.7)
+        rho0 = self._mixed_state(n)
+        t = [0.0, 40.0]
+        A = -1j * build_liouvillian_direct(p).matrix
+        _, s = _taylor_plan(40.0 / 0.7 * self._shifted_norm(A))
+        assert s > 1
+        res = evolve(rho0, p, t)
+        np.testing.assert_allclose(res.amplitudes, dense_reference(rho0, p, t), atol=1e-12)
+
+    def test_sector_breaking_model_matches_expm_multiply(self):
+        p = random_perturbed_params(3, u=2.0, rng_seed=4)
+        t = np.array([0.0, 0.1, 0.15, 1.3, 4.0, 4.0, 7.5])
+        res = evolve(self._mixed_state(3), p, t)
+        A = -1j * build_liouvillian_direct(p).matrix
+        v = vectorize(self._mixed_state(3), 3).amplitudes
+        expected = np.array([expm_multiply(tk * A, v) for tk in t])
+        np.testing.assert_allclose(res.amplitudes, expected, atol=1e-12)
+
+    def test_repeated_times_add_no_matvecs(self):
+        p = params(3, J=1.1, gamma=0.7)
+        once = evolve(up_state(3), p, [2.0])
+        repeated = evolve(up_state(3), p, [2.0, 2.0, 2.0])
+        assert once.matvecs > 0
+        assert repeated.matvecs == once.matvecs
+        np.testing.assert_array_equal(repeated.amplitudes[1:], once.amplitudes[[0, 0]])
+
+    def test_uniform_grid_matvecs_within_plan(self):
+        p = random_perturbed_params(3, u=2.0, rng_seed=1)
+        t = np.linspace(0, 10, 21)
+        res = evolve(up_state(3), p, t)
+        m, s = _taylor_plan(0.5 * self._shifted_norm(-1j * build_liouvillian_direct(p).matrix))
+        assert 0 < res.matvecs <= (t.size - 1) * m * s
+        assert evolve(up_state(3), p, t, method="eigen").matvecs == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, bad):
