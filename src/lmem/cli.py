@@ -476,7 +476,9 @@ def run_fig4_spectrum(config: ExperimentConfig, outdir: Path) -> dict:
         sector = SectorLabel(tuple(p))
     gammas = config.gamma_values()
 
-    points = exceptional_point_scan(params, gammas, sector)
+    # one scan call per gamma: a single call over the grid keeps the previous
+    # point's sector block and eigenvectors alive while the next is built
+    points = [exceptional_point_scan(params, [g], sector)[0] for g in gammas]
 
     rows = []
     for pt in points:
