@@ -47,29 +47,18 @@ from .edge import (
     ratio_trace,
 )
 from .fock import vector_purity, vectorize
-from .kappa import kappa_all
-from .liouvillian import (
-    build_liouvillian_colstack_oracle,
-    build_liouvillian_direct,
-    build_liouvillian_thirdq,
-    trace_preservation_defect,
-)
+from .liouvillian import build_liouvillian_thirdq
 from .model import ModelParams, random_perturbed_params
-from .pauli import (
-    OperatorSum,
-    PauliString,
-    majorana_to_spin,
-    parity_word,
-    spin_to_majorana,
-)
+from .pauli import OperatorSum, PauliString, parity_word
 from .sectors import (
     SectorLabel,
     all_sector_labels,
     broken_chain_segments,
     enumerate_sector_basis,
-    kitaev_form_reconstruction,
     restrict_liouvillian,
+    sorted_spectrum,
 )
+from .verify import oracle_report
 
 EXPERIMENTS = (
     "fig3a",
@@ -129,6 +118,12 @@ class ExperimentConfig:
         self.n_draws = int(data.get("n_draws", 10))
         self.transverse_values = [float(v) for v in data.get("transverse_values", (0.0, 2.0))]
         self.max_n_sites = int(data.get("max_n_sites", 4))
+        if self.n_draws < 1:
+            raise ConfigError(f"n_draws must be >= 1, got n_draws={self.n_draws}")
+        if not self.transverse_values:
+            raise ConfigError("transverse_values must list at least one value, got []")
+        if self.max_n_sites < 2:
+            raise ConfigError(f"max_n_sites must be >= 2, got max_n_sites={self.max_n_sites}")
         self.with_spectra = bool(data.get("with_spectra", False))
         # accepted so that existing configs load; the exact propagator has
         # no tolerance to set, so it does not affect any result
@@ -476,14 +471,10 @@ def run_fig4_spectrum(config: ExperimentConfig, outdir: Path) -> dict:
         sector = SectorLabel(tuple(p))
     gammas = config.gamma_values()
 
-    # one scan call per gamma: a single call over the grid keeps the previous
-    # point's sector block and eigenvectors alive while the next is built
-    points = [exceptional_point_scan(params, [g], sector)[0] for g in gammas]
+    points = exceptional_point_scan(params, gammas, sector)
 
     rows = []
     for pt in points:
-        from .sectors import sorted_spectrum
-
         lam = sorted_spectrum(pt.eigenvalues)
         for i, ev in enumerate(lam):
             rows.append((pt.gamma, i, ev.real, ev.imag, pt.min_gap, pt.condition_number, pt.exceptional))
@@ -523,8 +514,6 @@ def run_sector_census(config: ExperimentConfig, outdir: Path) -> dict:
         )
         if L is not None:
             block = restrict_liouvillian(L, lab)
-            from .sectors import sorted_spectrum
-
             for i, ev in enumerate(sorted_spectrum(np.linalg.eigvals(block.matrix))):
                 spectra_rows.append((lab.to_string(), i, ev.real, ev.imag))
     path = outdir / "sector_census.csv"
@@ -552,115 +541,28 @@ def run_sector_census(config: ExperimentConfig, outdir: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_checks(max_n: int, seed: int, flip_kappa_sign: bool = False):
-    """Yield (name, n, deviation, tolerance) for every cross-check."""
-    rng = np.random.default_rng(seed)
-    for n in range(2, max_n + 1):
-        p = ModelParams(
-            n_sites=n,
-            couplings=rng.uniform(0.5, 1.5, n - 1),
-            dephasing_rates=rng.uniform(0.2, 1.0, n),
-        )
-        a = build_liouvillian_thirdq(p)
-        b = build_liouvillian_direct(p)
-        dev = abs((a.matrix - b.matrix)).max()
-        yield ("liouvillian-thirdq-vs-direct", n, float(dev), 1e-12)
-        if n <= 3:
-            c = build_liouvillian_colstack_oracle(p)
-            dev = np.abs(b.toarray() - c.toarray()).max()
-            yield ("liouvillian-direct-vs-colstack", n, float(dev), 1e-12)
-        yield (
-            "trace-preservation",
-            n,
-            max(trace_preservation_defect(a), trace_preservation_defect(b)),
-            1e-12,
-        )
-        # stationary family
-        m = parity_word(n).to_matrix()
-        worst = 0.0
-        for zeta in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            rho_s = (np.eye(2 ** n) + zeta * m) / 2 ** n
-            worst = max(worst, float(np.abs(a.matrix @ vectorize(rho_s, n).amplitudes).max()))
-        yield ("stationary-family", n, worst, 1e-12)
-        if n <= 3:
-            # canonical anticommutation relations
-            from .fock import c_dagger_matrix, c_matrix
-
-            dim = 4 ** n
-            eye = np.eye(dim)
-            worst = 0.0
-            C = [c_matrix(j, n) for j in range(1, 2 * n + 1)]
-            Cd = [c_dagger_matrix(j, n) for j in range(1, 2 * n + 1)]
-            for i in range(2 * n):
-                for j in range(2 * n):
-                    worst = max(
-                        worst,
-                        np.abs((C[i] @ Cd[j] + Cd[j] @ C[i]).toarray() - (eye if i == j else 0)).max(),
-                        np.abs((C[i] @ C[j] + C[j] @ C[i]).toarray()).max(),
-                    )
-            yield ("canonical-anticommutation", n, float(worst), 1e-12)
-            # Clifford family
-            kap = kappa_all(n, flip_odd_sign=flip_kappa_sign)
-            worst = 0.0
-            for i in range(1, 4 * n + 1):
-                for j in range(i, 4 * n + 1):
-                    anti = (kap[i] @ kap[j] + kap[j] @ kap[i]).toarray()
-                    worst = max(worst, np.abs(anti - (2 * eye if i == j else 0)).max())
-            yield ("kappa-clifford-algebra", n, float(worst), 1e-12)
-            # edge decoupling
-            worst = 0.0
-            for k in (1, 4 * n):
-                worst = max(worst, np.abs((a.matrix @ kap[k] - kap[k] @ a.matrix).toarray()).max())
-            yield ("edge-mode-decoupling", n, float(worst), 1e-12)
-            # sector reconstruction (exercises both Jordan-Wigner layers)
-            worst = 0.0
-            for lab in all_sector_labels(n):
-                block = restrict_liouvillian(a, lab)
-                rebuilt = kitaev_form_reconstruction(lab, p, flip_odd_sign=flip_kappa_sign)
-                worst = max(worst, float(np.abs(rebuilt - block.matrix).max()))
-            yield ("kitaev-sector-reconstruction", n, worst, 1e-12)
-        # parity-pair commutation
-        worst = 0.0
-        from .kappa import build_P_operator
-
-        for j in range(1, n):
-            P = build_P_operator(j, n)
-            worst = max(worst, float(abs((P @ a.matrix - a.matrix @ P)).max()))
-        yield ("parity-pair-commutation", n, worst, 1e-12)
-        # Jordan-Wigner round trip on random words
-        worst = 0.0
-        for _ in range(20):
-            codes = "".join(rng.choice(list("IXYZ")) for _ in range(n))
-            phase = [1, -1, 1j, -1j][rng.integers(0, 4)]
-            w = PauliString.from_codes(codes, phase)
-            back = majorana_to_spin(spin_to_majorana(w))
-            ((coeff, base),) = list(back.terms())
-            ph, key = w.hermitian_key()
-            worst = max(worst, abs(coeff - ph) + (0.0 if key == base else 1.0))
-        yield ("jordan-wigner-round-trip", n, worst, 1e-12)
-
-
 def run_oracle_suite(
     config: ExperimentConfig, outdir: Path, flip_kappa_sign: bool = False
 ) -> dict:
     """Machine-readable equivalence report; nonzero exit on any failure."""
-    checks = []
-    all_passed = True
-    for name, n, dev, tol in _oracle_checks(config.max_n_sites, config.seed, flip_kappa_sign):
-        passed = bool(dev < tol)
-        all_passed &= passed
-        checks.append(
-            {"name": name, "n_sites": n, "max_deviation": dev, "tolerance": tol, "passed": passed}
-        )
-    report = {"all_passed": bool(all_passed), "checks": checks}
-    if flip_kappa_sign:
-        report["debug_flip_kappa_sign"] = True
+    report = oracle_report(config.max_n_sites, config.seed, flip_kappa_sign)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "oracle_report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_metadata(outdir, config, {"results": {"all_passed": bool(all_passed), "n_checks": len(checks)}})
+    write_metadata(
+        outdir,
+        config,
+        {"results": {"all_passed": report["all_passed"], "n_checks": len(report["checks"])}},
+    )
     return report
+
+
+def _print_checks(report: dict) -> None:
+    """One [pass]/[FAIL] line per oracle check."""
+    for chk in report["checks"]:
+        status = "pass" if chk["passed"] else "FAIL"
+        print(f"[{status}] {chk['name']} (N={chk['n_sites']}): {chk['max_deviation']:.3e} < {chk['tolerance']:.0e}")
 
 
 _RUNNERS = {
@@ -695,17 +597,13 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the experiment described by a JSON config")
     p_run.add_argument("config", type=Path)
-    p_run.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; ignored, runs are serial"
-    )
-    p_run.add_argument("--out", type=Path, default=None, help="override output directory")
-
     p_ver = sub.add_parser("verify", help="run the cross-construction oracle suite")
     p_ver.add_argument("config", type=Path, nargs="?", default=None)
-    p_ver.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; ignored, runs are serial"
-    )
-    p_ver.add_argument("--out", type=Path, default=None)
+    for p in (p_run, p_ver):
+        p.add_argument(
+            "--jobs", type=int, default=1, help="accepted for compatibility; ignored, runs are serial"
+        )
+        p.add_argument("--out", type=Path, default=None, help="override output directory")
     p_ver.add_argument(
         "--debug-flip-kappa-sign",
         action="store_true",
@@ -718,40 +616,25 @@ def main(argv=None) -> int:
         config = ExperimentConfig.from_file(args.config)
         results = run_experiment(config, outdir=args.out)
         if config.experiment == "oracle-suite":
-            ok = results["all_passed"]
-            for chk in results["checks"]:
-                status = "pass" if chk["passed"] else "FAIL"
-                print(f"[{status}] {chk['name']} (N={chk['n_sites']}): {chk['max_deviation']:.3e} < {chk['tolerance']:.0e}")
-            return 0 if ok else 1
+            _print_checks(results)
+            return 0 if results["all_passed"] else 1
         print(json.dumps({"experiment": config.experiment, "results": results}, indent=2, default=_json_default))
         return 0
 
-    if args.command == "verify":
-        config = (
-            ExperimentConfig.from_file(args.config)
-            if args.config is not None
-            else _default_verify_config()
-        )
-        if config.experiment != "oracle-suite":
-            config = _default_verify_config()
-        outdir = args.out if args.out is not None else config.output_dir
-        report = run_oracle_suite(
-            config, Path(outdir), flip_kappa_sign=args.debug_flip_kappa_sign
-        )
-        for chk in report["checks"]:
-            status = "pass" if chk["passed"] else "FAIL"
-            print(f"[{status}] {chk['name']} (N={chk['n_sites']}): {chk['max_deviation']:.3e} < {chk['tolerance']:.0e}")
-        expected_failure = args.debug_flip_kappa_sign
-        if expected_failure:
-            failed_names = {c["name"] for c in report["checks"] if not c["passed"]}
-            if "kitaev-sector-reconstruction" in failed_names:
-                print("sign-flip mutation detected by the reconstruction check, as intended")
-                return 1
-            print("ERROR: sign-flip mutation was not detected")
-            return 2
-        return 0 if report["all_passed"] else 1
-
-    return 2
+    # verify
+    config = ExperimentConfig.from_file(args.config) if args.config is not None else None
+    if config is None or config.experiment != "oracle-suite":
+        config = _default_verify_config()
+    report = run_experiment(config, outdir=args.out, flip_kappa_sign=args.debug_flip_kappa_sign)
+    _print_checks(report)
+    if args.debug_flip_kappa_sign:
+        failed_names = {c["name"] for c in report["checks"] if not c["passed"]}
+        if "kitaev-sector-reconstruction" in failed_names:
+            print("sign-flip mutation detected by the reconstruction check, as intended")
+            return 1
+        print("ERROR: sign-flip mutation was not detected")
+        return 2
+    return 0 if report["all_passed"] else 1
 
 
 if __name__ == "__main__":

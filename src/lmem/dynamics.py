@@ -374,6 +374,34 @@ class ScanPoint:
     exceptional: bool
 
 
+def _scan_point(
+    params_base: ModelParams, g: float, sector: SectorLabel, gap_tol: float, cond_threshold: float
+) -> ScanPoint:
+    """One gamma of `exceptional_point_scan`; the dense block and its
+    eigenvectors are freed on return, before the next gamma is built."""
+    p = ModelParams(
+        n_sites=params_base.n_sites,
+        couplings=params_base.couplings.copy(),
+        dephasing_rates=np.full(params_base.n_sites, g),
+        rng_seed=params_base.rng_seed,
+    )
+    lam, R = np.linalg.eig(restrict_liouvillian(build_liouvillian_thirdq(p), sector).matrix)
+    if lam.size > 1:
+        tree = cKDTree(np.column_stack([lam.real, lam.imag]))
+        dists, _ = tree.query(np.column_stack([lam.real, lam.imag]), k=2)
+        min_gap = float(dists[:, 1].min())
+    else:
+        min_gap = np.inf
+    cond = float(np.linalg.cond(R))
+    return ScanPoint(
+        gamma=float(g),
+        eigenvalues=lam,
+        min_gap=min_gap,
+        condition_number=cond,
+        exceptional=bool(min_gap < gap_tol and cond > cond_threshold),
+    )
+
+
 def exceptional_point_scan(
     params_base: ModelParams,
     gamma_values,
@@ -388,33 +416,10 @@ def exceptional_point_scan(
     cond_threshold; the condition number distinguishes a defective
     coalescence from an ordinary degeneracy.
     """
-    out = []
-    for g in np.asarray(gamma_values, dtype=float):
-        p = ModelParams(
-            n_sites=params_base.n_sites,
-            couplings=params_base.couplings.copy(),
-            dephasing_rates=np.full(params_base.n_sites, g),
-            rng_seed=params_base.rng_seed,
-        )
-        block = restrict_liouvillian(build_liouvillian_thirdq(p), sector)
-        lam, R = np.linalg.eig(block.matrix)
-        if lam.size > 1:
-            tree = cKDTree(np.column_stack([lam.real, lam.imag]))
-            dists, _ = tree.query(np.column_stack([lam.real, lam.imag]), k=2)
-            min_gap = float(dists[:, 1].min())
-        else:
-            min_gap = np.inf
-        cond = float(np.linalg.cond(R))
-        out.append(
-            ScanPoint(
-                gamma=float(g),
-                eigenvalues=lam,
-                min_gap=min_gap,
-                condition_number=cond,
-                exceptional=bool(min_gap < gap_tol and cond > cond_threshold),
-            )
-        )
-    return out
+    return [
+        _scan_point(params_base, g, sector, gap_tol, cond_threshold)
+        for g in np.asarray(gamma_values, dtype=float)
+    ]
 
 
 def isolated_pair_branches(J: float, gamma: float) -> np.ndarray:

@@ -396,13 +396,6 @@ def reversal_signs(n_sites: int) -> np.ndarray:
     return 1 - 2 * (((k * (k - 1)) // 2) % 2)
 
 
-def conjugate_vector(state, n_sites=None):
-    """Amplitudes of A^dag given those of A."""
-    v, n = as_amplitudes(state, n_sites)
-    out = reversal_signs(n) * np.conj(v)
-    return LiouvilleVector(n, out) if isinstance(state, LiouvilleVector) else out
-
-
 def hermiticity_defect(state, n_sites=None) -> float:
     """max |c_a - s_a conj(c_a)|; zero iff the operator is Hermitian."""
     v, n = as_amplitudes(state, n_sites)

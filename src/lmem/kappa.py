@@ -21,7 +21,14 @@ pull back to the spin picture as
     kappa_1 |rho>   ->  - sx_1 M rho M sx_1
     kappa_4N |rho>  ->  i sx_N rho M sx_N
 
-with M the total parity (-1)^N sz_1 ... sz_N.
+with M the total parity (-1)^N sz_1 ... sz_N. In the monomial basis this
+makes kappa_1 = diag(2 n_1 - 1), and kappa_4N the all-bit flip
+a -> a XOR (4^N - 1) with the signs of left multiplication by sx_N and
+right multiplication by M sx_N. The edge operators used by experiments
+(`edge_annihilator`, `edge_correlator`) are built from these two signed
+permutations directly; the full cascade `kappa_all` and its spin layers
+are the independent construction the tests and `lmem.verify` check them
+against.
 
 All operators are signed-permutation sparse matrices; the compositions are
 derived programmatically and pinned by the Clifford-algebra and sector
@@ -39,9 +46,11 @@ from .fock import (
     _index_range,
     c_dagger_matrix,
     c_matrix,
+    left_mult_operator,
     number_values,
-    parity_values,
+    right_mult_operator,
 )
+from .pauli import OperatorSum, PauliString, parity_word
 
 
 def _diag(values) -> sp.csr_matrix:
@@ -119,24 +128,24 @@ def parity_pair_via_kappa(j: int, n_sites: int) -> sp.csr_matrix:
     return (1j * kap[4 * j] @ kap[4 * j + 1]).tocsr()
 
 
+def _edge_pair(n_sites: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """kappa_1 and kappa_4N as direct signed permutations (no cascade)."""
+    kappa_first = _diag(2 * number_values(1, n_sites) - 1)
+    sx_n = PauliString.single(n_sites, n_sites, "X")
+    left = left_mult_operator(OperatorSum.from_pauli(sx_n), n_sites)
+    right = right_mult_operator(OperatorSum.from_pauli(parity_word(n_sites).mul(sx_n)), n_sites)
+    return kappa_first, (1j * left @ right).tocsr()
+
+
+@lru_cache(maxsize=8)
 def edge_annihilator(n_sites: int) -> sp.csr_matrix:
     """d_e = (kappa_1 + i kappa_{4N}) / 2 for the decoupled edge fermion."""
-    kap = kappa_all(n_sites)
-    return (0.5 * (kap[1] + 1j * kap[4 * n_sites])).tocsr()
+    kappa_first, kappa_last = _edge_pair(n_sites)
+    return (0.5 * (kappa_first + 1j * kappa_last)).tocsr()
 
 
-def edge_number(n_sites: int) -> sp.csr_matrix:
-    """d_e^dag d_e; projects onto the occupied edge component."""
-    d = edge_annihilator(n_sites)
-    return (d.conj().T @ d).tocsr()
-
-
+@lru_cache(maxsize=8)
 def edge_correlator(n_sites: int) -> sp.csr_matrix:
     """i kappa_1 kappa_{4N} = 2 d_e^dag d_e - 1."""
-    kap = kappa_all(n_sites)
-    return (1j * kap[1] @ kap[4 * n_sites]).tocsr()
-
-
-def conjugation_superoperator(n_sites: int) -> sp.csr_matrix:
-    """A -> M A M with M the total sz parity; diagonal (-1)^{degree}."""
-    return _diag(parity_values(n_sites))
+    kappa_first, kappa_last = _edge_pair(n_sites)
+    return (1j * kappa_first @ kappa_last).tocsr()

@@ -31,7 +31,7 @@ from .fock import _index_range, site_count
 from .kappa import build_P_operator, kappa_all
 from .liouvillian import Superoperator
 from .model import ModelParams
-from .pauli import PauliString
+from .pauli import MajoranaMonomial, majorana_to_spin
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,6 @@ def enumerate_sector_basis(label: SectorLabel, n_sites: int) -> np.ndarray:
         same = (((idx >> (2 * j - 1)) ^ (idx >> (2 * j))) & 1) == 0
         keep &= same if pj == 1 else ~same
     return idx[keep]
-
-
-def sector_of_index(index: int, n_sites: int) -> SectorLabel:
-    """Sector containing a given basis bitstring."""
-    row = sector_eigenvalues(np.array([index]), n_sites)[0]
-    return SectorLabel(tuple(int(v) for v in row))
 
 
 @dataclass
@@ -208,17 +202,6 @@ def broken_chain_segments(label: SectorLabel) -> list[tuple[int, int]]:
     return segments
 
 
-def _local_majoranas(n_modes_pairs: int):
-    """2L Majorana matrices on an L-qubit register (standard chain encoding)."""
-    L = n_modes_pairs
-    mats = []
-    for m in range(1, 2 * L + 1):
-        site = (m + 1) // 2
-        codes = ["Z"] * (site - 1) + ["X" if m % 2 else "Y"] + ["I"] * (L - site)
-        mats.append(PauliString.from_codes("".join(codes)).to_matrix())
-    return mats
-
-
 def segment_spectrum(
     sites: tuple[int, int], params: ModelParams
 ) -> np.ndarray:
@@ -230,7 +213,8 @@ def segment_spectrum(
     """
     s, e = sites
     L = e - s + 1
-    k = _local_majoranas(L)  # k[0] is mode 1
+    # k[0] is mode 1, in the standard chain encoding of `majorana_to_spin`
+    k = [majorana_to_spin(MajoranaMonomial(2 * L, 1 << m)).to_matrix() for m in range(2 * L)]
     dim = 2 ** L
     mat = np.zeros((dim, dim), dtype=complex)
     for m in range(1, L):  # internal bonds: global bond index s + m - 1

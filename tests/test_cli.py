@@ -81,6 +81,22 @@ class TestConfig:
                 {"experiment": "fig4-spectrum", "model": base_model(4), "gamma_scan": scan}
             )
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"experiment": "oracle-suite", "max_n_sites": 1}, "max_n_sites"),
+            ({"experiment": "fig3b", "n_draws": 0}, "n_draws"),
+            ({"experiment": "fig3b", "n_draws": -1}, "n_draws"),
+            ({"experiment": "fig3b", "transverse_values": []}, "transverse_values"),
+        ],
+        ids=["max_n_sites=1", "n_draws=0", "n_draws=-1", "transverse_values=empty"],
+    )
+    def test_empty_run_rejected(self, overrides, field):
+        # each of these used to write an empty run (or report a vacuous
+        # all_passed), or fail inside numpy without naming the setting
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig({"model": base_model(4), **overrides})
+
     def test_sector_parsing(self):
         cfg = ExperimentConfig(
             {"experiment": "fig4-spectrum", "model": base_model(4), "sector": "+-+"}
@@ -265,3 +281,34 @@ def test_import_does_not_load_scipy_integrate():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {
+            "experiment": "fig4-purity",
+            "model": {"n_sites": 4, "couplings": [2.0] * 3, "dephasing_rates": [3.0] * 4},
+            "time_grid": {"t_max": 2.0, "n_samples": 3},
+        },
+    ],
+    ids=["fig3a", "fig4-purity"],
+)
+def test_run_path_builds_no_kappa_cascade(tmp_path, monkeypatch, overrides):
+    # the edge operators of the experiments are direct signed permutations;
+    # the cascaded Liouville-Majorana family is for the oracle suite only
+    import lmem.kappa
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the experiment run path built the kappa cascade")
+
+    for name in ("kappa_all", "_spin_layers"):
+        original = getattr(lmem.kappa, name)
+        for module in [m for k, m in sys.modules.items() if k == "lmem" or k.startswith("lmem.")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+    assert main(["run", str(cfg_path)]) == 0

@@ -9,7 +9,6 @@ from lmem.fock import (
     apply_c_dagger,
     c_dagger_matrix,
     c_matrix,
-    conjugate_vector,
     devectorize,
     hermiticity_defect,
     left_mult_monomial,
@@ -19,6 +18,7 @@ from lmem.fock import (
     parity_values,
     pauli_coefficients,
     pauli_word_table,
+    reversal_signs,
     right_mult_monomial,
     right_mult_operator,
     vector_purity,
@@ -277,7 +277,7 @@ class TestStructure:
         n = 3
         rho = random_matrix(rng, n)
         np.testing.assert_allclose(
-            conjugate_vector(vectorize(rho, n)).amplitudes,
+            reversal_signs(n) * vectorize(rho, n).amplitudes.conj(),
             vectorize(rho.conj().T, n).amplitudes,
             atol=1e-13,
         )

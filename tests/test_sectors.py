@@ -13,7 +13,7 @@ from lmem.sectors import (
     enumerate_sector_basis,
     kitaev_form_reconstruction,
     restrict_liouvillian,
-    sector_of_index,
+    sector_eigenvalues,
     sorted_spectrum,
     spectra_match,
 )
@@ -63,7 +63,7 @@ class TestEnumeration:
     def test_sector_of_index(self):
         n = 3
         for idx in (0, 5, 37):
-            lab = sector_of_index(idx, n)
+            lab = SectorLabel(tuple(sector_eigenvalues(np.array([idx]), n)[0]))
             assert idx in enumerate_sector_basis(lab, n)
 
 
