@@ -36,7 +36,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import evolve, exceptional_point_scan, physicality_report
+from .dynamics import (
+    EP_COND_THRESHOLD,
+    EP_GAP_TOL,
+    evolve,
+    exceptional_point_scan,
+    physicality_report,
+)
 from .edge import (
     PositivityError,
     ProductStateSpec,
@@ -463,6 +469,11 @@ def run_fig4_spectrum(config: ExperimentConfig, outdir: Path) -> dict:
     """Sector spectrum scan over dissipation with exceptional-point flags."""
     params = config.model
     n = params.n_sites
+    if not params.is_unperturbed():
+        raise ConfigError(
+            "fig4-spectrum scans the unperturbed model only; "
+            "set field_b, transverse_u and bond_dissipation to zero"
+        )
     sector = config.sector
     if sector is None:
         p = [1] * (n - 1)
@@ -494,7 +505,10 @@ def run_fig4_spectrum(config: ExperimentConfig, outdir: Path) -> dict:
     write_metadata(
         outdir,
         config,
-        {"results": results, "ep_criteria": {"gap_tol": 1e-6, "cond_threshold": 1e6}},
+        {
+            "results": results,
+            "ep_criteria": {"gap_tol": EP_GAP_TOL, "cond_threshold": EP_COND_THRESHOLD},
+        },
     )
     return results
 
@@ -503,9 +517,14 @@ def run_sector_census(config: ExperimentConfig, outdir: Path) -> dict:
     """Sector table with dimensions and broken-chain segments."""
     params = config.model
     n = params.n_sites
+    if config.with_spectra and not params.is_unperturbed():
+        raise ConfigError(
+            "sector-census with_spectra needs the unperturbed model; set field_b, "
+            "transverse_u and bond_dissipation to zero, or with_spectra to false"
+        )
     rows = []
     spectra_rows = []
-    L = build_liouvillian_thirdq(params) if (config.with_spectra and params.is_unperturbed()) else None
+    L = build_liouvillian_thirdq(params) if config.with_spectra else None
     for lab in all_sector_labels(n):
         basis = enumerate_sector_basis(lab, n)
         segs = broken_chain_segments(lab)
@@ -516,12 +535,7 @@ def run_sector_census(config: ExperimentConfig, outdir: Path) -> dict:
             block = restrict_liouvillian(L, lab)
             for i, ev in enumerate(sorted_spectrum(np.linalg.eigvals(block.matrix))):
                 spectra_rows.append((lab.to_string(), i, ev.real, ev.imag))
-    path = outdir / "sector_census.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("label,dimension,n_segments,segments\n")
-        for label, dim, nseg, segs in rows:
-            fh.write(f"{label},{dim},{nseg},{segs}\n")
+    write_csv(outdir / "sector_census.csv", ["label", "dimension", "n_segments", "segments"], rows)
     if spectra_rows:
         write_csv(
             outdir / "sector_spectra.csv", ["label", "index", "re", "im"],

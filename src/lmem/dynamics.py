@@ -43,7 +43,13 @@ from .fock import (
 from .liouvillian import Superoperator, build_liouvillian_direct, build_liouvillian_thirdq
 from .model import ModelParams
 from .pauli import OperatorSum
-from .sectors import SectorLabel, restrict_liouvillian, sector_eigenvalues
+from .sectors import (
+    SectorLabel,
+    match_spectra,
+    restrict_liouvillian,
+    sector_eigenvalues,
+    spectral_order,
+)
 
 
 @dataclass
@@ -278,84 +284,52 @@ def physicality_report(result: EvolutionResult) -> dict:
 
 @dataclass
 class SpectrumReport:
-    eigenvalues: np.ndarray
-    pairing: list  # index pairs (i, j) with lambda_j ~ -conj(lambda_i)
-    unpaired: list
+    eigenvalues: np.ndarray  # in canonical (imag, real) order
+    pairing: list  # one (i, j) per paired i, with lambda_j ~ -conj(lambda_i)
+    unpaired: list  # indices i left without a partner
     max_imag: float
-    defect_flags: np.ndarray  # per-eigenvalue near-degeneracy indicator
-    trace_defects: np.ndarray | None = None  # |tr rho_m| for decaying modes
+    trace_defects: np.ndarray  # |tr rho_m| for decaying modes, 0 elsewhere
 
 
 def spectrum_analysis(
     matrix,
     n_sites: int | None = None,
     pair_tol: float = 1e-9,
-    check_traces: bool = True,
     basis_indices: np.ndarray | None = None,
 ) -> SpectrumReport:
     """Eigenvalues with anti-conjugate pairing and structural checks.
 
+    The pairing is `match_spectra` of the spectrum against its image under
+    lambda -> -conj(lambda): a full match is the anti-conjugate symmetry.
     For a sector block pass basis_indices so eigenvectors embed into the
     full space for the trace check.
     """
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
     lam, R = np.linalg.eig(dense)
-    order = np.lexsort((lam.real, lam.imag))
+    order = spectral_order(lam)
     lam, R = lam[order], R[:, order]
 
-    target = -np.conj(lam)
-    used = np.zeros(lam.size, dtype=bool)
-    pairing, unpaired = [], []
-    tree = cKDTree(np.column_stack([lam.real, lam.imag]))
-    for i in range(lam.size):
-        if used[i]:
-            continue
-        hits = tree.query_ball_point([target[i].real, target[i].imag], r=pair_tol)
-        # a purely imaginary eigenvalue may pair with itself
-        free = [h for h in hits if h == i or not used[h]]
-        if free:
-            j = min(free, key=lambda h: abs(lam[h] - target[i]))
-            pairing.append((i, j))
-            used[i] = used[j] = True
-        else:
-            unpaired.append(i)
-            used[i] = True
+    pairing = match_spectra(lam, -np.conj(lam), pair_tol)
+    unpaired = sorted(set(range(lam.size)) - {i for i, _ in pairing})
 
-    gaps = np.full(lam.size, np.inf)
-    if lam.size > 1:
-        dists, _ = tree.query(np.column_stack([lam.real, lam.imag]), k=2)
-        gaps = dists[:, 1]
-    defect_flags = gaps < 1e-6
-
-    trace_defects = None
-    if check_traces:
-        if n_sites is None and basis_indices is None:
-            n_sites = site_count(dense.shape[:1])
-        decaying = lam.imag < -1e-9
-        vals = np.zeros(lam.size)
-        if basis_indices is None:
-            # trace of the eigenmatrix is 2^N times its empty-word amplitude
-            vals[decaying] = np.abs(
-                2 ** n_sites * R[0, decaying] / np.linalg.norm(R[:, decaying], axis=0)
-            )
-        else:
-            if n_sites is None:
-                raise ValueError("n_sites required with basis_indices")
-            pos = np.flatnonzero(basis_indices == 0)
-            if pos.size:
-                vals[decaying] = np.abs(
-                    2 ** n_sites
-                    * R[pos[0], decaying]
-                    / np.linalg.norm(R[:, decaying], axis=0)
-                )
-        trace_defects = vals
+    if n_sites is None:
+        if basis_indices is not None:
+            raise ValueError("n_sites required with basis_indices")
+        n_sites = site_count(dense.shape[:1])
+    # trace of an eigenmatrix is 2^N times its empty-word amplitude
+    empty_word = [0] if basis_indices is None else np.flatnonzero(basis_indices == 0)
+    decaying = lam.imag < -1e-9
+    trace_defects = np.zeros(lam.size)
+    if len(empty_word):
+        trace_defects[decaying] = np.abs(
+            2 ** n_sites * R[empty_word[0], decaying] / np.linalg.norm(R[:, decaying], axis=0)
+        )
 
     return SpectrumReport(
         eigenvalues=lam,
         pairing=pairing,
         unpaired=unpaired,
         max_imag=float(lam.imag.max()) if lam.size else 0.0,
-        defect_flags=defect_flags,
         trace_defects=trace_defects,
     )
 
@@ -363,6 +337,11 @@ def spectrum_analysis(
 # ---------------------------------------------------------------------------
 # exceptional-point scan
 # ---------------------------------------------------------------------------
+
+
+# exceptional-point criteria of `exceptional_point_scan`
+EP_GAP_TOL = 1e-6
+EP_COND_THRESHOLD = 1e6
 
 
 @dataclass
@@ -374,9 +353,7 @@ class ScanPoint:
     exceptional: bool
 
 
-def _scan_point(
-    params_base: ModelParams, g: float, sector: SectorLabel, gap_tol: float, cond_threshold: float
-) -> ScanPoint:
+def _scan_point(params_base: ModelParams, g: float, sector: SectorLabel) -> ScanPoint:
     """One gamma of `exceptional_point_scan`; the dense block and its
     eigenvectors are freed on return, before the next gamma is built."""
     p = ModelParams(
@@ -398,28 +375,21 @@ def _scan_point(
         eigenvalues=lam,
         min_gap=min_gap,
         condition_number=cond,
-        exceptional=bool(min_gap < gap_tol and cond > cond_threshold),
+        exceptional=bool(min_gap < EP_GAP_TOL and cond > EP_COND_THRESHOLD),
     )
 
 
 def exceptional_point_scan(
-    params_base: ModelParams,
-    gamma_values,
-    sector: SectorLabel,
-    gap_tol: float = 1e-6,
-    cond_threshold: float = 1e6,
+    params_base: ModelParams, gamma_values, sector: SectorLabel
 ) -> list[ScanPoint]:
     """Sector-block spectra across a dissipation scan.
 
     A point is flagged exceptional when two eigenvalues coalesce within
-    gap_tol and the eigenvector matrix condition number exceeds
-    cond_threshold; the condition number distinguishes a defective
+    EP_GAP_TOL and the eigenvector matrix condition number exceeds
+    EP_COND_THRESHOLD; the condition number distinguishes a defective
     coalescence from an ordinary degeneracy.
     """
-    return [
-        _scan_point(params_base, g, sector, gap_tol, cond_threshold)
-        for g in np.asarray(gamma_values, dtype=float)
-    ]
+    return [_scan_point(params_base, g, sector) for g in np.asarray(gamma_values, dtype=float)]
 
 
 def isolated_pair_branches(J: float, gamma: float) -> np.ndarray:

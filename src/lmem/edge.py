@@ -161,9 +161,7 @@ class PositivityError(ValueError):
     """The constructed matrix has a negative eigenvalue."""
 
 
-def build_product_state(
-    spec: ProductStateSpec, n_sites: int, check_positive: bool = True, tol: float = 1e-10
-) -> np.ndarray:
+def build_product_state(spec: ProductStateSpec, n_sites: int, tol: float = 1e-10) -> np.ndarray:
     """Dense density matrix of the product construction, positivity checked.
 
     The sufficient condition (both bracketed operators positive) can be
@@ -171,13 +169,12 @@ def build_product_state(
     here is the necessary-and-sufficient one.
     """
     rho = product_state_operator(spec, n_sites).to_matrix()
-    if check_positive:
-        lam_min = float(np.linalg.eigvalsh(rho).min())
-        if lam_min < -tol:
-            raise PositivityError(
-                f"product-state construction is not positive semidefinite "
-                f"(minimum eigenvalue {lam_min:.6e})"
-            )
+    lam_min = float(np.linalg.eigvalsh(rho).min())
+    if lam_min < -tol:
+        raise PositivityError(
+            f"product-state construction is not positive semidefinite "
+            f"(minimum eigenvalue {lam_min:.6e})"
+        )
     return rho
 
 

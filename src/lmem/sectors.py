@@ -239,33 +239,40 @@ def compose_segment_spectra(label: SectorLabel, params: ModelParams) -> np.ndarr
     return np.repeat(sums, 2)
 
 
-def sorted_spectrum(values: np.ndarray) -> np.ndarray:
-    """Canonical order for non-Hermitian spectra: by (imag, real)."""
+def spectral_order(values: np.ndarray) -> np.ndarray:
+    """Indices of the canonical order for non-Hermitian spectra: by (imag, real)."""
     values = np.asarray(values)
-    order = np.lexsort((values.real, values.imag))
-    return values[order]
+    return np.lexsort((values.real, values.imag))
 
 
-def spectra_match(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """Multiset equality of two spectra with pairwise matching tolerance.
+def sorted_spectrum(values: np.ndarray) -> np.ndarray:
+    """The spectrum in canonical order, see `spectral_order`."""
+    values = np.asarray(values)
+    return values[spectral_order(values)]
 
-    A fast canonical-sort comparison is tried first; near-degenerate values
-    can legally reorder across the two lists, so on failure each value of
-    `a` is matched greedily to the nearest unused value of `b` within tol.
+
+def match_spectra(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> list[tuple[int, int]]:
+    """Pairs (i, j) matching each a[i] to a distinct b[j] within tol.
+
+    When both spectra have the same length and agree entry by entry in
+    canonical order, that order is the matching. Near-degenerate values can
+    legally reorder across the two lists, so otherwise each a[i], in
+    canonical order, takes the nearest unused b[j] within tol; an a[i] with
+    none left is missing from the pairs. Multiset equality is a full-length
+    result on equal-length spectra.
     """
-    a, b = sorted_spectrum(a), sorted_spectrum(b)
-    if a.shape != b.shape:
-        return False
-    if a.size == 0:
-        return True
-    if np.abs(a - b).max() < tol:
-        return True
+    a, b = np.asarray(a), np.asarray(b)
+    ia, ib = spectral_order(a), spectral_order(b)
+    if a.size == b.size and (a.size == 0 or np.abs(a[ia] - b[ib]).max() < tol):
+        return list(zip(ia.tolist(), ib.tolist()))
     tree = cKDTree(np.column_stack([b.real, b.imag]))
     used = np.zeros(b.size, dtype=bool)
-    for val in a:
-        hits = tree.query_ball_point([val.real, val.imag], r=tol)
+    pairs = []
+    for i in ia.tolist():
+        hits = tree.query_ball_point([a[i].real, a[i].imag], r=tol)
         free = [h for h in hits if not used[h]]
-        if not free:
-            return False
-        used[min(free, key=lambda h: abs(b[h] - val))] = True
-    return True
+        if free:
+            j = min(free, key=lambda h: abs(b[h] - a[i]))
+            used[j] = True
+            pairs.append((i, j))
+    return pairs

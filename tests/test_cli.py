@@ -230,6 +230,22 @@ def test_sector_census(tmp_path):
     assert len(text) == 9
 
 
+def test_fig4_spectrum_rejects_perturbed_model(tmp_path):
+    model = {**base_model(4), "bond_dissipation": [0.5, 0.0, 0.0]}
+    data = make_config(tmp_path, experiment="fig4-spectrum", model=model, sector="+-+")
+    with pytest.raises(ConfigError, match="field_b, transverse_u and bond_dissipation"):
+        run_experiment(ExperimentConfig(data))
+    assert not (tmp_path / "out" / "fig4_spectrum.csv").exists()
+
+
+def test_sector_census_spectra_reject_perturbed_model(tmp_path):
+    model = {**base_model(4), "bond_dissipation": [0.5, 0.0, 0.0]}
+    data = make_config(tmp_path, experiment="sector-census", model=model, with_spectra=True)
+    with pytest.raises(ConfigError, match="field_b, transverse_u and bond_dissipation.*with_spectra"):
+        run_experiment(ExperimentConfig(data))
+    assert not (tmp_path / "out" / "sector_census.csv").exists()
+
+
 class TestMain:
     def test_run_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -312,3 +328,25 @@ def test_run_path_builds_no_kappa_cascade(tmp_path, monkeypatch, overrides):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
     assert main(["run", str(cfg_path)]) == 0
+
+
+def test_benchmark_entry_points_resolve():
+    # perfbench wraps these names by reference and its child process calls
+    # the cli ones; a rename would break the traced benchmark silently
+    import importlib.util
+
+    import lmem.cli
+    import lmem.sectors
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.TRACED.items():
+        module = importlib.import_module(f"lmem.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"lmem.{layer}.{name}"
+    assert set(tracer.OBSERVERS) <= tracer.TRACED_SET
+    assert callable(lmem.sectors.sector_eigenvalues)
+    assert callable(lmem.cli.ExperimentConfig.from_file)
+    assert callable(lmem.cli.main)

@@ -323,6 +323,13 @@ class TestSpectrum:
         assert rep.max_imag <= 1e-9
         assert not rep.unpaired
 
+    def test_missing_anticonjugate_partner_is_unpaired(self):
+        # -conj maps 0 and -1j to themselves; 1-1j and 2-1j have no partner
+        rep = spectrum_analysis(np.diag([1 - 1j, 0, 2 - 1j, -1j]))
+        assert rep.eigenvalues.tolist() == [-1j, 1 - 1j, 2 - 1j, 0]
+        assert sorted(rep.pairing) == [(0, 0), (3, 3)]
+        assert rep.unpaired == [1, 2]
+
     def test_stationary_eigenmatrix_in_parity_span(self):
         n = 2
         p = params(n, J=1.0, gamma=0.5)

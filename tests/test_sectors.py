@@ -12,11 +12,21 @@ from lmem.sectors import (
     compose_segment_spectra,
     enumerate_sector_basis,
     kitaev_form_reconstruction,
+    match_spectra,
     restrict_liouvillian,
     sector_eigenvalues,
     sorted_spectrum,
-    spectra_match,
+    spectral_order,
 )
+
+
+def assert_same_spectrum(a, b, tol):
+    """a and b are equal as multisets: match_spectra pairs every entry."""
+    a, b = np.asarray(a), np.asarray(b)
+    pairs = match_spectra(a, b, tol)
+    assert a.size == b.size == len(pairs)
+    assert len({j for _, j in pairs}) == b.size
+    assert all(abs(a[i] - b[j]) <= tol for i, j in pairs)
 
 
 def params(n, J=1.0, gamma=0.5):
@@ -113,7 +123,7 @@ class TestRestriction:
             if set(support.tolist()) <= basis:
                 member.append(ev_full[k])
         assert len(member) == block.dimension
-        assert spectra_match(np.array(member), ev_block, tol=1e-9)
+        assert_same_spectrum(member, ev_block, tol=1e-9)
 
     def test_union_of_blocks_is_full_spectrum(self):
         n = 2
@@ -126,7 +136,7 @@ class TestRestriction:
                 for lab in all_sector_labels(n)
             ]
         )
-        assert spectra_match(ev_full, ev_blocks, tol=1e-9)
+        assert_same_spectrum(ev_full, ev_blocks, tol=1e-9)
 
     def test_perturbed_model_raises_with_violated_pair(self):
         p = random_perturbed_params(3, u=0.0, rng_seed=4)
@@ -196,7 +206,7 @@ class TestBrokenChains:
         block = restrict_liouvillian(L, lab)
         predicted = compose_segment_spectra(lab, p)
         actual = np.linalg.eigvals(block.matrix)
-        assert spectra_match(predicted, actual, tol=1e-8)
+        assert_same_spectrum(predicted, actual, tol=1e-8)
 
 
 def test_sorted_spectrum_orders_by_imag_then_real():
@@ -204,3 +214,41 @@ def test_sorted_spectrum_orders_by_imag_then_real():
     out = sorted_spectrum(vals)
     assert out[0] == -1 - 1j and out[1] == 2 - 1j
     assert out[2] == 0 and out[3] == 1
+    assert spectral_order(vals).tolist() == [1, 2, 3, 0]
+
+
+class TestMatchSpectra:
+    def spectrum(self, size=24):
+        rng = np.random.default_rng(3)
+        return rng.normal(size=size) - 1j * rng.random(size=size)
+
+    def test_shuffled_near_degenerate_pair_matches_fully(self):
+        a = self.spectrum()
+        # imaginary parts 1e-12 apart, real parts far apart: a perturbation
+        # of 2e-12 swaps the two in canonical order
+        a[0], a[1] = -5 - 1j, 5 - (1 + 1e-12) * 1j
+        # a near-degenerate pair within tol of each other
+        a[2], a[3] = 0.3 - 0.7j, 0.3 + 3e-10 - 0.7j
+        perm = np.random.default_rng(4).permutation(a.size)
+        b = a[perm].copy()
+        b[np.flatnonzero(perm == 0)[0]] -= 2e-12j
+        b[np.flatnonzero(perm == 2)[0]] += 4e-10
+        assert np.abs(sorted_spectrum(a) - sorted_spectrum(b)).max() > 1  # no fast path
+        assert_same_spectrum(a, b, tol=1e-9)
+
+    def test_value_beyond_tol_is_left_out(self):
+        a = self.spectrum()
+        perm = np.random.default_rng(5).permutation(a.size)
+        b = a[perm].copy()
+        moved = 7
+        b[moved] += 3e-9  # three times tol
+        pairs = match_spectra(a, b, tol=1e-9)
+        assert len(pairs) == a.size - 1
+        assert perm[moved] not in {i for i, _ in pairs}
+        assert moved not in {j for _, j in pairs}
+        assert all(abs(a[i] - b[j]) <= 1e-9 for i, j in pairs)
+
+    def test_length_mismatch_matches_the_common_part(self):
+        a = self.spectrum()
+        pairs = match_spectra(a, a[:-3], tol=1e-9)
+        assert sorted(pairs) == [(i, i) for i in range(a.size - 3)]
