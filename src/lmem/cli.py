@@ -53,15 +53,14 @@ from .edge import (
     ratio_trace,
 )
 from .fock import vector_purity, vectorize
-from .liouvillian import build_liouvillian_thirdq
 from .model import ModelParams, random_perturbed_params
 from .pauli import OperatorSum, PauliString, parity_word
 from .sectors import (
     SectorLabel,
     all_sector_labels,
     broken_chain_segments,
+    compose_segment_spectra,
     enumerate_sector_basis,
-    restrict_liouvillian,
     sorted_spectrum,
 )
 from .verify import oracle_report
@@ -524,16 +523,15 @@ def run_sector_census(config: ExperimentConfig, outdir: Path) -> dict:
         )
     rows = []
     spectra_rows = []
-    L = build_liouvillian_thirdq(params) if config.with_spectra else None
     for lab in all_sector_labels(n):
         basis = enumerate_sector_basis(lab, n)
         segs = broken_chain_segments(lab)
         rows.append(
             (lab.to_string(), basis.size, len(segs), " ".join(f"{a}-{b}" for a, b in segs))
         )
-        if L is not None:
-            block = restrict_liouvillian(L, lab)
-            for i, ev in enumerate(sorted_spectrum(np.linalg.eigvals(block.matrix))):
+        if config.with_spectra:
+            lam, _ = compose_segment_spectra(lab, params)
+            for i, ev in enumerate(sorted_spectrum(lam)):
                 spectra_rows.append((lab.to_string(), i, ev.real, ev.imag))
     write_csv(outdir / "sector_census.csv", ["label", "dimension", "n_segments", "segments"], rows)
     if spectra_rows:

@@ -25,7 +25,7 @@ eigenvalues in the closed lower half plane, anti-conjugate pairing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,8 +45,8 @@ from .model import ModelParams
 from .pauli import OperatorSum
 from .sectors import (
     SectorLabel,
+    compose_segment_spectra,
     match_spectra,
-    restrict_liouvillian,
     sector_eigenvalues,
     spectral_order,
 )
@@ -354,22 +354,15 @@ class ScanPoint:
 
 
 def _scan_point(params_base: ModelParams, g: float, sector: SectorLabel) -> ScanPoint:
-    """One gamma of `exceptional_point_scan`; the dense block and its
-    eigenvectors are freed on return, before the next gamma is built."""
-    p = ModelParams(
-        n_sites=params_base.n_sites,
-        couplings=params_base.couplings.copy(),
-        dephasing_rates=np.full(params_base.n_sites, g),
-        rng_seed=params_base.rng_seed,
-    )
-    lam, R = np.linalg.eig(restrict_liouvillian(build_liouvillian_thirdq(p), sector).matrix)
+    """One gamma of `exceptional_point_scan`."""
+    p = replace(params_base, dephasing_rates=np.full(params_base.n_sites, g))
+    lam, cond = compose_segment_spectra(sector, p)
     if lam.size > 1:
         tree = cKDTree(np.column_stack([lam.real, lam.imag]))
         dists, _ = tree.query(np.column_stack([lam.real, lam.imag]), k=2)
         min_gap = float(dists[:, 1].min())
     else:
         min_gap = np.inf
-    cond = float(np.linalg.cond(R))
     return ScanPoint(
         gamma=float(g),
         eigenvalues=lam,
@@ -384,10 +377,14 @@ def exceptional_point_scan(
 ) -> list[ScanPoint]:
     """Sector-block spectra across a dissipation scan.
 
-    A point is flagged exceptional when two eigenvalues coalesce within
-    EP_GAP_TOL and the eigenvector matrix condition number exceeds
-    EP_COND_THRESHOLD; the condition number distinguishes a defective
-    coalescence from an ordinary degeneracy.
+    At each gamma, every site's dephasing rate is set to gamma and the
+    block spectrum and eigenvector condition number come from the
+    broken-chain segments (`sectors.compose_segment_spectra`); that form
+    holds for the unperturbed model only, and a perturbed params_base
+    raises ValueError. A point is flagged exceptional when two
+    eigenvalues coalesce within EP_GAP_TOL and the eigenvector matrix
+    condition number exceeds EP_COND_THRESHOLD; the condition number
+    distinguishes a defective coalescence from an ordinary degeneracy.
     """
     return [_scan_point(params_base, g, sector) for g in np.asarray(gamma_values, dtype=float)]
 

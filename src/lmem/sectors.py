@@ -17,11 +17,18 @@ the restricted block purely from Liouville-Majorana pair products,
 which must equal the restriction of the third-quantized generator entry for
 entry; this single comparison exercises both Jordan-Wigner layers and every
 sign convention end to end.
+
+The experiments never build a block. `compose_segment_spectra` solves each
+segment's 2^L generator and composes the block spectrum and eigenvector
+condition number from them, so its cost grows with the longest segment, not
+with 4^N. The dense `restrict_liouvillian` of the third-quantized generator
+is its oracle in the tests and in `verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -202,10 +209,18 @@ def broken_chain_segments(label: SectorLabel) -> list[tuple[int, int]]:
     return segments
 
 
-def segment_spectrum(
-    sites: tuple[int, int], params: ModelParams
-) -> np.ndarray:
-    """Eigenvalues of one broken-chain segment in its own 2^L Fock space.
+@lru_cache(maxsize=None)
+def _chain_majoranas(length: int) -> tuple:
+    """The 2L Majorana matrices of an L-site chain, mode 1 first, in the
+    standard chain encoding of `majorana_to_spin`."""
+    return tuple(
+        majorana_to_spin(MajoranaMonomial(2 * length, 1 << m)).to_matrix()
+        for m in range(2 * length)
+    )
+
+
+def _segment_generator(sites: tuple[int, int], params: ModelParams) -> np.ndarray:
+    """Generator of one broken-chain segment in its own 2^L Fock space.
 
     The segment over sites s..e carries the local non-Hermitian Kitaev form
     sum_m -2i J_m k_{2m} k_{2m+1} + sum_m i gamma_m (i k_{2m-1} k_{2m} - 1)
@@ -213,8 +228,7 @@ def segment_spectrum(
     """
     s, e = sites
     L = e - s + 1
-    # k[0] is mode 1, in the standard chain encoding of `majorana_to_spin`
-    k = [majorana_to_spin(MajoranaMonomial(2 * L, 1 << m)).to_matrix() for m in range(2 * L)]
+    k = _chain_majoranas(L)  # k[0] is mode 1
     dim = 2 ** L
     mat = np.zeros((dim, dim), dtype=complex)
     for m in range(1, L):  # internal bonds: global bond index s + m - 1
@@ -223,20 +237,38 @@ def segment_spectrum(
     for m in range(1, L + 1):
         gj = params.dephasing_rates[s + m - 2]
         mat += 1j * gj * (1j * k[2 * m - 2] @ k[2 * m - 1] - np.eye(dim))
-    return np.linalg.eigvals(mat)
+    return mat
 
 
-def compose_segment_spectra(label: SectorLabel, params: ModelParams) -> np.ndarray:
-    """Multiset of block eigenvalues predicted by the segment decomposition.
+def compose_segment_spectra(
+    label: SectorLabel, params: ModelParams
+) -> tuple[np.ndarray, float]:
+    """Eigenvalues and eigenvector condition number of one sector block.
 
-    Sector eigenvalues are sums of one eigenvalue per segment; the decoupled
-    edge pair contributes a uniform twofold multiplicity.
+    The block is the Kronecker sum of its broken-chain segment generators,
+    copied twice for the decoupled edge pair. Its eigenvalues are the sums
+    of one eigenvalue per segment, each repeated twice, and its unit-column
+    eigenvector matrix is the Kronecker product of the segments' with the
+    2x2 identity. The singular values of a Kronecker product are the
+    products of its factors', so the 2-norm condition number is the product
+    of the segment condition numbers. Each segment costs one dense eig of
+    size 2^L; the 4^N generator and the 2^{N+1} block are never built, and
+    `restrict_liouvillian` of the third-quantized generator is the oracle.
     """
+    if label.n_sites != params.n_sites:
+        raise ValueError("label length does not match params.n_sites")
+    if not params.is_unperturbed():
+        raise ValueError(
+            "sector spectra from segments need the unperturbed model; "
+            "set field_b, transverse_u and bond_dissipation to zero"
+        )
     sums = np.zeros(1, dtype=complex)
+    cond = 1.0
     for seg in broken_chain_segments(label):
-        ev = segment_spectrum(seg, params)
-        sums = (sums[:, None] + ev[None, :]).reshape(-1)
-    return np.repeat(sums, 2)
+        lam, R = np.linalg.eig(_segment_generator(seg, params))
+        sums = (sums[:, None] + lam[None, :]).reshape(-1)
+        cond *= float(np.linalg.cond(R))
+    return np.repeat(sums, 2), cond
 
 
 def spectral_order(values: np.ndarray) -> np.ndarray:
@@ -256,23 +288,24 @@ def match_spectra(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> list[tuple
 
     When both spectra have the same length and agree entry by entry in
     canonical order, that order is the matching. Near-degenerate values can
-    legally reorder across the two lists, so otherwise each a[i], in
-    canonical order, takes the nearest unused b[j] within tol; an a[i] with
-    none left is missing from the pairs. Multiset equality is a full-length
+    legally reorder across the two lists, so otherwise the pairs are a
+    maximum matching of the graph joining every a[i] to each b[j] within
+    tol; the a[i] left without a partner are missing from the pairs, which
+    come in the canonical order of a. Multiset equality is a full-length
     result on equal-length spectra.
     """
     a, b = np.asarray(a), np.asarray(b)
     ia, ib = spectral_order(a), spectral_order(b)
     if a.size == b.size and (a.size == 0 or np.abs(a[ia] - b[ib]).max() < tol):
         return list(zip(ia.tolist(), ib.tolist()))
+    # imported here: scipy.sparse.csgraph adds ~3 MB and 45 modules to every
+    # process, and no experiment reaches this branch
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     tree = cKDTree(np.column_stack([b.real, b.imag]))
-    used = np.zeros(b.size, dtype=bool)
-    pairs = []
-    for i in ia.tolist():
-        hits = tree.query_ball_point([a[i].real, a[i].imag], r=tol)
-        free = [h for h in hits if not used[h]]
-        if free:
-            j = min(free, key=lambda h: abs(b[h] - a[i]))
-            used[j] = True
-            pairs.append((i, j))
-    return pairs
+    hits = tree.query_ball_point(np.column_stack([a.real, a.imag]), r=tol)
+    rows = np.repeat(np.arange(a.size), [len(h) for h in hits])
+    cols = np.fromiter((j for h in hits for j in h), dtype=np.intp, count=rows.size)
+    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(a.size, b.size))
+    partner = maximum_bipartite_matching(graph, perm_type="column")
+    return [(i, int(partner[i])) for i in ia.tolist() if partner[i] >= 0]

@@ -287,16 +287,20 @@ def test_dense_limit_env(tmp_path, monkeypatch):
 
 def test_import_does_not_load_scipy_integrate():
     # the run path imports what it needs at load time; scipy.integrate would
-    # add ~0.3 s of imports that no experiment uses
+    # add ~0.3 s of imports, and scipy.sparse.csgraph ~3 MB of peak RSS, that
+    # no experiment uses
     import lmem
 
     src = str(Path(lmem.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, lmem, lmem.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, lmem, lmem.cli; "
+        "print([m in sys.modules for m in ('scipy.integrate', 'scipy.sparse.csgraph')])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 @pytest.mark.parametrize(
@@ -325,6 +329,42 @@ def test_run_path_builds_no_kappa_cascade(tmp_path, monkeypatch, overrides):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, forbidden)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+    assert main(["run", str(cfg_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {
+            "experiment": "fig4-spectrum",
+            "model": {"n_sites": 4, "couplings": [2.0] * 3, "dephasing_rates": [1.0] * 4},
+            "gamma_scan": {"gamma_min": 1.0, "gamma_max": 3.0, "n_points": 3},
+            "sector": "+-+",
+        },
+        {
+            "experiment": "sector-census",
+            "model": {"n_sites": 4, "couplings": [1.0] * 3, "dephasing_rates": [0.5] * 4},
+            "with_spectra": True,
+        },
+    ],
+    ids=["fig4-spectrum", "sector-census"],
+)
+def test_run_path_builds_no_generator_or_dense_block(tmp_path, monkeypatch, overrides):
+    # sector spectra come from the broken-chain segments; the 4^N generator
+    # and its dense sector restriction are oracles for the tests and verify
+    import lmem.liouvillian
+    import lmem.sectors
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the experiment run path built the generator or a dense block")
+
+    originals = [lmem.liouvillian.build_liouvillian_thirdq, lmem.sectors.restrict_liouvillian]
+    for module in [m for k, m in sys.modules.items() if k == "lmem" or k.startswith("lmem.")]:
+        for attr, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, attr, forbidden)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
     assert main(["run", str(cfg_path)]) == 0

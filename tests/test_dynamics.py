@@ -412,3 +412,11 @@ class TestExceptionalPoints:
             rates.append(min(-lam.imag[np.abs(lam.real) < 1e-12]))
         assert rates[1] < rates[0] / 5
         assert rates[1] == pytest.approx(J ** 2 / 50.0, rel=0.01)
+
+
+def test_exceptional_point_scan_rejects_perturbed_model():
+    # the segment form of the sector spectrum holds for the unperturbed model
+    # only; a perturbation must not be dropped silently
+    base = ModelParams(3, [1.0, 1.0], [1.0, 1.0, 1.0], bond_dissipation=[0.5, 0.0])
+    with pytest.raises(ValueError, match="field_b, transverse_u and bond_dissipation"):
+        exceptional_point_scan(base, [1.0], SectorLabel((-1, 1)))

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,14 @@ def assert_same_spectrum(a, b, tol):
     assert a.size == b.size == len(pairs)
     assert len({j for _, j in pairs}) == b.size
     assert all(abs(a[i] - b[j]) <= tol for i, j in pairs)
+
+
+@lru_cache(maxsize=None)
+def random_chain(n):
+    """Seeded inhomogeneous couplings and rates, and their generator."""
+    rng = np.random.default_rng(100 + n)
+    p = ModelParams(n, rng.uniform(0.5, 2.0, n - 1), rng.uniform(0.2, 1.5, n))
+    return p, build_liouvillian_thirdq(p)
 
 
 def params(n, J=1.0, gamma=0.5):
@@ -193,20 +203,26 @@ class TestBrokenChains:
         segs = broken_chain_segments(SectorLabel.from_string("+--+"))
         assert segs == [(1, 1), (2, 4), (5, 5)]
 
-    @pytest.mark.parametrize("label_str", ["+--+", "-+-+", "----"])
+    @pytest.mark.parametrize(
+        "label_str", [lab.to_string() for n in range(3, 7) for lab in all_sector_labels(n)]
+    )
     def test_segment_spectra_compose_to_block(self, label_str):
-        n = 5
-        p = ModelParams(
-            n_sites=n,
-            couplings=[1.0, 0.6, 1.4, 0.8],
-            dephasing_rates=[0.5, 0.7, 0.4, 1.1, 0.9],
-        )
-        L = build_liouvillian_thirdq(p)
         lab = SectorLabel.from_string(label_str)
-        block = restrict_liouvillian(L, lab)
-        predicted = compose_segment_spectra(lab, p)
-        actual = np.linalg.eigvals(block.matrix)
+        p, L = random_chain(lab.n_sites)
+        predicted, cond = compose_segment_spectra(lab, p)
+        actual, R = np.linalg.eig(restrict_liouvillian(L, lab).matrix)
         assert_same_spectrum(predicted, actual, tol=1e-8)
+        assert cond == pytest.approx(np.linalg.cond(R), rel=1e-10)
+
+    def test_composed_condition_number_at_exceptional_point(self):
+        # the one coupled pair of +-+ merges its branches at gamma = J
+        lab = SectorLabel.from_string("+-+")
+        p = params(4, J=2.0, gamma=2.0)
+        predicted, cond = compose_segment_spectra(lab, p)
+        actual, R = np.linalg.eig(restrict_liouvillian(build_liouvillian_thirdq(p), lab).matrix)
+        assert cond > 1e6
+        assert cond == pytest.approx(np.linalg.cond(R), rel=1e-6)
+        assert_same_spectrum(predicted, actual, tol=1e-6)
 
 
 def test_sorted_spectrum_orders_by_imag_then_real():
@@ -247,6 +263,13 @@ class TestMatchSpectra:
         assert perm[moved] not in {i for i, _ in pairs}
         assert moved not in {j for _, j in pairs}
         assert all(abs(a[i] - b[j]) <= 1e-9 for i, j in pairs)
+
+    def test_maximum_matching_where_greedy_fails(self):
+        # canonical order sends 0.05 first; its nearest partner 0.5 is the
+        # only one 0.6 can take, so a greedy pass leaves 0.6 out
+        a = np.array([0.05, 0.6, -50 - 1j, 50 - (1 + 1e-12) * 1j])
+        b = np.array([0.5, -0.5, -50 - (1 + 2e-12) * 1j, 50 - (1 + 1e-12) * 1j])
+        assert_same_spectrum(a, b, tol=1.0)
 
     def test_length_mismatch_matches_the_common_part(self):
         a = self.spectrum()
