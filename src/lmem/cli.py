@@ -113,6 +113,8 @@ class ExperimentConfig:
         self.experiment = exp
         self.raw = dict(data)
         self.seed = int(data.get("seed", 0))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got seed={self.seed}")
         self.output_dir = Path(data.get("output_dir", "lmem-out"))
         self.zeta = float(data.get("zeta", 0.5))
         self.bulk_amplitude = float(data.get("bulk_amplitude", 0.1))
@@ -170,6 +172,11 @@ class ExperimentConfig:
         self.sector = data.get("sector")
         if self.sector is not None:
             self.sector = SectorLabel.from_string(self.sector)
+            if self.model is not None and self.sector.n_sites != self.model.n_sites:
+                raise ConfigError(
+                    f"sector needs one sign per bond, {self.model.n_sites - 1} for "
+                    f"n_sites={self.model.n_sites}, got sector={data['sector']!r}"
+                )
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -15,8 +15,14 @@ normal-ordering:
 which satisfy the canonical anticommutation relations by construction.
 
 Left and right multiplication by a Majorana monomial are signed permutations
-of the basis and are assembled here as sparse matrices; every Lindblad
-superoperator in this package is built from them.
+of the basis: w^{a} -> +-w^{a ^ mask}, the sign being the parity of the
+occupied modes the mask passes. Every Lindblad superoperator in this package
+is a sum of such permutations. `_product_superoperator` assembles any
+rho -> sum_k s_k L_k rho R_k in one CSR construction: each monomial pair
+of L_k and R_k is one permutation, the value vectors are summed per
+combined mask, and the CSR arrays are written directly, with no sparse
+additions or products. `left_mult_operator` and `right_mult_operator` are
+its one-sided cases.
 
 The inner product is <<A|B>> = tr(A^dag B), under which the basis monomials
 are orthogonal with squared norm 2^N; the factor is carried explicitly in
@@ -191,69 +197,103 @@ def number_values(j: int, n_sites: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _masked_parity(indices: np.ndarray, mask: int) -> np.ndarray:
-    """Parity (0/1) of the transposition count for prepending w^{mask}."""
-    count = np.zeros_like(indices)
+def _crossings(mask: int, n_modes: int, right: bool) -> int:
+    """Modes that w^{mask} passes on its way into a monomial w^{a}.
+
+    Multiplying w^{a} by w^{mask} from the left (right=False) or the right
+    (right=True) gives (-1)^{popcount(a & crossings)} w^{a ^ mask}. A
+    prepended w_j passes the occupied modes below j, an appended one those
+    above j. The mask's own modes are taken in ascending order, so each of
+    them passes only original occupations, and the per-mode parities add,
+    i.e. their crossing masks combine by XOR.
+    """
+    out = 0
     m = mask
     while m:
         low = m & -m
         j = low.bit_length()  # 1-based mode index
-        count += _bitcount(indices & ((1 << (j - 1)) - 1))
+        out ^= (1 << n_modes) - (1 << j) if right else (1 << (j - 1)) - 1
         m ^= low
-    return count & 1
+    return out
+
+
+def _crossing_signs(indices: np.ndarray, crossings: int) -> np.ndarray:
+    return 1 - 2 * (_bitcount(indices & crossings) & 1)
+
+
+def _monomial_superoperator(mono: MajoranaMonomial, n_sites: int, right: bool):
+    if mono.n_modes != 2 * n_sites:
+        raise ValueError("monomial mode count does not match n_sites")
+    idx = _index_range(2 * n_sites)
+    signs = _crossing_signs(idx, _crossings(mono.mask, 2 * n_sites, right)) * mono.coeff
+    return _signed_permutation(idx ^ mono.mask, idx, signs, 4 ** n_sites)
 
 
 def left_mult_monomial(mono: MajoranaMonomial, n_sites: int) -> sp.csr_matrix:
     """Superoperator of A -> (coeff * w^{mask}) A on amplitude vectors."""
-    if mono.n_modes != 2 * n_sites:
-        raise ValueError("monomial mode count does not match n_sites")
-    dim = 4 ** n_sites
-    idx = _index_range(2 * n_sites)
-    signs = (1 - 2 * _masked_parity(idx, mono.mask)) * mono.coeff
-    return _signed_permutation(idx ^ mono.mask, idx, signs, dim)
+    return _monomial_superoperator(mono, n_sites, right=False)
 
 
 def right_mult_monomial(mono: MajoranaMonomial, n_sites: int) -> sp.csr_matrix:
     """Superoperator of A -> A * (coeff * w^{mask}) on amplitude vectors."""
-    if mono.n_modes != 2 * n_sites:
-        raise ValueError("monomial mode count does not match n_sites")
+    return _monomial_superoperator(mono, n_sites, right=True)
+
+
+def _product_superoperator(terms, n_sites: int) -> sp.csr_matrix:
+    """Superoperator of A -> sum_k s_k L_k A R_k on amplitude vectors.
+
+    `terms` lists (L_k, R_k, s_k) with OperatorSums L_k, R_k, where None
+    stands for the identity. Each pair of monomials w^{a} of L_k and w^{b}
+    of R_k maps w^{col} to +-w^{col ^ a ^ b}: a signed permutation whose
+    sign is the right-multiplication sign at col times the left one at
+    col ^ b. The value vectors are summed per combined mask a ^ b, and the
+    CSR arrays are written directly: row r holds column r ^ m for each
+    combined mask m, with exact zeros dropped.
+    """
+    n_modes = 2 * n_sites
     dim = 4 ** n_sites
-    idx = _index_range(2 * n_sites)
-    # appending w_j from the right crosses every occupied mode above j; with
-    # the mask appended in ascending mode order, earlier-appended modes sit
-    # below j and never add crossings, so the original occupations suffice
-    count = np.zeros_like(idx)
-    total = _bitcount(idx)
-    m = mono.mask
-    while m:
-        low = m & -m
-        j = low.bit_length()
-        below = _bitcount(idx & ((1 << (j - 1)) - 1))
-        has = (idx >> (j - 1)) & 1
-        count += total - below - has
-        m ^= low
-    signs = (1 - 2 * (count & 1)) * mono.coeff
-    return _signed_permutation(idx ^ mono.mask, idx, signs, dim)
+    idx = _index_range(n_modes)
+    identity = {0: 1.0}
+    pairs = []  # (combined mask, crossing mask, coefficient) per monomial pair
+    for left, right, scale in terms:
+        left_terms = identity if left is None else operator_to_majorana_terms(left)
+        right_terms = identity if right is None else operator_to_majorana_terms(right)
+        for b, cb in right_terms.items():
+            right_cross = _crossings(b, n_modes, right=True)
+            for a, ca in left_terms.items():
+                left_cross = _crossings(a, n_modes, right=False)
+                # the left sign at col ^ b is the left sign at col times
+                # (-1)^{popcount(b & left_cross)}
+                coeff = scale * ca * cb * (1 - 2 * ((b & left_cross).bit_count() & 1))
+                pairs.append((a ^ b, right_cross ^ left_cross, coeff))
+    masks = sorted({m for m, _, _ in pairs})
+    if not masks:
+        return sp.csr_matrix((dim, dim), dtype=complex)
+    index_dtype = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
+    slot = np.zeros(dim, dtype=index_dtype)  # combined mask -> row of by_column
+    slot[masks] = np.arange(len(masks))
+    by_column = np.zeros((len(masks), dim), dtype=complex)
+    for m, cross, coeff in pairs:
+        by_column[slot[m]] += coeff * _crossing_signs(idx, cross)
+    # row r holds column r ^ m for each combined mask m; sorted, the mask
+    # of an entry is recovered as r ^ column
+    rows = idx.astype(index_dtype)[:, None]
+    cols = rows ^ np.array(masks, dtype=index_dtype)
+    cols.sort(axis=1)
+    data = by_column[slot[rows ^ cols], cols]
+    del by_column  # released before the compaction copies; it sets the peak at large N
+    keep = data != 0
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(dim, dim))
 
 
 def left_mult_operator(op: OperatorSum, n_sites: int) -> sp.csr_matrix:
-    dim = 4 ** n_sites
-    out = sp.csr_matrix((dim, dim), dtype=complex)
-    for mask, coeff in operator_to_majorana_terms(op).items():
-        out = out + left_mult_monomial(
-            MajoranaMonomial(2 * n_sites, mask, coeff), n_sites
-        )
-    return out
+    return _product_superoperator([(op, None, 1.0)], n_sites)
 
 
 def right_mult_operator(op: OperatorSum, n_sites: int) -> sp.csr_matrix:
-    dim = 4 ** n_sites
-    out = sp.csr_matrix((dim, dim), dtype=complex)
-    for mask, coeff in operator_to_majorana_terms(op).items():
-        out = out + right_mult_monomial(
-            MajoranaMonomial(2 * n_sites, mask, coeff), n_sites
-        )
-    return out
+    return _product_superoperator([(None, op, 1.0)], n_sites)
 
 
 # ---------------------------------------------------------------------------

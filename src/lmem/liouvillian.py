@@ -8,8 +8,10 @@ so that i d|rho>/dt = L |rho> and stationary states solve L |rho> = 0.
 
 Two independent constructions are provided and must agree entrywise:
 
-* `build_liouvillian_direct` vectorizes the right-hand side term by term
-  using the exact left/right multiplication superoperators of `fock`. It
+* `build_liouvillian_direct` lists the right-hand side as products
+  L_k rho R_k (H rho, rho H, L rho L^dag, L^dag L rho, rho L^dag L) and
+  hands them to `fock._product_superoperator`, which writes the whole
+  generator as one CSR matrix from signed permutations of the basis. It
   accepts arbitrary Pauli-word Hamiltonians and dissipators, so every
   perturbed model goes through this path.
 
@@ -34,15 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import (
-    c_dagger_matrix,
-    c_matrix,
-    left_mult_operator,
-    number_values,
-    right_mult_operator,
-)
+from .fock import _product_superoperator, c_dagger_matrix, c_matrix, number_values
 from .model import ModelParams, build_dissipators, build_hamiltonian
-from .pauli import OperatorSum, _check_dense, majorana_to_spin, MajoranaMonomial
+from .pauli import _check_dense, majorana_to_spin, MajoranaMonomial
 
 
 class UnsupportedModelError(ValueError):
@@ -65,37 +61,31 @@ class Superoperator:
         return self.matrix.toarray()
 
 
-def _dissipator_superoperator(L_op: OperatorSum, n_sites: int) -> sp.csr_matrix:
-    """i ( L rho L^dag - 1/2 {L^dag L, rho} ) as a sparse matrix."""
-    Ld = L_op.dagger()
-    jump = left_mult_operator(L_op, n_sites) @ right_mult_operator(Ld, n_sites)
-    ldl = Ld @ L_op
-    anti = left_mult_operator(ldl, n_sites) + right_mult_operator(ldl, n_sites)
-    return (1j * (jump - 0.5 * anti)).tocsr()
+def _model_operators(params_or_h, dissipators, n_sites):
+    """(hamiltonian, dissipators, n_sites) from either call form."""
+    if isinstance(params_or_h, ModelParams):
+        params = params_or_h
+        return build_hamiltonian(params), build_dissipators(params), params.n_sites
+    h = params_or_h
+    return h, list(dissipators or []), h.n_sites if n_sites is None else n_sites
 
 
 def build_liouvillian_direct(
     params_or_h, dissipators=None, n_sites: int | None = None
 ) -> Superoperator:
-    """Assemble L for an arbitrary Pauli-word model, term by term.
+    """Assemble L for an arbitrary Pauli-word model in one sparse construction.
 
     Either pass ModelParams, or an explicit (OperatorSum hamiltonian,
     list of OperatorSum dissipators, n_sites).
     """
-    if isinstance(params_or_h, ModelParams):
-        params = params_or_h
-        h = build_hamiltonian(params)
-        dissipators = build_dissipators(params)
-        n_sites = params.n_sites
-    else:
-        h = params_or_h
-        if n_sites is None:
-            n_sites = h.n_sites
-        dissipators = list(dissipators or [])
-    mat = left_mult_operator(h, n_sites) - right_mult_operator(h, n_sites)
+    h, dissipators, n_sites = _model_operators(params_or_h, dissipators, n_sites)
+    # i d rho/dt = H rho - rho H + i sum_k (L rho L^dag - 1/2 L^dag L rho - 1/2 rho L^dag L)
+    terms = [(h, None, 1.0), (None, h, -1.0)]
     for L_op in dissipators:
-        mat = mat + _dissipator_superoperator(L_op, n_sites)
-    return Superoperator(n_sites, mat.tocsr(), "direct-vectorized")
+        Ld = L_op.dagger()
+        ldl = Ld @ L_op
+        terms += [(L_op, Ld, 1j), (ldl, None, -0.5j), (None, ldl, -0.5j)]
+    return Superoperator(n_sites, _product_superoperator(terms, n_sites), "direct-vectorized")
 
 
 def build_liouvillian_thirdq(params: ModelParams) -> Superoperator:
@@ -175,14 +165,17 @@ def majorana_basis_matrix(n_sites: int) -> np.ndarray:
     return W
 
 
-def build_liouvillian_colstack_oracle(params: ModelParams) -> Superoperator:
+def build_liouvillian_colstack_oracle(
+    params_or_h, dissipators=None, n_sites: int | None = None
+) -> Superoperator:
     """Dense kron-built generator conjugated into the Majorana basis.
 
-    Test oracle only: O(16^N) memory.
+    Takes the same two call forms as `build_liouvillian_direct`. Test oracle
+    only: O(16^N) memory.
     """
-    n = params.n_sites
-    H = build_hamiltonian(params).to_matrix()
-    Ls = [d.to_matrix() for d in build_dissipators(params)]
+    h, dissipators, n = _model_operators(params_or_h, dissipators, n_sites)
+    H = h.to_matrix()
+    Ls = [d.to_matrix() for d in dissipators]
     W = majorana_basis_matrix(n)
     Lcol = colstack_superoperator(H, Ls, n)
     mat = (W.conj().T @ Lcol @ W) / 2 ** n

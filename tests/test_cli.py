@@ -103,6 +103,21 @@ class TestConfig:
         )
         assert cfg.sector.to_string() == "+-+"
 
+    @pytest.mark.parametrize("label", ["+-+", "+-++-+"])
+    def test_sector_length_rejected(self, label):
+        # the shipped fig4-spectrum config is N=6, so a label needs 5 signs;
+        # a wrong length used to fail inside the segment engine
+        path = Path(__file__).resolve().parents[1] / "configs" / "fig4-spectrum.json"
+        data = {**json.loads(path.read_text()), "sector": label}
+        with pytest.raises(ConfigError, match=r"sector.*\b5\b.*n_sites=6"):
+            ExperimentConfig(data)
+
+    @pytest.mark.parametrize("experiment", ["fig3b", "oracle-suite"])
+    def test_negative_seed_rejected(self, experiment):
+        # used to fail inside np.random.SeedSequence / default_rng
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got seed=-1"):
+            ExperimentConfig({"experiment": experiment, "model": base_model(4), "seed": -1})
+
 
 def test_csv_formatting_round_trips_doubles(tmp_path):
     values = [np.pi, 1 / 3, 1e-300, -2.5e17]

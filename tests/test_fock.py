@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lmem.fock import (
     LiouvilleVector,
+    _product_superoperator,
     apply_c,
     apply_c_dagger,
     c_dagger_matrix,
@@ -223,20 +224,50 @@ class TestMultiplicationSuperoperators:
 
     def test_operator_superoperators(self):
         rng = np.random.default_rng(9)
-        n = 2
-        words = [
-            PauliString.from_codes("".join(rng.choice(list("IXYZ")) for _ in range(n)))
-            for _ in range(3)
-        ]
-        op = OperatorSum(n, [(complex(rng.normal(), rng.normal()), w) for w in words])
-        rho = random_matrix(rng, n)
-        v = vectorize(rho, n).amplitudes
-        np.testing.assert_allclose(
-            devectorize(left_mult_operator(op, n) @ v, n), op.to_matrix() @ rho, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            devectorize(right_mult_operator(op, n) @ v, n), rho @ op.to_matrix(), atol=1e-12
-        )
+        for n in (1, 2, 3):
+            words = [
+                PauliString.from_codes("".join(rng.choice(list("IXYZ")) for _ in range(n)))
+                for _ in range(8)
+            ]
+            op = OperatorSum(n, [(complex(rng.normal(), rng.normal()), w) for w in words])
+            rho = random_matrix(rng, n)
+            v = vectorize(rho, n).amplitudes
+            np.testing.assert_allclose(
+                devectorize(left_mult_operator(op, n) @ v, n), op.to_matrix() @ rho, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                devectorize(right_mult_operator(op, n) @ v, n), rho @ op.to_matrix(), atol=1e-12
+            )
+
+    def test_product_superoperator_matches_dense(self):
+        # sum_k s_k A_k rho B_k with multi-term operators on both sides
+        rng = np.random.default_rng(21)
+
+        def random_op(n, k):
+            words = [
+                PauliString.from_codes("".join(rng.choice(list("IXYZ")) for _ in range(n)))
+                for _ in range(k)
+            ]
+            return OperatorSum(n, [(complex(rng.normal(), rng.normal()), w) for w in words])
+
+        for n in (1, 2, 3):
+            terms = [(random_op(n, 4), random_op(n, 3), complex(rng.normal(), rng.normal()))
+                     for _ in range(3)]
+            terms += [(random_op(n, 2), None, -1.5), (None, random_op(n, 2), 0.5j)]
+            rho = random_matrix(rng, n)
+            expected = sum(
+                s * (np.eye(2 ** n) if a is None else a.to_matrix())
+                @ rho
+                @ (np.eye(2 ** n) if b is None else b.to_matrix())
+                for a, b, s in terms
+            )
+            m = _product_superoperator(terms, n)
+            assert m.has_canonical_format and np.all(m.data != 0)
+            np.testing.assert_allclose(
+                devectorize(m @ vectorize(rho, n).amplitudes, n), expected, atol=1e-12
+            )
+        empty = _product_superoperator([(OperatorSum(2), None, 1.0)], 2)
+        assert empty.shape == (16, 16) and empty.nnz == 0
 
     def test_left_multiplication_equals_ladder_sum(self):
         # prepending a single mode w_j is exactly c_j + c_j^dag

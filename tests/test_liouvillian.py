@@ -15,7 +15,7 @@ from lmem.liouvillian import (
     write_triplets,
 )
 from lmem.model import ModelParams, build_dissipators, build_hamiltonian, random_perturbed_params
-from lmem.pauli import parity_word
+from lmem.pauli import OperatorSum, PauliString, parity_word
 
 
 def params(n, J=1.0, gamma=0.5, **kw):
@@ -41,11 +41,46 @@ class TestOracleEquivalence:
         assert np.abs(a - b).max() < 1e-12
         assert np.abs(b - c).max() < 1e-12
 
-    def test_perturbed_direct_matches_colstack(self):
-        p = random_perturbed_params(3, u=2.0, rng_seed=5)
+    @pytest.mark.parametrize("seed", [5, 17, 29])
+    @pytest.mark.parametrize("u", [0.0, 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_perturbed_direct_matches_colstack(self, n, u, seed):
+        p = random_perturbed_params(n, u=u, rng_seed=seed)
         a = build_liouvillian_direct(p).toarray()
         b = build_liouvillian_colstack_oracle(p).toarray()
         assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_explicit_form_matches_colstack(self, n):
+        # X, Y and Z words in H, and non-Hermitian multi-term jump operators:
+        # L rho L^dag then has cross terms between distinct monomials, which
+        # the single-word dissipators of the experiments never produce
+        rng = np.random.default_rng(40 + n)
+        h = OperatorSum(n)
+        for codes in ("XY" + "Z" * (n - 2), "Z" + "I" * (n - 1), "Y" * n, "I" * (n - 1) + "X"):
+            h.add_term(rng.normal(), PauliString.from_codes(codes))
+        dissipators = []
+        for j in range(1, n + 1):
+            lower = OperatorSum(n)  # sigma^-_j = (X_j - i Y_j) / 2
+            lower.add_term(0.5, PauliString.single(n, j, "X"))
+            lower.add_term(-0.5j, PauliString.single(n, j, "Y"))
+            dissipators.append(lower.scaled(rng.uniform(0.2, 1.0)))
+        mixed = OperatorSum(n)
+        mixed.add_term(0.3, PauliString.from_codes("XZ" + "I" * (n - 2)))
+        mixed.add_term(0.7j, PauliString.single(n, 2, "Y"))
+        mixed.add_term(-0.4, PauliString.from_codes("Z" * n))
+        dissipators.append(mixed)
+        a = build_liouvillian_direct(h, dissipators, n)
+        b = build_liouvillian_colstack_oracle(h, dissipators, n)
+        assert np.abs(a.toarray() - b.toarray()).max() < 1e-12
+        assert trace_preservation_defect(a) < 1e-12
+
+    @pytest.mark.parametrize("u", [0.0, 2.0])
+    def test_direct_csr_is_canonical(self, u):
+        m = build_liouvillian_direct(random_perturbed_params(4, u=u, rng_seed=3)).matrix
+        assert m.format == "csr"
+        assert m.has_sorted_indices and m.has_canonical_format
+        assert np.all(m.data != 0)
 
     def test_thirdq_rejects_perturbations(self):
         p = random_perturbed_params(3, u=2.0, rng_seed=1)
