@@ -39,22 +39,22 @@ from . import __version__
 from .dynamics import (
     EP_COND_THRESHOLD,
     EP_GAP_TOL,
+    check_physical_initial_state,
     evolve,
     exceptional_point_scan,
     physicality_report,
 )
 from .edge import (
-    PositivityError,
     ProductStateSpec,
     approx_purity_longtime,
-    build_product_state,
     edge_factorization_test,
     kappa_correlation,
+    product_state_operator,
     ratio_trace,
 )
-from .fock import vector_purity, vectorize
+from .fock import LiouvilleVector, vector_purity, vectorize_operator
 from .model import ModelParams, random_perturbed_params
-from .pauli import OperatorSum, PauliString, parity_word
+from .pauli import OperatorSum, PauliString, SizeLimitError, parity_word
 from .sectors import (
     SectorLabel,
     all_sector_labels,
@@ -259,49 +259,35 @@ def ratio_observables(n: int):
     return x1, x2
 
 
-def product_initial_state(n: int, zeta: float, amplitude: float) -> np.ndarray:
+def product_initial_state(n: int, zeta: float, amplitude: float) -> OperatorSum:
     spec = ProductStateSpec(
         zeta=zeta, a_terms=[(amplitude, w) for w in interior_word_family(n)]
     )
-    try:
-        return build_product_state(spec, n)
-    except PositivityError as exc:
-        raise ConfigError(f"{exc}; reduce bulk_amplitude or |zeta|") from exc
+    return product_state_operator(spec, n)
 
 
 def nonproduct_initial_state(
     n: int, zeta: float, amplitude: float, deform: tuple[float, float]
-) -> np.ndarray:
+) -> OperatorSum:
     """Product bulk plus two wrong-bracket admixtures.
 
     The sz_1 piece is invisible to the interior observables (its sector
     never overlaps them); the sx_1 sy_2 piece shares the sector of sz_2 and
     makes the broken factorization show up in the ratio.
     """
-    ident = np.eye(2 ** n)
-    m = parity_word(n).to_matrix()
-    rho = product_initial_state(n, zeta, amplitude).astype(complex)
-    e1, e2 = deform
-    minus = ident - zeta * m
-    rho = rho + e1 * PauliString.single(n, 1, "Z").to_matrix() @ minus / 2 ** n
+    minus = OperatorSum.identity(n) - OperatorSum.from_pauli(parity_word(n), zeta)
     sxsy = PauliString.single(n, 1, "X").mul(PauliString.single(n, 2, "Y"))
-    rho = rho + e2 * sxsy.to_matrix() @ minus / 2 ** n
-    lam_min = float(np.linalg.eigvalsh(rho).min())
-    if lam_min < -1e-10:
-        raise ConfigError(
-            f"non-product state is not positive (min eigenvalue {lam_min:.3e}); "
-            "reduce nonproduct_amplitudes"
-        )
-    return rho
+    deformation = OperatorSum(n, [(deform[0], PauliString.single(n, 1, "Z")), (deform[1], sxsy)]) @ minus
+    return product_initial_state(n, zeta, amplitude) + deformation.scaled(2.0 ** -n)
 
 
-def edge_occupied_state(n: int, zeta: float, amplitude: float) -> np.ndarray:
+def edge_occupied_state(n: int, zeta: float, amplitude: float) -> OperatorSum:
     """State with weight in the uniform sector and the first broken-bond
     sector: [I + amp * M (sz1 + sy1 sx2 + sy1 sx3 + sz1 sx2 sx3)](I + zeta M) / 2^N."""
     if n < 3:
         raise ConfigError("edge-occupied state requires n_sites >= 3")
-    ident = np.eye(2 ** n)
-    m = parity_word(n).to_matrix()
+    ident = OperatorSum.identity(n)
+    m = OperatorSum.from_pauli(parity_word(n))
     words = [
         PauliString.single(n, 1, "Z"),
         PauliString.single(n, 1, "Y").mul(PauliString.single(n, 2, "X")),
@@ -310,15 +296,20 @@ def edge_occupied_state(n: int, zeta: float, amplitude: float) -> np.ndarray:
         .mul(PauliString.single(n, 2, "X"))
         .mul(PauliString.single(n, 3, "X")),
     ]
-    bulk = sum(amplitude * (m @ w.to_matrix()) for w in words)
-    rho = (ident + bulk) @ (ident + zeta * m) / 2 ** n
-    lam_min = float(np.linalg.eigvalsh(rho).min())
-    if lam_min < -1e-10:
-        raise ConfigError(
-            f"edge-occupied state is not positive (min eigenvalue {lam_min:.3e}); "
-            "reduce edge_state_amplitude or |zeta|"
-        )
-    return rho
+    bulk = m @ OperatorSum(n, [(amplitude, w) for w in words])
+    return ((ident + bulk) @ (ident + m.scaled(zeta))).scaled(2.0 ** -n)
+
+
+def _initial_amplitudes(op: OperatorSum, setting: str) -> LiouvilleVector:
+    """Check op once as a density matrix and return its Liouville vector; a failure
+    raises a ConfigError naming `setting`, or n_sites beyond the dense cap."""
+    try:
+        check_physical_initial_state(op.to_matrix())
+    except SizeLimitError as exc:
+        raise ConfigError(f"initial-state check at n_sites={op.n_sites}: {exc}; reduce n_sites") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; reduce {setting}") from exc
+    return vectorize_operator(op)
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +327,19 @@ def run_fig3a(config: ExperimentConfig, outdir: Path) -> dict:
     x1, x2 = ratio_observables(n)
     t_grid = config.time_grid()
 
-    rho_prod = product_initial_state(n, zeta, config.bulk_amplitude)
-    rho_nonp = nonproduct_initial_state(
-        n, zeta, config.bulk_amplitude, config.nonproduct_amplitudes
+    rho_prod = _initial_amplitudes(
+        product_initial_state(n, zeta, config.bulk_amplitude), "bulk_amplitude or |zeta|"
+    )
+    rho_nonp = _initial_amplitudes(
+        nonproduct_initial_state(n, zeta, config.bulk_amplitude, config.nonproduct_amplitudes),
+        "nonproduct_amplitudes",
     )
 
     results = {}
     for tag, rho0 in (("product", rho_prod), ("nonproduct", rho_nonp)):
-        res = evolve(rho0, params, t_grid, check_initial=True)
+        res = evolve(rho0, params, t_grid)
         tr = ratio_trace(x1, x2, res)
-        fac = edge_factorization_test(vectorize(rho0, n))
+        fac = edge_factorization_test(rho0)
         write_csv(
             outdir / f"fig3a_{tag}.csv",
             ["gamma_t" if res.time_unit == "1/gamma" else "t", "x1", "x2", "ratio"],
@@ -383,7 +377,9 @@ def run_fig3b(config: ExperimentConfig, outdir: Path) -> dict:
     t_grid = config.time_grid()
     # one counted seed stream: draw k of every u uses the same seed
     draw_seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(config.n_draws)]
-    rho0 = product_initial_state(n, zeta, config.bulk_amplitude)
+    rho0 = _initial_amplitudes(
+        product_initial_state(n, zeta, config.bulk_amplitude), "bulk_amplitude or |zeta|"
+    )
     x1, x2 = ratio_observables(n)
 
     summary_rows = []
@@ -427,9 +423,11 @@ def run_fig4_purity(config: ExperimentConfig, outdir: Path) -> dict:
     params = config.model
     n = params.n_sites
     zeta = config.zeta
-    rho0 = edge_occupied_state(n, zeta, config.edge_state_amplitude)
+    rho0 = _initial_amplitudes(
+        edge_occupied_state(n, zeta, config.edge_state_amplitude), "edge_state_amplitude or |zeta|"
+    )
     t_grid = config.time_grid()
-    res = evolve(rho0, params, t_grid, check_initial=True)
+    res = evolve(rho0, params, t_grid)
 
     rows = []
     rel_errors = []
@@ -488,7 +486,13 @@ def run_fig4_spectrum(config: ExperimentConfig, outdir: Path) -> dict:
         sector = SectorLabel(tuple(p))
     gammas = config.gamma_values()
 
-    points = exceptional_point_scan(params, gammas, sector)
+    try:
+        points = exceptional_point_scan(params, gammas, sector)
+    except SizeLimitError as exc:
+        raise ConfigError(
+            f"sector={sector.to_string()!r} at n_sites={n}: {exc}; "
+            "choose a sector with shorter broken-chain segments"
+        ) from exc
 
     rows = []
     for pt in points:
@@ -537,7 +541,12 @@ def run_sector_census(config: ExperimentConfig, outdir: Path) -> dict:
             (lab.to_string(), basis.size, len(segs), " ".join(f"{a}-{b}" for a, b in segs))
         )
         if config.with_spectra:
-            lam, _ = compose_segment_spectra(lab, params)
+            try:
+                lam, _ = compose_segment_spectra(lab, params)
+            except SizeLimitError as exc:
+                raise ConfigError(
+                    f"with_spectra at n_sites={n}: {exc}; reduce n_sites or set with_spectra to false"
+                ) from exc
             for i, ev in enumerate(sorted_spectrum(lam)):
                 spectra_rows.append((lab.to_string(), i, ev.real, ev.imag))
     write_csv(outdir / "sector_census.csv", ["label", "dimension", "n_segments", "segments"], rows)

@@ -1,7 +1,8 @@
 """Time evolution, expectation values, and spectral analysis.
 
 States are carried as Liouville amplitude vectors and evolve under
-i d|rho>/dt = L |rho>. Two methods are provided and cross-validated:
+i d|rho>/dt = L |rho>, L being the direct build for every model (the
+third-quantized form is its oracle). Two methods are cross-validated:
 
 * "expm" (default): the exact action of exp(-i L t) on the state by
   truncated Taylor steps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
@@ -40,9 +41,8 @@ from .fock import (
     site_count,
     vector_trace,
 )
-from .liouvillian import Superoperator, build_liouvillian_direct, build_liouvillian_thirdq
+from .liouvillian import build_liouvillian_direct
 from .model import ModelParams
-from .pauli import OperatorSum
 from .sectors import (
     SectorLabel,
     compose_segment_spectra,
@@ -71,12 +71,6 @@ class EvolutionResult:
 
     def __len__(self):
         return len(self.times)
-
-
-def _liouvillian_for(params: ModelParams) -> Superoperator:
-    if params.is_unperturbed():
-        return build_liouvillian_thirdq(params)
-    return build_liouvillian_direct(params)
 
 
 def check_physical_initial_state(rho: np.ndarray, tol: float = 1e-10) -> None:
@@ -191,26 +185,22 @@ def evolve(
     params: ModelParams,
     t_grid,
     method: str = "expm",
-    check_initial: bool = False,
 ) -> EvolutionResult:
-    """Evolve an initial state over t_grid.
+    """Evolve an initial state over t_grid under the direct generator.
 
     t_grid is a nondecreasing grid of finite times >= 0, repeats allowed,
     in units of 1/gamma when the dephasing rates are homogeneous and
     positive, absolute otherwise. rho0 may be a dense matrix, a
-    LiouvilleVector, an OperatorSum or a raw amplitude vector;
-    check_initial tests only dense matrices. method "expm" (default) is
-    the exact propagator, restricted to the occupied sectors whenever the
-    model preserves the parity pairs; "eigen" is the eigen-expansion oracle.
+    LiouvilleVector, an OperatorSum or a raw amplitude vector; it is not
+    checked for physicality (`check_physical_initial_state` does that).
+    method "expm" (default) is the exact propagator, restricted to the
+    occupied sectors whenever the model preserves the parity pairs;
+    "eigen" is the eigen-expansion oracle.
     """
     n = params.n_sites
     t_grid = _check_time_grid(t_grid)
     if method not in ("expm", "eigen"):
         raise ValueError(f"unknown evolution method {method!r}; use 'expm' or 'eigen'")
-    if check_initial and not isinstance(rho0, (LiouvilleVector, OperatorSum)):
-        rho0 = np.asarray(rho0, dtype=complex)
-        if rho0.ndim == 2:
-            check_physical_initial_state(rho0)
     v0, _ = as_amplitudes(rho0, n)
 
     gamma = params.homogeneous_gamma()
@@ -221,7 +211,7 @@ def evolve(
         t_phys = t_grid
         unit = "absolute"
 
-    matrix = _liouvillian_for(params).matrix
+    matrix = build_liouvillian_direct(params).matrix
     matvecs = 0
     if method == "eigen":
         amps = _eigen_evolve(matrix, v0, t_phys)

@@ -23,12 +23,11 @@ pull back to the spin picture as
 
 with M the total parity (-1)^N sz_1 ... sz_N. In the monomial basis this
 makes kappa_1 = diag(2 n_1 - 1), and kappa_4N the all-bit flip
-a -> a XOR (4^N - 1) with the signs of left multiplication by sx_N and
-right multiplication by M sx_N. The edge operators used by experiments
-(`edge_annihilator`, `edge_correlator`) are built from these two signed
-permutations directly; the full cascade `kappa_all` and its spin layers
-are the independent construction the tests and `lmem.verify` check them
-against.
+a -> a XOR (4^N - 1). The edge operators used by experiments
+(`edge_annihilator`, `edge_correlator`) are built from these two
+spin-picture forms, each one `fock._product_superoperator` call; the full
+cascade `kappa_all` and its spin layers are the independent construction
+the tests and `lmem.verify` check them against.
 
 All operators are signed-permutation sparse matrices; the compositions are
 derived programmatically and pinned by the Clifford-algebra and sector
@@ -44,11 +43,10 @@ import scipy.sparse as sp
 
 from .fock import (
     _index_range,
+    _product_superoperator,
     c_dagger_matrix,
     c_matrix,
-    left_mult_operator,
     number_values,
-    right_mult_operator,
 )
 from .pauli import OperatorSum, PauliString, parity_word
 
@@ -129,12 +127,13 @@ def parity_pair_via_kappa(j: int, n_sites: int) -> sp.csr_matrix:
 
 
 def _edge_pair(n_sites: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """kappa_1 and kappa_4N as direct signed permutations (no cascade)."""
-    kappa_first = _diag(2 * number_values(1, n_sites) - 1)
-    sx_n = PauliString.single(n_sites, n_sites, "X")
-    left = left_mult_operator(OperatorSum.from_pauli(sx_n), n_sites)
-    right = right_mult_operator(OperatorSum.from_pauli(parity_word(n_sites).mul(sx_n)), n_sites)
-    return kappa_first, (1j * left @ right).tocsr()
+    """kappa_1 rho = -sx_1 M rho M sx_1 and kappa_4N rho = i sx_N rho M sx_N (no cascade)."""
+    m = OperatorSum.from_pauli(parity_word(n_sites))
+    sx_1 = OperatorSum.from_pauli(PauliString.single(n_sites, 1, "X"))
+    sx_n = OperatorSum.from_pauli(PauliString.single(n_sites, n_sites, "X"))
+    kappa_first = _product_superoperator([(sx_1 @ m, m @ sx_1, -1.0)], n_sites)
+    kappa_last = _product_superoperator([(sx_n, m @ sx_n, 1j)], n_sites)
+    return kappa_first, kappa_last
 
 
 @lru_cache(maxsize=8)

@@ -12,11 +12,11 @@ Two independent constructions are provided and must agree entrywise:
   L_k rho R_k (H rho, rho H, L rho L^dag, L^dag L rho, rho L^dag L) and
   hands them to `fock._product_superoperator`, which writes the whole
   generator as one CSR matrix from signed permutations of the basis. It
-  accepts arbitrary Pauli-word Hamiltonians and dissipators, so every
-  perturbed model goes through this path.
+  accepts arbitrary Pauli-word Hamiltonians and dissipators, and it is the
+  one generator the experiments evolve under, perturbed or not.
 
 * `build_liouvillian_thirdq` assembles the closed third-quantized form of
-  the unperturbed chain,
+  the unperturbed chain (an oracle for the tests and `lmem.verify`),
 
       L = -2i sum_j J_j (c_{2j}^dag c_{2j+1} + c_{2j} c_{2j+1}^dag)
           + i sum_j gamma_j [ (2 n_{2j-1} - 1)(2 n_{2j} - 1) - 1 ],

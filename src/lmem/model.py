@@ -72,7 +72,8 @@ class ModelParams:
     # -- properties -------------------------------------------------------
 
     def is_unperturbed(self) -> bool:
-        """True when the third-quantized closed form applies."""
+        """True for the bare chain, the one the third-quantized oracle and the
+        segment spectra cover; evolution uses the direct generator for all."""
         return (
             self.transverse_u == 0.0
             and not self.field_b.any()

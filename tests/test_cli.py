@@ -10,10 +10,17 @@ import pytest
 from lmem.cli import (
     ConfigError,
     ExperimentConfig,
+    edge_occupied_state,
+    interior_word_family,
     main,
+    nonproduct_initial_state,
+    product_initial_state,
     run_experiment,
     write_csv,
 )
+from lmem.edge import ProductStateSpec, build_product_state
+from lmem.fock import vectorize, vectorize_operator
+from lmem.pauli import PauliString, parity_word
 
 
 def base_model(n):
@@ -35,6 +42,13 @@ def make_config(tmp_path, **overrides):
     }
     data.update(overrides)
     return data
+
+
+PURITY_N4 = {
+    "experiment": "fig4-purity",
+    "model": {"n_sites": 4, "couplings": [2.0] * 3, "dephasing_rates": [3.0] * 4},
+    "time_grid": {"t_max": 2.0, "n_samples": 3},
+}
 
 
 class TestConfig:
@@ -172,6 +186,103 @@ def test_nonpositive_nonproduct_state_names_setting(tmp_path):
     cfg = ExperimentConfig(make_config(tmp_path, nonproduct_amplitudes=[0.6, 0.6]))
     with pytest.raises(ConfigError, match="nonproduct_amplitudes"):
         run_experiment(cfg)
+
+
+def test_nonpositive_edge_state_names_setting(tmp_path):
+    # at N=4 and zeta=0.5 an edge amplitude of 0.6 gives minimum eigenvalue -6.5e-2
+    cfg = ExperimentConfig(
+        make_config(
+            tmp_path,
+            experiment="fig4-purity",
+            model=base_model(4),
+            edge_state_amplitude=0.6,
+        )
+    )
+    with pytest.raises(ConfigError, match=r"edge_state_amplitude or \|zeta\|"):
+        run_experiment(cfg)
+
+
+def _dense_states(n, zeta, amp, deform):
+    """The three initial states as dense matrices, assembled from matrix products."""
+    ident = np.eye(2 ** n)
+    m = parity_word(n).to_matrix()
+    product = build_product_state(
+        ProductStateSpec(zeta=zeta, a_terms=[(amp, w) for w in interior_word_family(n)]), n
+    ).astype(complex)
+    minus = ident - zeta * m
+    sxsy = PauliString.single(n, 1, "X").mul(PauliString.single(n, 2, "Y"))
+    nonproduct = (
+        product
+        + deform[0] * PauliString.single(n, 1, "Z").to_matrix() @ minus / 2 ** n
+        + deform[1] * sxsy.to_matrix() @ minus / 2 ** n
+    )
+    words = [
+        PauliString.single(n, 1, "Z"),
+        PauliString.single(n, 1, "Y").mul(PauliString.single(n, 2, "X")),
+        PauliString.single(n, 1, "Y").mul(PauliString.single(n, 3, "X")),
+        PauliString.single(n, 1, "Z")
+        .mul(PauliString.single(n, 2, "X"))
+        .mul(PauliString.single(n, 3, "X")),
+    ]
+    bulk = sum(amp * (m @ w.to_matrix()) for w in words)
+    edge = (ident + bulk) @ (ident + zeta * m) / 2 ** n
+    return {"product": product, "nonproduct": nonproduct, "edge": edge}
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_symbolic_initial_states_match_dense_forms(n):
+    zeta, amp, deform = 0.5, 0.1, (0.05, 0.05)
+    symbolic = {
+        "product": product_initial_state(n, zeta, amp),
+        "nonproduct": nonproduct_initial_state(n, zeta, amp, deform),
+        "edge": edge_occupied_state(n, zeta, amp),
+    }
+    for name, dense in _dense_states(n, zeta, amp, deform).items():
+        op = symbolic[name]
+        np.testing.assert_allclose(op.to_matrix(), dense, rtol=0, atol=1e-15, err_msg=name)
+        np.testing.assert_allclose(
+            vectorize_operator(op).amplitudes,
+            vectorize(dense, n).amplitudes,
+            rtol=0,
+            atol=1e-15,
+            err_msg=name,
+        )
+
+
+@pytest.mark.parametrize(
+    "overrides, pattern",
+    [
+        (
+            {
+                "experiment": "fig4-spectrum",
+                "model": base_model(5),
+                "sector": "----",
+                "gamma_scan": {"gamma_min": 0.5, "gamma_max": 1.0, "n_points": 2},
+            },
+            r"sector='----' at n_sites=5: .*LMEM_DENSE_LIMIT",
+        ),
+        (
+            {"experiment": "sector-census", "with_spectra": True},
+            r"with_spectra at n_sites=4: .*LMEM_DENSE_LIMIT",
+        ),
+        ({}, r"initial-state check at n_sites=4: .*LMEM_DENSE_LIMIT"),
+        ({"experiment": "fig3b", "n_draws": 1}, r"initial-state check at n_sites=4: .*LMEM_DENSE_LIMIT"),
+        (PURITY_N4, r"initial-state check at n_sites=4: .*LMEM_DENSE_LIMIT"),
+    ],
+    ids=["fig4-spectrum", "sector-census", "fig3a", "fig3b", "fig4-purity"],
+)
+def test_dense_cap_overflow_names_setting(tmp_path, monkeypatch, overrides, pattern):
+    # used to end in a SizeLimitError traceback from pauli._check_dense
+    import lmem.sectors
+
+    # the segment Majoranas are cached per length; a length cached by an
+    # earlier test would skip the cap
+    lmem.sectors._chain_majoranas.cache_clear()
+    monkeypatch.setenv("LMEM_DENSE_LIMIT", "3")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+    with pytest.raises(ConfigError, match=pattern):
+        main(["run", str(cfg_path)])
 
 
 def test_fig3b_u_split(tmp_path):
@@ -318,35 +429,32 @@ def test_import_does_not_load_scipy_integrate():
     assert out.stdout.strip() == "[False, False]"
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {},
-        {
-            "experiment": "fig4-purity",
-            "model": {"n_sites": 4, "couplings": [2.0] * 3, "dephasing_rates": [3.0] * 4},
-            "time_grid": {"t_max": 2.0, "n_samples": 3},
-        },
-    ],
-    ids=["fig3a", "fig4-purity"],
-)
+def _forbid(monkeypatch, originals, what):
+    """Make every lmem.* module binding of each original function raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"the experiment run path {what}")
+
+    for module in [m for k, m in sys.modules.items() if k == "lmem" or k.startswith("lmem.")]:
+        for attr, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, attr, forbidden)
+
+
+def _run(tmp_path, overrides):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+    assert main(["run", str(cfg_path)]) == 0
+
+
+@pytest.mark.parametrize("overrides", [{}, PURITY_N4], ids=["fig3a", "fig4-purity"])
 def test_run_path_builds_no_kappa_cascade(tmp_path, monkeypatch, overrides):
     # the edge operators of the experiments are direct signed permutations;
     # the cascaded Liouville-Majorana family is for the oracle suite only
     import lmem.kappa
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the experiment run path built the kappa cascade")
-
-    for name in ("kappa_all", "_spin_layers"):
-        original = getattr(lmem.kappa, name)
-        for module in [m for k, m in sys.modules.items() if k == "lmem" or k.startswith("lmem.")]:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, forbidden)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
-    assert main(["run", str(cfg_path)]) == 0
+    _forbid(monkeypatch, [lmem.kappa.kappa_all, lmem.kappa._spin_layers], "built the kappa cascade")
+    _run(tmp_path, overrides)
 
 
 @pytest.mark.parametrize(
@@ -372,17 +480,30 @@ def test_run_path_builds_no_generator_or_dense_block(tmp_path, monkeypatch, over
     import lmem.liouvillian
     import lmem.sectors
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the experiment run path built the generator or a dense block")
-
     originals = [lmem.liouvillian.build_liouvillian_thirdq, lmem.sectors.restrict_liouvillian]
-    for module in [m for k, m in sys.modules.items() if k == "lmem" or k.startswith("lmem.")]:
-        for attr, value in list(vars(module).items()):
-            if any(value is original for original in originals):
-                monkeypatch.setattr(module, attr, forbidden)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
-    assert main(["run", str(cfg_path)]) == 0
+    _forbid(monkeypatch, originals, "built the generator or a dense block")
+    _run(tmp_path, overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"experiment": "fig3b", "n_draws": 2}, PURITY_N4],
+    ids=["fig3a", "fig3b", "fig4-purity"],
+)
+def test_run_path_uses_direct_generator_and_symbolic_states(tmp_path, monkeypatch, overrides):
+    # every evolution uses the direct generator, and the initial states are
+    # vectorized symbolically; the third-quantized form (built from the
+    # ladder matrices) and the dense vectorization are oracles
+    import lmem.fock
+    import lmem.liouvillian
+
+    originals = [
+        lmem.liouvillian.build_liouvillian_thirdq,
+        lmem.fock.c_matrix,
+        lmem.fock.vectorize,
+    ]
+    _forbid(monkeypatch, originals, "built the third-quantized generator or vectorized a dense state")
+    _run(tmp_path, overrides)
 
 
 def test_benchmark_entry_points_resolve():

@@ -5,6 +5,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from lmem.dynamics import (
     _taylor_plan,
+    check_physical_initial_state,
     evolve,
     exceptional_point_scan,
     expectation,
@@ -235,13 +236,12 @@ class TestEvolve:
         assert evolve(up_state(n), p_het, np.array([0.0, 1.0])).time_unit == "absolute"
 
     def test_nonphysical_initial_state_rejected(self):
-        n = 2
         bad = np.eye(4, dtype=complex)  # trace 4
         with pytest.raises(ValueError, match="trace"):
-            evolve(bad, params(n), np.array([0.0, 1.0]), check_initial=True)
+            check_physical_initial_state(bad)
         indefinite = np.diag([1.5, -0.5, 0, 0]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            evolve(indefinite, params(n), np.array([0.0, 1.0]), check_initial=True)
+            check_physical_initial_state(indefinite)
 
     def test_parity_conservation_sets_long_time_state(self):
         n = 2

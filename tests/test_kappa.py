@@ -116,6 +116,31 @@ def test_edge_fermion_relations():
     )
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_edge_operators_match_signed_permutation_forms(n):
+    # kappa_1 = diag(2 n_1 - 1) and kappa_4N = i (sx_N .) (. M sx_N) as
+    # separate one-sided permutations: the edge operators must come out
+    # with the same CSR arrays, not just the same values
+    from lmem.fock import left_mult_operator, number_values, right_mult_operator
+    from lmem.pauli import OperatorSum
+
+    sx_n = PauliString.single(n, n, "X")
+    kappa_first = sp.diags((2 * number_values(1, n) - 1).astype(complex)).tocsr()
+    left = left_mult_operator(OperatorSum.from_pauli(sx_n), n)
+    right = right_mult_operator(OperatorSum.from_pauli(parity_word(n).mul(sx_n)), n)
+    kappa_last = (1j * left @ right).tocsr()
+    expected = {
+        "annihilator": (0.5 * (kappa_first + 1j * kappa_last)).tocsr(),
+        "correlator": (1j * kappa_first @ kappa_last).tocsr(),
+    }
+    for name, got in (("annihilator", edge_annihilator(n)), ("correlator", edge_correlator(n))):
+        for field in ("data", "indices", "indptr"):
+            want = getattr(expected[name], field)
+            have = getattr(got, field)
+            assert have.dtype == want.dtype, (name, field)
+            np.testing.assert_array_equal(have, want, err_msg=f"{name}.{field}")
+
+
 def test_flip_odd_sign_changes_kappa():
     n = 2
     normal = kappa_all(n)[1].toarray()

@@ -46,7 +46,7 @@ def _evolve(state):
     params = ModelParams(
         n_sites=N, couplings=np.full(N - 1, 1.0), dephasing_rates=np.full(N, 0.5)
     )
-    return evolve(state, params, np.linspace(0.0, 1.0, 5), check_initial=True).amplitudes
+    return evolve(state, params, np.linspace(0.0, 1.0, 5)).amplitudes
 
 
 def _factorization(state):
