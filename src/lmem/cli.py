@@ -24,6 +24,9 @@ Experiments:
                  (also exposed as `lmem verify`)
 
 The dense-matrix site cap honors the LMEM_DENSE_LIMIT environment variable.
+A config that fails validation, or that the experiment rejects, ends the
+command with one `lmem: error: <message>` line on stderr and exit status 2;
+status 1 means a failed oracle check.
 """
 
 from __future__ import annotations
@@ -46,13 +49,12 @@ from .dynamics import (
 )
 from .edge import (
     ProductStateSpec,
-    approx_purity_longtime,
     edge_factorization_test,
-    kappa_correlation,
     product_state_operator,
+    purity_series,
     ratio_trace,
 )
-from .fock import LiouvilleVector, vector_purity, vectorize_operator
+from .fock import LiouvilleVector, vectorize_operator
 from .model import ModelParams, random_perturbed_params
 from .pauli import OperatorSum, PauliString, SizeLimitError, parity_word
 from .sectors import (
@@ -429,28 +431,17 @@ def run_fig4_purity(config: ExperimentConfig, outdir: Path) -> dict:
     t_grid = config.time_grid()
     res = evolve(rho0, params, t_grid)
 
-    rows = []
-    rel_errors = []
-    for k in range(len(res)):
-        state = res.state(k)
-        exact = vector_purity(state.amplitudes, n)
-        approx = approx_purity_longtime(state)
-        corr = kappa_correlation(state)
-        rel = abs(approx - exact) / exact
-        rel_errors.append(rel)
-        rows.append((res.times[k], exact, approx, rel, corr))
+    exact, approx, corr = purity_series(res)
+    rel_errors = np.abs(approx - exact) / exact
     write_csv(
         outdir / "fig4_purity.csv",
         ["gamma_t" if res.time_unit == "1/gamma" else "t", "purity_exact", "purity_approx", "rel_error", "edge_correlation"],
-        rows,
+        zip(res.times, exact, approx, rel_errors, corr),
     )
-    rel_errors = np.array(rel_errors)
-    below = rel_errors < 0.05
-    threshold = None
-    for k in range(len(below)):
-        if below[k:].all():
-            threshold = float(res.times[k])
-            break
+    # the first sample from which the truncation stays within 5%
+    above = np.flatnonzero(~(rel_errors < 0.05))
+    first = above[-1] + 1 if above.size else 0
+    threshold = float(res.times[first]) if first < len(res) else None
     results = {
         "rel_error_initial": float(rel_errors[0]),
         "rel_error_final": float(rel_errors[-1]),
@@ -639,7 +630,15 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigError as exc:
+        # a bad config is a usage error, exit status 2 as argparse's; 1 is a failed oracle check
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args) -> int:
     if args.command == "run":
         config = ExperimentConfig.from_file(args.config)
         results = run_experiment(config, outdir=args.out)

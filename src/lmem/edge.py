@@ -37,13 +37,14 @@ from .dynamics import EvolutionResult, expectation_series
 from .fock import (
     as_amplitudes,
     devectorize,
-    liouville_inner,
     pauli_coefficients,
+    purity_rows,
+    row_chunks,
     site_count,
     vector_purity,
 )
 from .kappa import edge_annihilator, edge_correlator
-from .pauli import OperatorSum, PauliString, parity_word
+from .pauli import OperatorSum, PauliString, parity_word, spin_to_majorana
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +260,17 @@ def edge_factorization_test(
 # ---------------------------------------------------------------------------
 
 
+def _kappa_correlation_rows(amplitudes: np.ndarray, n_sites: int) -> np.ndarray:
+    """<<rho| i kappa_1 kappa_4N |rho>> of each row of (T, 4^N) amplitudes,
+    one sparse product per chunk of rows."""
+    corr = edge_correlator(n_sites)
+    out = np.empty(len(amplitudes))
+    for rows in row_chunks(len(amplitudes), amplitudes.shape[1]):
+        chunk = amplitudes[rows]
+        out[rows] = 2 ** n_sites * np.vecdot(chunk, (corr @ chunk.T).T).real
+    return out
+
+
 def kappa_correlation(state, n_sites: int | None = None, path: str = "kappa") -> float:
     """<<rho| i kappa_1 kappa_4N |rho>>.
 
@@ -268,8 +280,7 @@ def kappa_correlation(state, n_sites: int | None = None, path: str = "kappa") ->
     """
     v, n = as_amplitudes(state, n_sites)
     if path == "kappa":
-        corr = edge_correlator(n)
-        return float(np.real(2 ** n * np.vdot(v, corr @ v)))
+        return float(_kappa_correlation_rows(v[None], n)[0])
     if path == "trace":
         dense = isinstance(state, np.ndarray) and state.ndim == 2
         rho = state if dense else devectorize(v, n)
@@ -326,6 +337,34 @@ def longtime_observable_set(n_sites: int) -> list[PauliString]:
     return [w.hermitian_key()[1] for w in out]
 
 
+def _word_expectations(amplitudes: np.ndarray, words, n_sites: int) -> np.ndarray:
+    """Re <<P|rho>> for each Pauli word P, along a new last axis.
+
+    P = phase w^{mask} has one nonzero amplitude, so <<P|rho>> is
+    2^N conj(phase) c_mask: a gather of one column per word.
+    """
+    monos = [spin_to_majorana(w) for w in words]
+    phases = np.conj([m.coeff for m in monos])
+    return (2 ** n_sites * amplitudes[..., [m.mask for m in monos]] * phases).real
+
+
+def _approx_purity_rows(amplitudes: np.ndarray, n_sites: int, form: str) -> np.ndarray:
+    """`approx_purity_longtime` of each amplitude vector along the last axis."""
+    n = n_sites
+    if form == "observables":
+        values = _word_expectations(amplitudes, longtime_observable_set(n), n)
+        return (values ** 2).sum(axis=-1) / 2 ** n
+    if form == "zeta":
+        words = [
+            parity_word(n),
+            PauliString.single(n, 1, "Z"),
+            PauliString.single(n, 1, "Y").mul(PauliString.single(n, 2, "X")),
+        ]
+        zeta, sz1, syx = np.moveaxis(_word_expectations(amplitudes, words, n), -1, 0)
+        return (1 + zeta ** 2) * (1 + sz1 ** 2 + syx ** 2) / 2 ** n
+    raise ValueError(f"unknown form {form!r}")
+
+
 def approx_purity_longtime(state, n_sites: int | None = None, form: str = "observables") -> float:
     """Truncated purity from the slow-mode observable family.
 
@@ -335,19 +374,18 @@ def approx_purity_longtime(state, n_sites: int | None = None, form: str = "obser
     when every pair satisfies <O M> = zeta <O>.
     """
     v, n = as_amplitudes(state, n_sites)
+    return float(_approx_purity_rows(v, n, form))
 
-    def expval(word):
-        return float(np.real(liouville_inner(word, v, n)))
 
-    if form == "observables":
-        total = sum(expval(w) ** 2 for w in longtime_observable_set(n))
-        return total / 2 ** n
-    if form == "zeta":
-        zeta = expval(parity_word(n))
-        sz1 = expval(PauliString.single(n, 1, "Z"))
-        syx = expval(PauliString.single(n, 1, "Y").mul(PauliString.single(n, 2, "X")))
-        return (1 + zeta ** 2) * (1 + sz1 ** 2 + syx ** 2) / 2 ** n
-    raise ValueError(f"unknown form {form!r}")
+def purity_series(result: EvolutionResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact purity, slow-mode truncation (`approx_purity_longtime`) and edge
+    correlation (`kappa_correlation`) at every sample of a trajectory."""
+    amps, n = result.amplitudes, result.n_sites
+    return (
+        purity_rows(amps, n),
+        _approx_purity_rows(amps, n, "observables"),
+        _kappa_correlation_rows(amps, n),
+    )
 
 
 # ---------------------------------------------------------------------------

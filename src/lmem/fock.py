@@ -24,6 +24,14 @@ combined mask, and the CSR arrays are written directly, with no sparse
 additions or products. `left_mult_operator` and `right_mult_operator` are
 its one-sided cases.
 
+The dense matrix of an amplitude vector comes from one kernel,
+`dense_blocks`, which rebuilds a whole stack of samples at once: in the
+Pauli basis each band A[i, i ^ x] of fixed X-mask x is a Walsh-Hadamard
+transform over the Z-masks, so the kernel is one gather, N in-place
+butterfly passes and one more gather. `devectorize` is its one-sample
+case; `vectorize` and `pauli_coefficients` go the other way and serve as
+its independent oracle.
+
 The inner product is <<A|B>> = tr(A^dag B), under which the basis monomials
 are orthogonal with squared norm 2^N; the factor is carried explicitly in
 `liouville_inner` rather than normalizing the basis.
@@ -304,23 +312,20 @@ def right_mult_operator(op: OperatorSum, n_sites: int) -> sp.csr_matrix:
 _PHASE_OF_POWER = np.array([1, 1j, -1, -1j])  # i^q for q = 0..3
 
 
-@lru_cache(maxsize=8)
-def pauli_word_table(n_sites: int):
-    """For each Pauli word index W = sum mu_j 4^{N-j}: its monomial mask and
-    the phase with word = phase * w^{mask}. Returns (masks, phases, word_of_mask).
+def _word_monomials(words: np.ndarray, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, power) of each Pauli word index W = sum mu_j 4^{N-j}, with
+    word = i^power w^{mask}.
 
-    Closed form of `spin_to_majorana` over the whole index range. Sites are
-    multiplied in from the left, X_j = (-i)^{j-1} w_1 ... w_{2j-2} w_{2j-1},
+    Closed form of `spin_to_majorana`. Sites are multiplied in from the
+    left, X_j = (-i)^{j-1} w_1 ... w_{2j-2} w_{2j-1},
     Y_j = (-i)^{j-1} w_1 ... w_{2j-2} w_{2j} and Z_j = -i w_{2j-1} w_{2j}.
     The product so far lives on modes below 2j-1, so only the string
     w_1 ... w_{2j-2} crosses it: each present mode w_m is passed by the
     m-1 string modes below it, and the sign is the parity of the present
     even modes.
     """
-    dim = 4 ** n_sites
-    words = _index_range(2 * n_sites)
-    masks = np.zeros(dim, dtype=np.int64)
-    power = np.zeros(dim, dtype=np.int64)  # phase = i^power
+    masks = np.zeros(words.shape, dtype=np.int64)
+    power = np.zeros(words.shape, dtype=np.int64)
     even_modes = int("10" * n_sites, 2)  # w_2, w_4, ..., w_{2N}
     for j in range(1, n_sites + 1):
         mu = (words >> (2 * (n_sites - j))) & 3  # I, X, Y, Z = 0..3
@@ -332,7 +337,17 @@ def pauli_word_table(n_sites: int):
         crossings = np.where((mu == 1) | (mu == 2), _bitcount(masks & even_modes), 0)
         power += site_power[mu] + 2 * crossings
         masks ^= site_masks[mu]
-    word_of_mask = np.empty(dim, dtype=np.int64)
+    return masks, power
+
+
+@lru_cache(maxsize=8)
+def pauli_word_table(n_sites: int):
+    """For each Pauli word index W = sum mu_j 4^{N-j}: its monomial mask and
+    the phase with word = phase * w^{mask}. Returns (masks, phases, word_of_mask).
+    """
+    words = _index_range(2 * n_sites)
+    masks, power = _word_monomials(words, n_sites)
+    word_of_mask = np.empty(words.size, dtype=np.int64)
     word_of_mask[masks] = words
     return masks, _PHASE_OF_POWER[power & 3], word_of_mask
 
@@ -356,18 +371,6 @@ def pauli_coefficients(rho: np.ndarray, n_sites: int) -> np.ndarray:
     return t / dim
 
 
-def matrix_from_pauli_coefficients(coeffs: np.ndarray, n_sites: int) -> np.ndarray:
-    """Inverse of `pauli_coefficients`."""
-    t = np.asarray(coeffs, dtype=complex).reshape((4,) * n_sites)
-    for _ in range(n_sites):
-        # consume the leading mu axis, appending (row, col) axes at the end
-        t = np.tensordot(t, _SITE_MATS, axes=([0], [0]))
-    order = [2 * k for k in range(n_sites)] + [2 * k + 1 for k in range(n_sites)]
-    t = np.transpose(t, axes=order)
-    dim = 2 ** n_sites
-    return t.reshape(dim, dim)
-
-
 def vectorize(rho: np.ndarray, n_sites: int | None = None) -> LiouvilleVector:
     """Expand a 2^N x 2^N matrix over Majorana monomials.
 
@@ -386,14 +389,6 @@ def vectorize(rho: np.ndarray, n_sites: int | None = None) -> LiouvilleVector:
     return LiouvilleVector(n_sites, amps)
 
 
-def devectorize(state, n_sites: int | None = None) -> np.ndarray:
-    """Rebuild the dense matrix from Majorana amplitudes."""
-    v, n = as_amplitudes(state, n_sites)
-    masks, phases, _ = pauli_word_table(n)
-    coeffs = v[masks] / phases
-    return matrix_from_pauli_coefficients(coeffs.reshape((4,) * n), n)
-
-
 def vectorize_operator(op: OperatorSum) -> LiouvilleVector:
     """Symbolic expansion of an OperatorSum, no dense matrix required."""
     n = op.n_sites
@@ -401,6 +396,113 @@ def vectorize_operator(op: OperatorSum) -> LiouvilleVector:
     for mask, coeff in operator_to_majorana_terms(op).items():
         amps[mask] += coeff
     return LiouvilleVector(n, amps)
+
+
+# ---------------------------------------------------------------------------
+# dense reconstruction
+# ---------------------------------------------------------------------------
+
+
+# complex elements per working array of a kernel that walks a trajectory in
+# chunks of samples; from N = 8 on a chunk is one 4^N-long sample
+CHUNK_ELEMENTS = 1 << 15
+
+
+def row_chunks(n_rows: int, row_elements: int) -> list[slice]:
+    """Consecutive slices of max(1, CHUNK_ELEMENTS // row_elements) rows."""
+    step = max(1, CHUNK_ELEMENTS // row_elements)
+    return [slice(k, min(k + step, n_rows)) for k in range(0, n_rows, step)]
+
+
+_PAULI_OF_BITS = np.array([0, 3, 1, 2])  # (x bit, z bit) = 00, 01, 10, 11 -> I, Z, X, Y
+
+
+@lru_cache(maxsize=8)
+def _band_tables(n_sites: int, parity_blocks: bool):
+    """Gather-and-phase tables of `dense_blocks`: (source, phase, target).
+
+    source and phase have one row per Z-mask z and one column per X-mask x
+    in use: every x, or the even-popcount ones for parity blocks. Bit b of
+    a mask is site N - b, as in the matrix index. The Pauli word
+    i^{|x & z|} X^x Z^z (I, X, Y, Z per site) is phase_W w^{mask_W}, so its
+    coefficient is t_{x,z} = conj(phase_W) c_{mask_W}: source holds mask_W
+    and phase holds conj(phase_W) (-i)^{|x & z|}; no 4^N table is built.
+    target[b, r, c] is the flat band index i * (number of x) + slot(x) of
+    the entry (i, j) of block b, i and j its r-th and c-th index and
+    x = i ^ j.
+    """
+    dim = 1 << n_sites
+    idx = _index_range(n_sites)
+    even = (_bitcount(idx) & 1) == 0
+    x = idx[even] if parity_blocks else idx
+    z = idx[:, None]
+    words = np.zeros((dim, x.size), dtype=np.int64)
+    for b in range(n_sites):
+        bits = 2 * ((x >> b) & 1) + ((z >> b) & 1)
+        words += _PAULI_OF_BITS[bits] << (2 * b)
+    masks, power = _word_monomials(words, n_sites)
+    # conj(i^power) (-i)^{|x & z|} = i^{3 |x & z| - power}
+    phase = _PHASE_OF_POWER[(3 * _bitcount(x & z) - power) & 3]
+    index_dtype = np.int32 if dim * dim <= np.iinfo(np.int32).max else np.int64
+    source = masks.astype(index_dtype)
+    rows = np.stack([idx[even], idx[~even]]) if parity_blocks else idx[None]
+    slot = np.zeros(dim, dtype=np.int64)
+    slot[x] = np.arange(x.size)
+    i, j = rows[:, :, None], rows[:, None, :]
+    target = (i * x.size + slot[i ^ j]).astype(index_dtype)
+    return source, phase, target
+
+
+def _walsh_hadamard(a: np.ndarray) -> None:
+    """a[i, ...] <- sum_z a[z, ...] (-1)^{|i & z|} in place, over a first
+    axis of length 2^N.
+
+    Each pass pairs two contiguous runs of h * a[0].size elements. The
+    pair views are reshapes of a, which copy a non-contiguous array, and
+    the butterflies would then act on the copy; such an array is refused.
+    """
+    if not a.flags.c_contiguous:
+        raise ValueError("the Walsh-Hadamard butterflies need a C-contiguous array")
+    size = a.shape[0]
+    scratch = np.empty(a.size // 2, dtype=a.dtype)
+    h = 1
+    while h < size:
+        pairs = a.reshape(-1, 2, h * (a.size // size))
+        low, high = pairs[:, 0], pairs[:, 1]
+        diff = scratch.reshape(low.shape)
+        np.subtract(low, high, out=diff)
+        low += high
+        high[...] = diff
+        h *= 2
+
+
+def dense_blocks(amplitudes, n_sites: int, parity_blocks: bool = False) -> np.ndarray:
+    """Dense matrices of a stack of amplitude vectors (T, 4^N), as (T, B, D, D).
+
+    Each band A[i, i ^ x] = sum_z t_{x,z} (-i)^{|x & z|} (-1)^{|i & z|} of
+    A = sum_W t_W P_W is a Walsh-Hadamard transform over the Z-mask z: one
+    gather of the amplitudes into bands, N butterfly passes, and one gather
+    of the bands into the stack. B = 1 and D = 2^N gives the full matrices.
+    parity_blocks gives B = 2 and D = 2^{N-1}, the blocks of the even- and
+    odd-popcount indices, which is exact for operators that commute with
+    the parity M, i.e. whose odd-degree amplitudes all vanish: only the
+    even-popcount x contribute to them. The bands are held z-major, sample
+    axis last, so that every butterfly pass runs over long contiguous
+    stretches; the returned stack is a view with the sample axis moved to
+    the front.
+    """
+    source, phase, target = _band_tables(n_sites, parity_blocks)
+    amps = np.asarray(amplitudes, dtype=complex)
+    bands = np.take(amps.T, source, axis=0)  # (2^N, number of x, T), a new C-contiguous array
+    bands *= phase[:, :, None]
+    _walsh_hadamard(bands)
+    return np.moveaxis(np.take(bands.reshape(-1, len(amps)), target, axis=0), -1, 0)
+
+
+def devectorize(state, n_sites: int | None = None) -> np.ndarray:
+    """Rebuild the dense matrix from Majorana amplitudes."""
+    v, n = as_amplitudes(state, n_sites)
+    return dense_blocks(v[None], n)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +525,15 @@ def vector_trace(state, n_sites=None) -> complex:
     return 2 ** n * v[0]
 
 
+def purity_rows(amplitudes, n_sites: int) -> np.ndarray:
+    """tr(A^dag A) = 2^N sum |c_a|^2 of each amplitude vector along the last axis."""
+    return 2 ** n_sites * np.vecdot(amplitudes, amplitudes).real
+
+
 def vector_purity(state, n_sites=None) -> float:
     """tr(A^dag A) = 2^N sum |c_a|^2; equals tr(rho^2) for Hermitian rho."""
     v, n = as_amplitudes(state, n_sites)
-    return float(2 ** n * np.vdot(v, v).real)
+    return float(purity_rows(v, n))
 
 
 @lru_cache(maxsize=8)
@@ -436,10 +543,29 @@ def reversal_signs(n_sites: int) -> np.ndarray:
     return 1 - 2 * (((k * (k - 1)) // 2) % 2)
 
 
+def hermitian_part(amplitudes, n_sites: int) -> np.ndarray:
+    """Amplitudes of (A + A^dag) / 2 along the last axis, a new array.
+
+    (c_a + s_a conj(c_a)) / 2 is the real part of c_a where s_a = 1 and
+    the imaginary part where s_a = -1, so it is copied exactly.
+    """
+    hermitian = reversal_signs(n_sites) > 0
+    out = np.array(amplitudes, dtype=complex)
+    np.copyto(out.imag, 0.0, where=hermitian)
+    np.copyto(out.real, 0.0, where=~hermitian)
+    return out
+
+
+def _hermiticity_defect(amplitudes: np.ndarray, part: np.ndarray) -> float:
+    """max |c_a - s_a conj(c_a)| over any stack of amplitudes, given their
+    Hermitian part h: c_a - h_a = (c_a - s_a conj(c_a)) / 2 exactly."""
+    return 2 * float(np.abs(amplitudes - part).max())
+
+
 def hermiticity_defect(state, n_sites=None) -> float:
     """max |c_a - s_a conj(c_a)|; zero iff the operator is Hermitian."""
     v, n = as_amplitudes(state, n_sites)
-    return float(np.abs(v - reversal_signs(n) * np.conj(v)).max())
+    return _hermiticity_defect(v, hermitian_part(v, n))
 
 
 def parity_values(n_sites: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -271,7 +272,7 @@ def test_symbolic_initial_states_match_dense_forms(n):
     ],
     ids=["fig4-spectrum", "sector-census", "fig3a", "fig3b", "fig4-purity"],
 )
-def test_dense_cap_overflow_names_setting(tmp_path, monkeypatch, overrides, pattern):
+def test_dense_cap_overflow_names_setting(tmp_path, monkeypatch, capsys, overrides, pattern):
     # used to end in a SizeLimitError traceback from pauli._check_dense
     import lmem.sectors
 
@@ -282,7 +283,39 @@ def test_dense_cap_overflow_names_setting(tmp_path, monkeypatch, overrides, patt
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
     with pytest.raises(ConfigError, match=pattern):
-        main(["run", str(cfg_path)])
+        run_experiment(ExperimentConfig.from_file(cfg_path))
+    # lmem run reports the same message as a one-line usage error
+    assert main(["run", str(cfg_path)]) == 2
+    _assert_usage_error(capsys, pattern)
+
+
+def _assert_usage_error(capsys, pattern):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("lmem: error: ") and err.count("\n") == 1, err
+    assert re.search(pattern, err), err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_bad_config_exits_with_usage_status(tmp_path, capsys, command):
+    # a ConfigError used to escape main as a traceback with exit status 1,
+    # the status of a failed oracle check
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, experiment="oracle-suite", seed=-1)))
+    assert main([command, str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    _assert_usage_error(capsys, r"seed must be >= 0, got seed=-1")
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_config_exit_status_from_the_command_line(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, seed=-1)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_src_dir(), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-m", "lmem.cli", "run", str(cfg_path)], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 2
+    assert out.stderr == "lmem: error: seed must be >= 0, got seed=-1\n"
 
 
 def test_fig3b_u_split(tmp_path):
@@ -411,14 +444,17 @@ def test_dense_limit_env(tmp_path, monkeypatch):
     PauliString.identity(3).to_matrix()
 
 
+def _src_dir() -> str:
+    import lmem
+
+    return str(Path(lmem.__file__).resolve().parents[1])
+
+
 def test_import_does_not_load_scipy_integrate():
     # the run path imports what it needs at load time; scipy.integrate would
     # add ~0.3 s of imports, and scipy.sparse.csgraph ~3 MB of peak RSS, that
     # no experiment uses
-    import lmem
-
-    src = str(Path(lmem.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_src_dir(), os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, lmem, lmem.cli; "
         "print([m in sys.modules for m in ('scipy.integrate', 'scipy.sparse.csgraph')])"
@@ -429,16 +465,19 @@ def test_import_does_not_load_scipy_integrate():
     assert out.stdout.strip() == "[False, False]"
 
 
-def _forbid(monkeypatch, originals, what):
-    """Make every lmem.* module binding of each original function raise."""
+def _forbid(monkeypatch, originals, what) -> int:
+    """Make every lmem.* module binding of each original function raise; return their count."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError(f"the experiment run path {what}")
 
+    count = 0
     for module in [m for k, m in sys.modules.items() if k == "lmem" or k.startswith("lmem.")]:
         for attr, value in list(vars(module).items()):
             if any(value is original for original in originals):
                 monkeypatch.setattr(module, attr, forbidden)
+                count += 1
+    return count
 
 
 def _run(tmp_path, overrides):
@@ -504,6 +543,37 @@ def test_run_path_uses_direct_generator_and_symbolic_states(tmp_path, monkeypatc
     ]
     _forbid(monkeypatch, originals, "built the third-quantized generator or vectorized a dense state")
     _run(tmp_path, overrides)
+
+
+@pytest.mark.parametrize("overrides", [{}, PURITY_N4], ids=["fig3a", "fig4-purity"])
+def test_run_path_positivity_stops_at_cholesky(tmp_path, monkeypatch, overrides):
+    # every initial state and trajectory sample of these runs is positive
+    # definite, so Cholesky accepts it and the eigvalsh fallback never runs
+    assert _forbid(monkeypatch, [np.linalg.eigvalsh], "reached the eigvalsh fallback") > 0
+    _run(tmp_path, overrides)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_fig4_purity_columns_match_per_state_observables(tmp_path, n):
+    from lmem.dynamics import evolve
+    from lmem.edge import approx_purity_longtime, kappa_correlation
+    from lmem.fock import vector_purity
+
+    model = {"n_sites": n, "couplings": [2.0] * (n - 1), "dephasing_rates": [3.0] * n}
+    cfg = ExperimentConfig(
+        make_config(tmp_path, **{**PURITY_N4, "model": model, "time_grid": {"t_max": 4.0, "n_samples": 9}})
+    )
+    run_experiment(cfg)
+    table = np.loadtxt(tmp_path / "out" / "fig4_purity.csv", delimiter=",", skiprows=1)
+    rho0 = vectorize_operator(edge_occupied_state(n, cfg.zeta, cfg.edge_state_amplitude))
+    res = evolve(rho0, cfg.model, cfg.time_grid())
+    for k, (t, exact, approx, rel, corr) in enumerate(table):
+        state = res.amplitudes[k]
+        assert t == res.times[k]
+        assert exact == pytest.approx(vector_purity(state, n), rel=0, abs=1e-13)
+        assert approx == pytest.approx(approx_purity_longtime(state, n), rel=0, abs=1e-13)
+        assert corr == pytest.approx(kappa_correlation(state, n), rel=0, abs=1e-13)
+        assert rel == abs(approx - exact) / exact
 
 
 def test_benchmark_entry_points_resolve():

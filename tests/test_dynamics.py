@@ -14,7 +14,15 @@ from lmem.dynamics import (
     physicality_report,
     spectrum_analysis,
 )
-from lmem.fock import vector_purity, vectorize
+from lmem.fock import (
+    devectorize,
+    parity_values,
+    reversal_signs,
+    row_chunks,
+    vector_purity,
+    vectorize,
+    vectorize_operator,
+)
 from lmem.liouvillian import build_liouvillian_direct, build_liouvillian_thirdq
 from lmem.model import ModelParams, random_perturbed_params
 from lmem.pauli import OperatorSum, PauliString, parity_word
@@ -261,6 +269,88 @@ class TestEvolve:
         assert rep["max_trace_deviation"] < 1e-8
         assert rep["max_hermiticity_defect"] < 1e-8
         assert rep["max_negative_eigenvalue"] < 1e-8
+
+
+def reference_report(res):
+    """physicality_report as one dense eigvalsh per sample."""
+    n = res.n_sites
+    worst = {"max_trace_deviation": 0.0, "max_hermiticity_defect": 0.0, "max_negative_eigenvalue": 0.0}
+    for v in res.amplitudes:
+        rho = devectorize(v, n)
+        worst["max_trace_deviation"] = max(worst["max_trace_deviation"], abs(2 ** n * v[0] - 1.0))
+        worst["max_hermiticity_defect"] = max(
+            worst["max_hermiticity_defect"], np.abs(v - reversal_signs(n) * np.conj(v)).max()
+        )
+        lam = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
+        worst["max_negative_eigenvalue"] = max(worst["max_negative_eigenvalue"], -lam)
+    return worst
+
+
+def basis_projector(index, n):
+    """Amplitudes of |index><index| = prod_s (I +- Z_s) / 2, all of even degree."""
+    op = OperatorSum.identity(n)
+    for site in range(1, n + 1):
+        sign = -1.0 if (index >> (n - site)) & 1 else 1.0
+        z = OperatorSum.from_pauli(PauliString.single(n, site, "Z"), sign)
+        op = (op @ (OperatorSum.identity(n) + z)).scaled(0.5)
+    return vectorize_operator(op).amplitudes
+
+
+def mixed_up_state(n):
+    """Half |0...0><0...0| plus half the maximally mixed state: positive definite."""
+    return 0.5 * up_state(n) + 0.5 * np.eye(2 ** n) / 2 ** n
+
+
+class TestPhysicality:
+    def test_negative_eigenvalue_in_odd_parity_block(self):
+        n = 5
+        res = evolve(mixed_up_state(n), params(n, J=1.0, gamma=0.7), np.linspace(0, 3, 40))
+        assert len(row_chunks(len(res), 4 ** n)) == 2
+        clean = physicality_report(res)
+        assert clean["max_negative_eigenvalue"] == 0.0
+        # index 1 has odd popcount: the eigenvalue turns negative in the odd block
+        res.amplitudes[33] -= 0.2 * basis_projector(1, n)
+        assert not res.amplitudes[:, parity_values(n) < 0].any()  # the parity-block path
+        ref = reference_report(res)
+        got = physicality_report(res)
+        assert ref["max_negative_eigenvalue"] > 0.1
+        assert got["max_negative_eigenvalue"] == pytest.approx(ref["max_negative_eigenvalue"], abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_parity_breaking_trajectory_matches_reference(self, seed):
+        n = 4
+        res = evolve(mixed_up_state(n), random_perturbed_params(n, u=2.0, rng_seed=seed), np.linspace(0, 2, 9))
+        assert res.amplitudes[:, parity_values(n) < 0].any()  # the full-matrix path
+        for seeded in (False, True):
+            if seeded:
+                res.amplitudes[4] -= 0.3 * basis_projector(0, n)
+            ref = reference_report(res)
+            got = physicality_report(res)
+            assert got["max_trace_deviation"] == ref["max_trace_deviation"]
+            assert got["max_hermiticity_defect"] == ref["max_hermiticity_defect"]
+            assert got["max_negative_eigenvalue"] == pytest.approx(ref["max_negative_eigenvalue"], abs=1e-12)
+        assert got["max_negative_eigenvalue"] > 0.1
+
+    def test_defects_seeded_in_a_middle_chunk(self):
+        n = 6
+        res = evolve(mixed_up_state(n), params(n, J=1.0, gamma=0.5), np.linspace(0, 2, 21))
+        chunks = row_chunks(len(res), 4 ** n)
+        assert len(chunks) == 3 and chunks[1].start < 11 < chunks[1].stop
+        res.amplitudes[11, 0] += 1e-3
+        res.amplitudes[11, 0b1111] += 3e-4j  # degree 4: an imaginary part breaks Hermiticity
+        got = physicality_report(res)
+        v = res.amplitudes[11]
+        assert got["max_trace_deviation"] == abs(2 ** n * v[0] - 1.0)
+        assert got["max_hermiticity_defect"] == np.abs(v - reversal_signs(n) * np.conj(v)).max()
+        assert got["max_hermiticity_defect"] == pytest.approx(6e-4, rel=1e-9)
+        assert got == reference_report(res) | {"max_negative_eigenvalue": got["max_negative_eigenvalue"]}
+
+    def test_singular_state_takes_the_eigenvalue_path(self):
+        # Cholesky rejects a pure state; eigvalsh then finds no negative eigenvalue
+        n = 2
+        check_physical_initial_state(up_state(n))
+        res = evolve(up_state(n), params(n, J=1.0, gamma=0.7), np.array([0.0]))
+        assert physicality_report(res)["max_negative_eigenvalue"] < 1e-15
 
 
 class TestExpectation:

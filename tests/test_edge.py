@@ -15,11 +15,12 @@ from lmem.edge import (
     longtime_observable_set,
     purity,
     purity_from_observables,
+    purity_series,
     ratio_trace,
     stationary_density,
     sufficient_positivity_margin,
 )
-from lmem.fock import vectorize
+from lmem.fock import devectorize, vectorize
 from lmem.model import ModelParams, random_perturbed_params
 from lmem.pauli import OperatorSum, PauliString, parity_word
 
@@ -292,6 +293,27 @@ class TestLongtimePurity:
         exact = purity(final)
         approx = approx_purity_longtime(final)
         assert abs(approx - exact) / exact < 0.05
+
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_purity_series_matches_dense_forms(self, n):
+        m = parity_word(n).to_matrix()
+        ident = np.eye(2 ** n)
+        bulk = 0.3 * (m @ word(n, {1: "Z"}).to_matrix()) + 0.3 * (m @ word(n, {1: "Y", 3: "X"}).to_matrix())
+        rho0 = (ident + bulk) @ (ident + 0.4 * m) / 2 ** n
+        res = evolve(rho0, params(n, J=2.0, gamma=3.0), np.linspace(0.0, 3.0, 7))
+        exact, approx, corr = purity_series(res)
+        for k in range(len(res)):
+            rho = devectorize(res.amplitudes[k], n)
+            assert exact[k] == pytest.approx(purity(rho), abs=1e-12)
+            assert approx[k] == pytest.approx(
+                purity_from_observables(rho, longtime_observable_set(n)), abs=1e-12
+            )
+            assert corr[k] == pytest.approx(kappa_correlation(rho, path="trace"), abs=1e-12)
+            for form in ("observables", "zeta"):
+                assert approx_purity_longtime(res.amplitudes[k], n, form) == pytest.approx(
+                    approx_purity_longtime(rho, form=form), abs=1e-13
+                )
 
 
 class TestRatioTrace:

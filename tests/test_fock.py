@@ -10,7 +10,9 @@ from lmem.fock import (
     apply_c_dagger,
     c_dagger_matrix,
     c_matrix,
+    dense_blocks,
     devectorize,
+    hermitian_part,
     hermiticity_defect,
     left_mult_monomial,
     left_mult_operator,
@@ -22,6 +24,7 @@ from lmem.fock import (
     reversal_signs,
     right_mult_monomial,
     right_mult_operator,
+    row_chunks,
     vector_purity,
     vector_trace,
     vectorize,
@@ -325,3 +328,72 @@ class TestStructure:
         np.testing.assert_allclose(
             parity_values(n) * v, vectorize(m @ rho @ m, n).amplitudes, atol=1e-13
         )
+
+
+def pauli_oracle(amplitudes, n):
+    """sum_W t_W P_W with t_W = c_{mask_W} / coeff_W for P_W = coeff_W w^{mask_W}."""
+    out = np.zeros((len(amplitudes), 2 ** n, 2 ** n), dtype=complex)
+    for index in range(4 ** n):
+        word = PauliString.from_codes(word_codes(index, n))
+        mono = spin_to_majorana(word)
+        out += (amplitudes[:, mono.mask] / mono.coeff)[:, None, None] * word.to_matrix()
+    return out
+
+
+class TestDenseBlocks:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_full_matrices_match_pauli_sum(self, n):
+        # random complex amplitudes, so the matrices are not Hermitian
+        rng = np.random.default_rng(100 + n)
+        amps = rng.normal(size=(7, 4 ** n)) + 1j * rng.normal(size=(7, 4 ** n))
+        got = dense_blocks(amps, n)
+        assert got.shape == (7, 1, 2 ** n, 2 ** n)
+        np.testing.assert_allclose(got[:, 0], pauli_oracle(amps, n), rtol=0, atol=1e-13)
+        for k in range(len(amps)):
+            np.testing.assert_allclose(devectorize(amps[k], n), got[k, 0], rtol=0, atol=0)
+            np.testing.assert_allclose(
+                vectorize(got[k, 0], n).amplitudes, amps[k], rtol=0, atol=1e-13
+            )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_parity_blocks_match_pauli_sum(self, n):
+        rng = np.random.default_rng(200 + n)
+        amps = rng.normal(size=(5, 4 ** n)) + 1j * rng.normal(size=(5, 4 ** n))
+        amps[:, parity_values(n) < 0] = 0.0  # commutes with the parity M
+        dense = pauli_oracle(amps, n)
+        even = np.bitwise_count(np.arange(2 ** n)) % 2 == 0
+        # the oracle is block diagonal in the popcount parity of the index
+        assert np.abs(dense[:, even][:, :, ~even]).max() == 0
+        got = dense_blocks(amps, n, parity_blocks=True)
+        assert got.shape == (5, 2, 2 ** (n - 1), 2 ** (n - 1))
+        np.testing.assert_allclose(got[:, 0], dense[:, even][:, :, even], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got[:, 1], dense[:, ~even][:, :, ~even], rtol=0, atol=1e-13)
+
+    def test_chunked_stack_matches_whole_stack(self):
+        # a stack cut into row chunks, the last one short, rebuilds the same matrices
+        n = 6
+        rng = np.random.default_rng(7)
+        chunks = row_chunks(21, 4 ** n)
+        assert len(chunks) > 2 and chunks[-1].stop - chunks[-1].start < chunks[0].stop
+        amps = rng.normal(size=(21, 4 ** n)) + 1j * rng.normal(size=(21, 4 ** n))
+        whole = dense_blocks(amps, n)
+        for rows in chunks:
+            np.testing.assert_array_equal(dense_blocks(amps[rows], n), whole[rows])
+
+    def test_butterflies_refuse_a_non_contiguous_array(self):
+        from lmem.fock import _walsh_hadamard
+
+        # reshaping a strided array copies it; the transform would be lost
+        a = np.ones((8, 6), dtype=complex)[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _walsh_hadamard(a)
+
+    def test_hermitian_part(self):
+        rng = np.random.default_rng(21)
+        n = 3
+        rho = random_matrix(rng, n)
+        v = vectorize(rho, n).amplitudes
+        np.testing.assert_allclose(
+            hermitian_part(v, n), vectorize((rho + rho.conj().T) / 2, n).amplitudes, atol=1e-14
+        )
+        assert hermiticity_defect(v, n) == np.abs(v - reversal_signs(n) * np.conj(v)).max()
