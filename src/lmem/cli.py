@@ -42,6 +42,7 @@ from . import __version__
 from .dynamics import (
     EP_COND_THRESHOLD,
     EP_GAP_TOL,
+    MemoryBudgetError,
     check_physical_initial_state,
     evolve,
     exceptional_point_scan,
@@ -314,6 +315,15 @@ def _initial_amplitudes(op: OperatorSum, setting: str) -> LiouvilleVector:
     return vectorize_operator(op)
 
 
+def _evolve(rho0: LiouvilleVector, params: ModelParams, t_grid: np.ndarray):
+    """`evolve`; a full-space run beyond the memory budget raises a ConfigError
+    naming the setting to reduce."""
+    try:
+        return evolve(rho0, params, t_grid)
+    except MemoryBudgetError as exc:
+        raise ConfigError(f"{exc}; reduce {exc.setting}") from exc
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -339,7 +349,7 @@ def run_fig3a(config: ExperimentConfig, outdir: Path) -> dict:
 
     results = {}
     for tag, rho0 in (("product", rho_prod), ("nonproduct", rho_nonp)):
-        res = evolve(rho0, params, t_grid)
+        res = _evolve(rho0, params, t_grid)
         tr = ratio_trace(x1, x2, res)
         fac = edge_factorization_test(rho0)
         write_csv(
@@ -364,7 +374,7 @@ def run_fig3a(config: ExperimentConfig, outdir: Path) -> dict:
                 "x1_terms": [w.to_label() for w in interior_word_family(n)],
                 "x2": "x1 times total parity",
             },
-            "evolution": "exact Taylor-step propagation (Al-Mohy-Higham) on the occupied symmetry sectors",
+            "evolution": "exact Taylor-step propagation (Al-Mohy-Higham) on the occupied closed block",
             "results": results,
         },
     )
@@ -390,7 +400,7 @@ def run_fig3b(config: ExperimentConfig, outdir: Path) -> dict:
     evolution = {}
     for u in config.transverse_values:
         for k, ds in enumerate(draw_seeds):
-            res = evolve(rho0, random_perturbed_params(n, u=u, rng_seed=ds), t_grid)
+            res = _evolve(rho0, random_perturbed_params(n, u=u, rng_seed=ds), t_grid)
             tr = ratio_trace(x1, x2, res)
             phys = physicality_report(res)
             evolution[f"u={u:g}"] = res.method_tag
@@ -429,7 +439,7 @@ def run_fig4_purity(config: ExperimentConfig, outdir: Path) -> dict:
         edge_occupied_state(n, zeta, config.edge_state_amplitude), "edge_state_amplitude or |zeta|"
     )
     t_grid = config.time_grid()
-    res = evolve(rho0, params, t_grid)
+    res = _evolve(rho0, params, t_grid)
 
     exact, approx, corr = purity_series(res)
     rel_errors = np.abs(approx - exact) / exact

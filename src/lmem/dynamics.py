@@ -11,13 +11,28 @@ third-quantized form is its oracle). Two methods are cross-validated:
   the exact 1-norm and the double-precision theta_m table, and each
   substep stops its series once two terms fall below the unit roundoff.
   The steps hold three working vectors, and no random numbers are drawn.
-  When the model commutes with every parity pair, L is restricted to the
-  union of the sectors the state occupies; the other sectors carry no
-  weight at any time.
+
+  The state is propagated on the smallest closed block it occupies.
+  Without a transverse field the Hamiltonian and every jump operator are
+  quadratic in the Majoranas, so L keeps the degree of each monomial;
+  when the model also commutes with every parity pair, it keeps the
+  sector too. The block is the union of the (degree, sector) cells, or
+  degree cells, that the initial amplitudes occupy, and L is assembled
+  on it directly; only a transverse field makes the block the whole 4^N
+  space. On the Hermitian basis h_a = i^{p_a} w^a (`fock.hermitian_powers`)
+  the generator -i L is a real matrix, since L maps Hermitian operators
+  to Hermitian ones: a Hermitian rho(0) propagates as one real vector and
+  any other as two real columns. The result keeps the block's amplitudes
+  only (`EvolutionResult.values`); the observables gather the columns
+  they need, and `EvolutionResult.amplitudes` rebuilds the 4^N array for
+  oracles and tests. A full-space run whose generator and trajectory
+  would not fit in the memory the process may allocate raises
+  `MemoryBudgetError` before anything is built.
 
 * "eigen": dense eigendecomposition with biorthogonal left/right pairs,
-  |rho(t)> = R exp(-i diag(lambda) t) R^{-1} |rho(0)>. The independent
-  oracle for "expm"; unreliable exactly at defective (exceptional) points.
+  |rho(t)> = R exp(-i diag(lambda) t) R^{-1} |rho(0)>, on the whole
+  space. The independent oracle for "expm"; unreliable exactly at
+  defective (exceptional) points.
 
 `physicality_report` certifies that a whole trajectory stays a density
 matrix without a per-sample loop over dense matrices. The trace and
@@ -46,44 +61,60 @@ from numpy.linalg import LinAlgError, cholesky, eigvalsh
 from scipy.spatial import cKDTree
 
 from .fock import (
+    _PHASE_OF_POWER,
     LiouvilleVector,
+    _bitcount,
     _hermiticity_defect,
+    _index_range,
     as_amplitudes,
     dense_blocks,
     devectorize,
+    gather_columns,
     hermitian_part,
+    hermitian_powers,
     liouville_inner,
     parity_values,
     row_chunks,
+    scatter_columns,
     site_count,
 )
 from .liouvillian import build_liouvillian_direct
-from .model import ModelParams
+from .model import ModelParams, build_hamiltonian
 from .sectors import (
     SectorLabel,
     compose_segment_spectra,
     match_spectra,
-    sector_eigenvalues,
     spectral_order,
 )
 
 
 @dataclass
 class EvolutionResult:
-    """Sampled trajectory of Liouville amplitude vectors."""
+    """Sampled trajectory, kept as the amplitudes of the block it lives in.
+
+    values[k, i] is the amplitude of w^{indices[i]} at times[k]; every
+    other amplitude is zero at every sample. `amplitudes` is the full
+    (T, 4^N) array for oracles and tests: values itself when the block is
+    the whole space, otherwise a new array on each access.
+    """
 
     n_sites: int
     times: np.ndarray  # in the tagged unit
-    amplitudes: np.ndarray  # shape (len(times), 4^N)
+    indices: np.ndarray  # sorted basis indices of the block
+    values: np.ndarray  # shape (len(times), len(indices))
     method_tag: str
     time_unit: str  # "1/gamma" or "absolute"
     matvecs: int = 0  # sparse matrix-vector products performed
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return scatter_columns(self.values, self.indices, self.n_sites)
+
     def state(self, k: int) -> LiouvilleVector:
-        return LiouvilleVector(self.n_sites, self.amplitudes[k])
+        return LiouvilleVector(self.n_sites, scatter_columns(self.values[k], self.indices, self.n_sites))
 
     def density_matrix(self, k: int) -> np.ndarray:
-        return devectorize(self.amplitudes[k], self.n_sites)
+        return devectorize(scatter_columns(self.values[k], self.indices, self.n_sites), self.n_sites)
 
     def __len__(self):
         return len(self.times)
@@ -147,17 +178,23 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     return int(_DEGREES[k]), int(steps[k])
 
 
-def _propagate(A, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray, cols=slice(None)) -> int:
-    """Write exp(A t) v0 to out[k, cols] for each t_phys[k]; return the matvecs.
+def _propagate(A, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
+    """Write exp(A t) v0 to out[k] for each t_phys[k]; return the matvecs.
 
-    t_phys is nondecreasing with t_phys[0] >= 0. Each interval is stepped
-    from the previous sample, so a repeated time costs nothing.
+    A and v0 may be real or complex, and v0 one vector or a stack of
+    columns. t_phys is nondecreasing with t_phys[0] >= 0. Each interval is
+    stepped from the previous sample, so a repeated time costs nothing.
+    A series stops once two terms fall below the unit roundoff times
+    ||f||_inf. bound = sum_j ||b_j||_inf is at least ||f||_inf, so
+    ||f||_inf is only computed once the two terms fall below twice the
+    unit roundoff times bound (the factor 2 covers the rounding of bound);
+    the decisions are those of the plain test.
     """
     dim = A.shape[0]
     mu = A.diagonal().sum() / dim
-    A = (A - mu * sp.identity(dim, dtype=complex, format="csr")).tocsr()
+    A = (A - mu * sp.identity(dim, dtype=A.dtype, format="csr")).tocsr()
     norm = float(abs(A).sum(axis=0).max())
-    v = v0.astype(complex)
+    v = v0.astype(np.result_type(A.dtype, v0.dtype))
     matvecs = 0
     t_prev = 0.0
     for k, t in enumerate(t_phys):
@@ -169,29 +206,95 @@ def _propagate(A, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray, cols=slic
             for _ in range(s):
                 f = v.copy()
                 b = v
-                c1 = np.abs(b).max()
+                c1 = bound = np.abs(b).max()
                 for j in range(1, m + 1):
                     b = A @ b
                     b *= h / j
                     f += b
                     matvecs += 1
                     c2 = np.abs(b).max()
-                    if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(f).max():
+                    bound += c2
+                    tail = c1 + c2
+                    if tail <= 2 * _UNIT_ROUNDOFF * bound and tail <= _UNIT_ROUNDOFF * np.abs(f).max():
                         break
                     c1 = c2
                 f *= eta
                 v = f
-        out[k, cols] = v
+        out[k] = v
     return matvecs
 
 
-def _occupied_indices(v0: np.ndarray, n_sites: int) -> np.ndarray:
-    """Basis indices of the union of the parity-pair sectors v0 occupies."""
-    weights = 1 << np.arange(n_sites - 1)
-    codes = (1 - sector_eigenvalues(np.arange(v0.size), n_sites)) // 2 @ weights
-    # a zero state keeps one sector, so the restricted block is never empty
-    occupied = codes[np.flatnonzero(v0)] if v0.any() else codes[:1]
-    return np.flatnonzero(np.isin(codes, occupied))
+def _occupied_indices(v0: np.ndarray, n_sites: int, sectors: bool) -> np.ndarray:
+    """Basis indices of the union of the cells v0 occupies. A cell is one
+    Majorana degree, and with `sectors` one parity-pair sector within it."""
+    idx = _index_range(2 * n_sites)
+    cells = _bitcount(idx) << (2 * n_sites)
+    if sectors:
+        # bit 2j - 1 of a ^ (a >> 1) is 1 where a_{2j} != a_{2j+1}, i.e. p_j = -1
+        pair_bits = sum(1 << (2 * j - 1) for j in range(1, n_sites))
+        cells |= (idx ^ (idx >> 1)) & pair_bits
+    # a zero state keeps one cell, so the block is never empty
+    occupied = cells[np.flatnonzero(v0)] if v0.any() else cells[:1]
+    return np.flatnonzero(np.isin(cells, occupied))
+
+
+def _hermitian_basis_generator(matrix: sp.csr_matrix, indices: np.ndarray) -> sp.csr_matrix:
+    """The real matrix of -i L on the Hermitian basis h_a = i^{p_a} w^a.
+
+    L maps Hermitian operators to Hermitian ones, so -i L h_c = sum_r B_rc h_r
+    with real B_rc = i^{3 + p_c - p_r} L_rc. A power of i multiplies
+    exactly, so an imaginary part that is not exactly 0 is a bug, not
+    rounding, and raises.
+    """
+    p = hermitian_powers(indices)
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    data = _PHASE_OF_POWER[(3 + p[matrix.indices] - p[rows]) & 3] * matrix.data
+    if data.imag.any():
+        raise RuntimeError("the generator is not real on the Hermitian basis")
+    return sp.csr_matrix((data.real, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
+class MemoryBudgetError(MemoryError):
+    """A full-space evolution would not fit in the memory the process may allocate."""
+
+    def __init__(self, message: str, setting: str):
+        super().__init__(message)
+        self.setting = setting  # the config setting to reduce
+
+
+def _memory_limit() -> int:
+    """Bytes the process may allocate: the RLIMIT_AS soft limit when it is
+    finite, else the physical memory."""
+    import os
+    import resource
+
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        return soft
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_full_space_budget(params: ModelParams, n_samples: int) -> None:
+    """Raise MemoryBudgetError when the 4^N generator build and the trajectory
+    are estimated to exceed `_memory_limit`.
+
+    The build holds about 64 bytes per (combined mask, basis index): one
+    mask per Hamiltonian word and one for the diagonal. The trajectory
+    holds 16 bytes of complex amplitude per basis index and sample.
+    """
+    n = params.n_sites
+    dim = 4 ** n
+    generator = 64 * (len(build_hamiltonian(params)) + 1) * dim
+    trajectory = 16 * n_samples * dim
+    limit = _memory_limit()
+    if generator + trajectory > limit:
+        mib = 2 ** 20
+        raise MemoryBudgetError(
+            f"evolving the full 4^N space at n_sites={n} over {n_samples} samples needs about "
+            f"{generator // mib} MiB for the generator and {trajectory // mib} MiB for the "
+            f"trajectory, more than the {limit // mib} MiB this process may allocate",
+            "n_sites" if generator > limit else "time_grid.n_samples",
+        )
 
 
 def _check_time_grid(t_grid) -> np.ndarray:
@@ -224,9 +327,10 @@ def evolve(
     positive, absolute otherwise. rho0 may be a dense matrix, a
     LiouvilleVector, an OperatorSum or a raw amplitude vector; it is not
     checked for physicality (`check_physical_initial_state` does that).
-    method "expm" (default) is the exact propagator, restricted to the
-    occupied sectors whenever the model preserves the parity pairs;
-    "eigen" is the eigen-expansion oracle.
+    method "expm" (default) is the exact propagator on the block of the
+    cells rho0 occupies, tagged "taylor-sector" when the cells are
+    (degree, sector) pairs, "taylor-degree" when they are degrees and
+    "taylor" in the full space; "eigen" is the eigen-expansion oracle.
     """
     n = params.n_sites
     t_grid = _check_time_grid(t_grid)
@@ -242,21 +346,40 @@ def evolve(
         t_phys = t_grid
         unit = "absolute"
 
-    matrix = build_liouvillian_direct(params).matrix
-    matvecs = 0
     if method == "eigen":
-        amps = _eigen_evolve(matrix, v0, t_phys)
-        tag = "eigen-expansion"
+        values = _eigen_evolve(build_liouvillian_direct(params).matrix, v0, t_phys)
+        indices = _index_range(2 * n)
+        return EvolutionResult(n, t_grid.copy(), indices, values, "eigen-expansion", unit)
+
+    if params.conserves_degree():
+        sectors = params.preserves_sectors()
+        indices = _occupied_indices(v0, n, sectors)
+        tag = "taylor-sector" if sectors else "taylor-degree"
     else:
-        amps = np.zeros((t_phys.size, v0.size), dtype=complex)
-        if params.preserves_sectors():
-            idx = _occupied_indices(v0, n)
-            matvecs = _propagate(-1j * matrix[idx][:, idx], v0[idx], t_phys, amps, idx)
-            tag = "taylor-sector"
-        else:
-            matvecs = _propagate(-1j * matrix, v0, t_phys, amps)
-            tag = "taylor"
-    return EvolutionResult(n, t_grid.copy(), amps, tag, unit, matvecs)
+        indices = _index_range(2 * n)
+        tag = "taylor"
+    # coordinates on the Hermitian basis: c_a = i^{p_a} x_a
+    anti = hermitian_powers(indices) == 1
+    c0 = v0[indices]
+    x_re = np.where(anti, c0.imag, c0.real)
+    x_im = np.where(anti, -c0.real, c0.imag)
+    x0 = np.stack([x_re, x_im], axis=-1) if x_im.any() else x_re
+    if tag == "taylor":
+        _check_full_space_budget(params, t_phys.size)
+    # the complex build is dropped once converted, before the trajectory is allocated
+    generator = _hermitian_basis_generator(
+        build_liouvillian_direct(params, cols=None if tag == "taylor" else indices).matrix, indices
+    )
+    # the coordinates are written into the (real, imaginary) parts of the
+    # amplitudes, so the trajectory is allocated once
+    values = np.zeros((t_phys.size, indices.size), dtype=complex)
+    parts = values.view(np.float64).reshape(values.shape + (2,))
+    matvecs = _propagate(generator, x0, t_phys, parts if x0.ndim == 2 else parts[..., 0])
+    # c_a = i (x_re + i x_im) = -x_im + i x_re where w^a is anti-Hermitian
+    turned = parts[:, anti]
+    parts[:, anti, 0] = 0.0 - turned[..., 1]
+    parts[:, anti, 1] = turned[..., 0]
+    return EvolutionResult(n, t_grid.copy(), indices, values, tag, unit, matvecs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,35 +398,43 @@ def expectation(X, state, n_sites: int | None = None) -> complex:
 
 
 def expectation_series(X, result: EvolutionResult) -> np.ndarray:
+    """tr(X rho(t)) at every sample, X Hermitian: only the amplitudes of
+    X's nonzero words are gathered from the trajectory."""
     xv, _ = as_amplitudes(X, result.n_sites)
-    return 2 ** result.n_sites * (result.amplitudes @ np.conj(xv))
+    words = np.flatnonzero(xv)
+    terms = gather_columns(result.values, result.indices, words) * np.conj(xv[words])
+    return 2 ** result.n_sites * terms.sum(axis=-1)
 
 
 def physicality_report(result: EvolutionResult) -> dict:
     """Worst-case trace, Hermiticity, and positivity deviations on a trajectory.
 
-    The trace and Hermiticity defects are array reductions over the
-    amplitudes. Positivity is that of the Hermitian part of each sample,
-    rebuilt by `fock.dense_blocks` in chunks of samples (`fock.row_chunks`).
-    A chunk whose odd-degree amplitudes all vanish commutes with the parity
-    M and is checked on its two 2^{N-1} parity blocks, otherwise on the
-    full matrices. A sample Cholesky accepts counts as 0; the others report
+    The samples are walked in chunks (`fock.row_chunks`). The trace and
+    Hermiticity defects are array reductions over the stored amplitudes.
+    Positivity is that of the Hermitian part of each sample, scattered
+    into 4^N amplitude vectors one chunk at a time and rebuilt by
+    `fock.dense_blocks`. A chunk whose
+    odd-degree amplitudes all vanish commutes with the parity M and is
+    checked on its two 2^{N-1} parity blocks, otherwise on the full
+    matrices. A sample Cholesky accepts counts as 0; the others report
     max(0, -lambda_min).
     """
     n = result.n_sites
-    amps = result.amplitudes
     odd = parity_values(n) < 0
     worst_herm = 0.0
     worst_neg = 0.0
-    for rows in row_chunks(len(amps), amps.shape[1]):
-        part = hermitian_part(amps[rows], n)
-        worst_herm = max(worst_herm, _hermiticity_defect(amps[rows], part))
+    for rows in row_chunks(len(result), 4 ** n):
+        values = result.values[rows]
+        part = hermitian_part(values, n, result.indices)
+        worst_herm = max(worst_herm, _hermiticity_defect(values, part))
+        part = scatter_columns(part, result.indices, n)
         lam = _lowest_eigenvalue(dense_blocks(part, n, parity_blocks=not part[:, odd].any()))
         if lam is not None:
             worst_neg = max(worst_neg, -lam)
+    # tr(rho) = 2^N c_0, as in `fock.vector_trace`
+    trace = 2 ** n * gather_columns(result.values, result.indices, [0])[:, 0]
     return {
-        # tr(rho) = 2^N c_0, as in `fock.vector_trace`
-        "max_trace_deviation": float(np.abs(2 ** n * amps[:, 0] - 1.0).max()),
+        "max_trace_deviation": float(np.abs(trace - 1.0).max()),
         "max_hermiticity_defect": worst_herm,
         "max_negative_eigenvalue": worst_neg,
     }

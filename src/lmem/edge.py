@@ -37,6 +37,7 @@ from .dynamics import EvolutionResult, expectation_series
 from .fock import (
     as_amplitudes,
     devectorize,
+    gather_columns,
     pauli_coefficients,
     purity_rows,
     row_chunks,
@@ -260,10 +261,13 @@ def edge_factorization_test(
 # ---------------------------------------------------------------------------
 
 
-def _kappa_correlation_rows(amplitudes: np.ndarray, n_sites: int) -> np.ndarray:
-    """<<rho| i kappa_1 kappa_4N |rho>> of each row of (T, 4^N) amplitudes,
-    one sparse product per chunk of rows."""
+def _kappa_correlation_rows(amplitudes: np.ndarray, n_sites: int, indices=None) -> np.ndarray:
+    """<<rho| i kappa_1 kappa_4N |rho>> of each row of amplitudes on the
+    sorted basis indices `indices` (all 4^N when None), one sparse product
+    per chunk of rows."""
     corr = edge_correlator(n_sites)
+    if indices is not None and indices.size < corr.shape[0]:
+        corr = corr[indices][:, indices]
     out = np.empty(len(amplitudes))
     for rows in row_chunks(len(amplitudes), amplitudes.shape[1]):
         chunk = amplitudes[rows]
@@ -337,22 +341,24 @@ def longtime_observable_set(n_sites: int) -> list[PauliString]:
     return [w.hermitian_key()[1] for w in out]
 
 
-def _word_expectations(amplitudes: np.ndarray, words, n_sites: int) -> np.ndarray:
-    """Re <<P|rho>> for each Pauli word P, along a new last axis.
+def _word_expectations(amplitudes: np.ndarray, words, n_sites: int, indices=None) -> np.ndarray:
+    """Re <<P|rho>> for each Pauli word P, along a new last axis, of
+    amplitudes on the basis indices `indices` (all 4^N when None).
 
     P = phase w^{mask} has one nonzero amplitude, so <<P|rho>> is
     2^N conj(phase) c_mask: a gather of one column per word.
     """
     monos = [spin_to_majorana(w) for w in words]
     phases = np.conj([m.coeff for m in monos])
-    return (2 ** n_sites * amplitudes[..., [m.mask for m in monos]] * phases).real
+    columns = gather_columns(amplitudes, indices, [m.mask for m in monos])
+    return (2 ** n_sites * columns * phases).real
 
 
-def _approx_purity_rows(amplitudes: np.ndarray, n_sites: int, form: str) -> np.ndarray:
+def _approx_purity_rows(amplitudes: np.ndarray, n_sites: int, form: str, indices=None) -> np.ndarray:
     """`approx_purity_longtime` of each amplitude vector along the last axis."""
     n = n_sites
     if form == "observables":
-        values = _word_expectations(amplitudes, longtime_observable_set(n), n)
+        values = _word_expectations(amplitudes, longtime_observable_set(n), n, indices)
         return (values ** 2).sum(axis=-1) / 2 ** n
     if form == "zeta":
         words = [
@@ -360,7 +366,7 @@ def _approx_purity_rows(amplitudes: np.ndarray, n_sites: int, form: str) -> np.n
             PauliString.single(n, 1, "Z"),
             PauliString.single(n, 1, "Y").mul(PauliString.single(n, 2, "X")),
         ]
-        zeta, sz1, syx = np.moveaxis(_word_expectations(amplitudes, words, n), -1, 0)
+        zeta, sz1, syx = np.moveaxis(_word_expectations(amplitudes, words, n, indices), -1, 0)
         return (1 + zeta ** 2) * (1 + sz1 ** 2 + syx ** 2) / 2 ** n
     raise ValueError(f"unknown form {form!r}")
 
@@ -380,11 +386,11 @@ def approx_purity_longtime(state, n_sites: int | None = None, form: str = "obser
 def purity_series(result: EvolutionResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact purity, slow-mode truncation (`approx_purity_longtime`) and edge
     correlation (`kappa_correlation`) at every sample of a trajectory."""
-    amps, n = result.amplitudes, result.n_sites
+    values, n, indices = result.values, result.n_sites, result.indices
     return (
-        purity_rows(amps, n),
-        _approx_purity_rows(amps, n, "observables"),
-        _kappa_correlation_rows(amps, n),
+        purity_rows(values, n),
+        _approx_purity_rows(values, n, "observables", indices),
+        _kappa_correlation_rows(values, n, indices),
     )
 
 

@@ -247,7 +247,7 @@ def right_mult_monomial(mono: MajoranaMonomial, n_sites: int) -> sp.csr_matrix:
     return _monomial_superoperator(mono, n_sites, right=True)
 
 
-def _product_superoperator(terms, n_sites: int) -> sp.csr_matrix:
+def _product_superoperator(terms, n_sites: int, cols=None) -> sp.csr_matrix:
     """Superoperator of A -> sum_k s_k L_k A R_k on amplitude vectors.
 
     `terms` lists (L_k, R_k, s_k) with OperatorSums L_k, R_k, where None
@@ -257,10 +257,17 @@ def _product_superoperator(terms, n_sites: int) -> sp.csr_matrix:
     col ^ b. The value vectors are summed per combined mask a ^ b, and the
     CSR arrays are written directly: row r holds column r ^ m for each
     combined mask m, with exact zeros dropped.
+
+    cols, a sorted array of basis indices whose span the superoperator
+    maps into itself, builds only the block on those indices, in their
+    order; the partner r ^ m of each index is found by searchsorted. An
+    entry whose row falls outside the set must have summed to zero, and a
+    nonzero one raises ValueError. None builds the whole 4^N space.
     """
     n_modes = 2 * n_sites
     dim = 4 ** n_sites
-    idx = _index_range(n_modes)
+    basis = _index_range(n_modes) if cols is None else np.asarray(cols, dtype=np.int64)
+    size = basis.size
     identity = {0: 1.0}
     pairs = []  # (combined mask, crossing mask, coefficient) per monomial pair
     for left, right, scale in terms:
@@ -274,26 +281,38 @@ def _product_superoperator(terms, n_sites: int) -> sp.csr_matrix:
                 # (-1)^{popcount(b & left_cross)}
                 coeff = scale * ca * cb * (1 - 2 * ((b & left_cross).bit_count() & 1))
                 pairs.append((a ^ b, right_cross ^ left_cross, coeff))
-    masks = sorted({m for m, _, _ in pairs})
-    if not masks:
-        return sp.csr_matrix((dim, dim), dtype=complex)
+    masks = np.array(sorted({m for m, _, _ in pairs}), dtype=np.int64)
+    if not masks.size:
+        return sp.csr_matrix((size, size), dtype=complex)
     index_dtype = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-    slot = np.zeros(dim, dtype=index_dtype)  # combined mask -> row of by_column
-    slot[masks] = np.arange(len(masks))
-    by_column = np.zeros((len(masks), dim), dtype=complex)
+    by_column = np.zeros((masks.size, size), dtype=complex)  # value of each mask at each column
     for m, cross, coeff in pairs:
-        by_column[slot[m]] += coeff * _crossing_signs(idx, cross)
-    # row r holds column r ^ m for each combined mask m; sorted, the mask
-    # of an entry is recovered as r ^ column
-    rows = idx.astype(index_dtype)[:, None]
-    cols = rows ^ np.array(masks, dtype=index_dtype)
-    cols.sort(axis=1)
-    data = by_column[slot[rows ^ cols], cols]
-    del by_column  # released before the compaction copies; it sets the peak at large N
-    keep = data != 0
-    indptr = np.zeros(dim + 1, dtype=np.int64)
+        by_column[np.searchsorted(masks, m)] += coeff * _crossing_signs(basis, cross)
+    # row r holds the partner r ^ m for each combined mask m; sorted, the
+    # mask of an entry is recovered as r ^ partner
+    partners = basis.astype(index_dtype)[:, None] ^ masks.astype(index_dtype)
+    partners.sort(axis=1)
+    slot = np.searchsorted(masks, basis[:, None] ^ partners)
+    if cols is None:
+        pos, inside = partners, True
+    else:
+        pos = np.searchsorted(basis, partners).clip(max=size - 1)
+        inside = basis[pos] == partners
+        # column r's entry in the outside row r ^ m is by_column[mask, r]
+        leak = by_column[slot[~inside], np.nonzero(~inside)[0]]
+        if leak.any():
+            raise ValueError(
+                f"the column set is not closed: an entry of {np.abs(leak).max():.3e} "
+                "leaves its span"
+            )
+    data = by_column[slot, pos]
+    del by_column, slot  # released before the compaction copies; they set the peak at large N
+    keep = (data != 0) & inside
+    indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(dim, dim))
+    return sp.csr_matrix(
+        (data[keep], pos[keep].astype(index_dtype, copy=False), indptr), shape=(size, size)
+    )
 
 
 def left_mult_operator(op: OperatorSum, n_sites: int) -> sp.csr_matrix:
@@ -519,6 +538,32 @@ def liouville_inner(a, b, n_sites=None) -> complex:
     return 2 ** na * np.vdot(va, vb)
 
 
+def gather_columns(values: np.ndarray, indices, wanted) -> np.ndarray:
+    """values[..., j] at the position j of each basis index in `wanted`.
+
+    values holds amplitudes along its last axis, on the sorted basis
+    indices `indices`, or on all 4^N when indices is None. An index that
+    is not stored reads 0.
+    """
+    wanted = np.asarray(wanted, dtype=np.int64)
+    if indices is None:
+        return values[..., wanted]
+    pos = np.searchsorted(indices, wanted).clip(max=indices.size - 1)
+    return np.where(indices[pos] == wanted, values[..., pos], 0)
+
+
+def scatter_columns(values: np.ndarray, indices: np.ndarray, n_sites: int) -> np.ndarray:
+    """The 4^N amplitude vectors of values held on the sorted basis indices
+    `indices` along the last axis, the inverse of `gather_columns`: values
+    itself when the indices cover the whole space, else a new array that is
+    zero off them."""
+    if indices.size == 4 ** n_sites:
+        return values
+    out = np.zeros(values.shape[:-1] + (4 ** n_sites,), dtype=complex)
+    out[..., indices] = values
+    return out
+
+
 def vector_trace(state, n_sites=None) -> complex:
     """tr(A) = 2^N c_0 (only the empty monomial has trace)."""
     v, n = as_amplitudes(state, n_sites)
@@ -536,20 +581,26 @@ def vector_purity(state, n_sites=None) -> float:
     return float(purity_rows(v, n))
 
 
+def hermitian_powers(indices: np.ndarray) -> np.ndarray:
+    """p_a with i^{p_a} w^{a} Hermitian: 1 where the degree k is 2 or 3
+    mod 4, i.e. where (-1)^{k(k-1)/2} = -1, else 0."""
+    return (_bitcount(indices) >> 1) & 1
+
+
 @lru_cache(maxsize=8)
 def reversal_signs(n_sites: int) -> np.ndarray:
-    """s_a with (w^{a})^dag = s_a w^{a}: (-1)^{k(k-1)/2} for degree k."""
-    k = _bitcount(_index_range(2 * n_sites))
-    return 1 - 2 * (((k * (k - 1)) // 2) % 2)
+    """s_a with (w^{a})^dag = s_a w^{a}: (-1)^{k(k-1)/2} = (-1)^{p_a} for degree k."""
+    return 1 - 2 * hermitian_powers(_index_range(2 * n_sites))
 
 
-def hermitian_part(amplitudes, n_sites: int) -> np.ndarray:
-    """Amplitudes of (A + A^dag) / 2 along the last axis, a new array.
+def hermitian_part(amplitudes, n_sites: int, indices=None) -> np.ndarray:
+    """Amplitudes of (A + A^dag) / 2 along the last axis, a new array, for
+    amplitudes on the basis indices `indices` (all 4^N when None).
 
     (c_a + s_a conj(c_a)) / 2 is the real part of c_a where s_a = 1 and
     the imaginary part where s_a = -1, so it is copied exactly.
     """
-    hermitian = reversal_signs(n_sites) > 0
+    hermitian = reversal_signs(n_sites) > 0 if indices is None else hermitian_powers(indices) == 0
     out = np.array(amplitudes, dtype=complex)
     np.copyto(out.imag, 0.0, where=hermitian)
     np.copyto(out.real, 0.0, where=~hermitian)

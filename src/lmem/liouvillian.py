@@ -71,12 +71,14 @@ def _model_operators(params_or_h, dissipators, n_sites):
 
 
 def build_liouvillian_direct(
-    params_or_h, dissipators=None, n_sites: int | None = None
+    params_or_h, dissipators=None, n_sites: int | None = None, cols=None
 ) -> Superoperator:
     """Assemble L for an arbitrary Pauli-word model in one sparse construction.
 
     Either pass ModelParams, or an explicit (OperatorSum hamiltonian,
-    list of OperatorSum dissipators, n_sites).
+    list of OperatorSum dissipators, n_sites). cols, a sorted array of
+    basis indices whose span L maps into itself, builds only the block on
+    those indices (see `fock._product_superoperator`).
     """
     h, dissipators, n_sites = _model_operators(params_or_h, dissipators, n_sites)
     # i d rho/dt = H rho - rho H + i sum_k (L rho L^dag - 1/2 L^dag L rho - 1/2 rho L^dag L)
@@ -85,7 +87,7 @@ def build_liouvillian_direct(
         Ld = L_op.dagger()
         ldl = Ld @ L_op
         terms += [(L_op, Ld, 1j), (ldl, None, -0.5j), (None, ldl, -0.5j)]
-    return Superoperator(n_sites, _product_superoperator(terms, n_sites), "direct-vectorized")
+    return Superoperator(n_sites, _product_superoperator(terms, n_sites, cols), "direct-vectorized")
 
 
 def build_liouvillian_thirdq(params: ModelParams) -> Superoperator:

@@ -86,6 +86,13 @@ class ModelParams:
         do not)."""
         return self.transverse_u == 0.0 and not self.field_b.any()
 
+    def conserves_degree(self) -> bool:
+        """True when the Lindblad generator keeps the Majorana degree of every
+        monomial: the couplings, the interior fields, the sz jumps and the
+        sx sx bond jumps are all quadratic and Hermitian; only the transverse
+        field, a sum of odd Majorana strings, changes the degree."""
+        return self.transverse_u == 0.0
+
     def homogeneous_gamma(self) -> float | None:
         g = self.dephasing_rates
         if g[0] > 0 and np.allclose(g, g[0]):

@@ -38,7 +38,7 @@ from .fock import _index_range, site_count
 from .kappa import build_P_operator, kappa_all
 from .liouvillian import Superoperator
 from .model import ModelParams
-from .pauli import MajoranaMonomial, majorana_to_spin
+from .pauli import MajoranaMonomial, _check_dense, majorana_to_spin
 
 
 @dataclass(frozen=True)
@@ -209,10 +209,20 @@ def broken_chain_segments(label: SectorLabel) -> list[tuple[int, int]]:
     return segments
 
 
-@lru_cache(maxsize=None)
 def _chain_majoranas(length: int) -> tuple:
     """The 2L Majorana matrices of an L-site chain, mode 1 first, in the
-    standard chain encoding of `majorana_to_spin`."""
+    standard chain encoding of `majorana_to_spin`.
+
+    The dense cap is checked on every call. The last two lengths stay
+    cached, which covers a scan of one sector (fig4-spectrum) and bounds
+    what a census keeps: 2L dense 2^L x 2^L matrices are 320 MiB at L=10.
+    """
+    _check_dense(length)
+    return _cached_chain_majoranas(length)
+
+
+@lru_cache(maxsize=2)
+def _cached_chain_majoranas(length: int) -> tuple:
     return tuple(
         majorana_to_spin(MajoranaMonomial(2 * length, 1 << m)).to_matrix()
         for m in range(2 * length)

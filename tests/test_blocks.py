@@ -1,0 +1,309 @@
+"""Block propagation: degree and sector cells, the restricted assembly, the
+real generator on the Hermitian basis, and compact trajectories, each
+against the full-space construction or a dense oracle."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from lmem.cli import edge_occupied_state, product_initial_state, ratio_observables
+from lmem.dynamics import (
+    _UNIT_ROUNDOFF,
+    MemoryBudgetError,
+    _hermitian_basis_generator,
+    _occupied_indices,
+    _propagate,
+    _taylor_plan,
+    evolve,
+    expectation_series,
+    physicality_report,
+)
+from lmem.edge import purity_series
+from lmem.fock import (
+    _bitcount,
+    _index_range,
+    hermitian_powers,
+    liouville_inner,
+    reversal_signs,
+    vectorize_operator,
+)
+from lmem.liouvillian import build_liouvillian_direct
+from lmem.model import ModelParams, random_perturbed_params
+from lmem.sectors import sector_eigenvalues
+
+
+def degrees(n):
+    return _bitcount(_index_range(2 * n))
+
+
+def stored_entries(matrix):
+    coo = matrix.tocoo()
+    return coo.row, coo.col, coo.data
+
+
+def uniform(n, J=1.0, gamma=0.7):
+    return ModelParams(n, [J] * (n - 1), [gamma] * n)
+
+
+def cells(n, sectors):
+    """Cell code of every basis index, as `_occupied_indices` groups them."""
+    codes = degrees(n)
+    if sectors:
+        pattern = (1 - sector_eigenvalues(_index_range(2 * n), n)) // 2
+        codes = codes * 2 ** (n - 1) + pattern @ (1 << np.arange(n - 1))
+    return codes
+
+
+def random_closed_set(rng, n, sectors):
+    """A random union of cells, sorted."""
+    codes = cells(n, sectors)
+    chosen = rng.choice(np.unique(codes), size=rng.integers(1, 5), replace=False)
+    return np.flatnonzero(np.isin(codes, chosen))
+
+
+class TestDegreeConservation:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_off_degree_entries_vanish_without_transverse_field(self, n, seed):
+        p = random_perturbed_params(n, u=0.0, rng_seed=seed)
+        assert p.field_b.any() and p.bond_dissipation.any() and p.conserves_degree()
+        rows, cols, _ = stored_entries(build_liouvillian_direct(p).matrix)
+        deg = degrees(n)
+        assert np.array_equal(deg[rows], deg[cols])
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_transverse_field_changes_the_degree(self, n):
+        p = random_perturbed_params(n, u=2.0, rng_seed=n)
+        assert not p.conserves_degree()
+        rows, cols, data = stored_entries(build_liouvillian_direct(p).matrix)
+        off = degrees(n)[rows] != degrees(n)[cols]
+        assert np.abs(data[off]).max() > 1.0
+
+    def test_occupied_cells_hold_every_nonzero_amplitude(self):
+        n = 4
+        rng = np.random.default_rng(3)
+        v = np.zeros(4 ** n, dtype=complex)
+        v[rng.choice(4 ** n, size=5, replace=False)] = rng.normal(size=5)
+        for sectors in (False, True):
+            idx = _occupied_indices(v, n, sectors)
+            codes = cells(n, sectors)
+            assert np.array_equal(idx, np.flatnonzero(np.isin(codes, codes[np.flatnonzero(v)])))
+        assert _occupied_indices(np.zeros(4 ** n), n, True).tolist() == [0]
+
+
+class TestRestrictedAssembly:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("sectors", [False, True])
+    def test_block_equals_submatrix_of_full_build(self, n, sectors):
+        rng = np.random.default_rng(10 * n + sectors)
+        p = uniform(n) if sectors else random_perturbed_params(n, u=0.0, rng_seed=n)
+        full = build_liouvillian_direct(p).matrix
+        for _ in range(4):
+            cols = random_closed_set(rng, n, sectors)
+            block = build_liouvillian_direct(p, cols=cols).matrix
+            assert block.shape == (cols.size, cols.size)
+            assert block.has_sorted_indices
+            np.testing.assert_array_equal(block.toarray(), full[cols][:, cols].toarray())
+
+    def test_the_whole_range_is_the_full_build(self):
+        p = random_perturbed_params(3, u=2.0, rng_seed=5)
+        full = build_liouvillian_direct(p).matrix
+        block = build_liouvillian_direct(p, cols=np.arange(4 ** 3)).matrix
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(block, attr), getattr(full, attr))
+
+    def test_a_set_that_is_not_closed_raises(self):
+        n = 3
+        p = random_perturbed_params(n, u=0.0, rng_seed=1)
+        one_degree_two = np.flatnonzero(degrees(n) == 2)[:3]
+        with pytest.raises(ValueError, match="not closed"):
+            build_liouvillian_direct(p, cols=one_degree_two)
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("u", [0.0, 2.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generator_is_exactly_real(self, u, seed):
+        n = 4
+        p = random_perturbed_params(n, u=u, rng_seed=seed)
+        L = build_liouvillian_direct(p).matrix
+        idx = _index_range(2 * n)
+        B = _hermitian_basis_generator(L, idx)
+        assert B.dtype == np.float64
+        # B = D^* (-i L) D with D = diag(i^p), the dense change of basis
+        d = 1j ** hermitian_powers(idx)
+        expected = np.conj(d)[:, None] * (-1j * L.toarray()) * d[None, :]
+        np.testing.assert_array_equal(B.toarray(), expected.real)
+        assert not expected.imag.any()
+
+    def test_hermitian_powers_follow_the_reversal_sign(self):
+        # i^p w^a is Hermitian when (i^p)^* s_a = i^p, i.e. s_a = (-1)^p with
+        # s_a = (-1)^{k(k-1)/2} for degree k
+        k = degrees(4)
+        signs = 1 - 2 * (((k * (k - 1)) // 2) % 2)
+        np.testing.assert_array_equal(signs, 1 - 2 * hermitian_powers(_index_range(8)))
+
+    def test_a_generator_that_breaks_hermiticity_raises(self):
+        L = build_liouvillian_direct(uniform(3)).matrix
+        with pytest.raises(RuntimeError, match="not real"):
+            _hermitian_basis_generator((1j * L).tocsr(), _index_range(6))
+
+
+def cases():
+    """(name, params, initial amplitudes) with every kind of block."""
+    n = 4
+    rho = vectorize_operator(product_initial_state(n, 0.5, 0.1)).amplitudes
+    edge = vectorize_operator(edge_occupied_state(n, 0.4, 0.3)).amplitudes
+    rng = np.random.default_rng(7)
+    skew = rho.copy()
+    # a non-Hermitian input: complex amplitudes on a few monomials
+    picks = rng.choice(4 ** n, size=6, replace=False)
+    skew[picks] += 0.01 * (rng.normal(size=6) + 1j * rng.normal(size=6))
+    return [
+        ("sector", uniform(n, 1.0, 0.7), rho),
+        ("sector-edge", uniform(n, 2.0, 3.0), edge),
+        ("degree", random_perturbed_params(n, u=0.0, rng_seed=11), rho),
+        ("degree-nonhermitian", random_perturbed_params(n, u=0.0, rng_seed=12), skew),
+        ("full", random_perturbed_params(n, u=2.0, rng_seed=13), rho),
+        ("full-nonhermitian", random_perturbed_params(n, u=2.0, rng_seed=14), skew),
+    ]
+
+
+class TestBlockPropagation:
+    T = np.linspace(0.0, 3.0, 7)
+
+    @staticmethod
+    def full_taylor(p, v0, t):
+        """The 4^N complex Taylor path: the same stepper on -i L, unrestricted."""
+        t_phys = t / (p.homogeneous_gamma() or 1.0)
+        out = np.empty((t.size, v0.size), dtype=complex)
+        _propagate(-1j * build_liouvillian_direct(p).matrix, v0, t_phys, out)
+        return out
+
+    @pytest.mark.parametrize("name,p,v0", cases(), ids=[c[0] for c in cases()])
+    def test_block_matches_full_taylor_and_eigen(self, name, p, v0):
+        n = p.n_sites
+        res = evolve(v0, p, self.T)
+        tag = {"sector": "taylor-sector", "degree": "taylor-degree", "full": "taylor"}
+        assert res.method_tag == tag[name.split("-")[0]]
+        if not name.startswith("full"):
+            assert res.indices.size < 4 ** n
+        oracles = [self.full_taylor(p, v0, self.T)]
+        eig = evolve(v0, p, self.T, method="eigen")
+        oracles.append(eig.amplitudes)
+        x1, x2 = ratio_observables(n)
+        for amps in oracles:
+            ref = replace(eig, values=amps)
+            np.testing.assert_allclose(res.amplitudes, amps, rtol=0, atol=1e-12)
+            for X in (x1, x2):
+                np.testing.assert_allclose(
+                    expectation_series(X, res), expectation_series(X, ref), rtol=0, atol=1e-12
+                )
+            for got, want in zip(purity_series(res), purity_series(ref)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_nonhermitian_input_keeps_its_imaginary_part(self):
+        _, p, v0 = cases()[3]
+        res = evolve(v0, p, [0.0, 0.5])
+        np.testing.assert_array_equal(res.amplitudes[0], v0)
+        assert np.abs(res.amplitudes[1] - reversal_signs(4) * np.conj(res.amplitudes[1])).max() > 1e-4
+
+    def test_compact_and_full_space_reports_agree(self):
+        for _, p, v0 in cases()[:3]:
+            res = evolve(v0, p, self.T)
+            full = replace(res, indices=np.arange(4 ** p.n_sites), values=res.amplitudes)
+            assert physicality_report(res) == physicality_report(full)
+            assert res.state(3).amplitudes.tolist() == full.amplitudes[3].tolist()
+            np.testing.assert_array_equal(res.density_matrix(3), full.density_matrix(3))
+
+
+class TestExpectationContraction:
+    def test_matches_dense_inner_product(self):
+        n = 4
+        x1, x2 = ratio_observables(n)
+        for _, p, v0 in cases():
+            res = evolve(v0, p, np.linspace(0.0, 2.0, 5))
+            full = replace(res, indices=np.arange(4 ** n), values=res.amplitudes)
+            for X in (x1, x2):
+                want = [liouville_inner(X, a, n) for a in res.amplitudes]
+                for r in (res, full):
+                    np.testing.assert_allclose(expectation_series(X, r), want, rtol=0, atol=1e-14)
+
+
+def plain_stop_propagate(A, v0, t_phys, out):
+    """`_propagate` as it was, computing ||f||_inf at every term."""
+    dim = A.shape[0]
+    mu = A.diagonal().sum() / dim
+    A = (A - mu * sp.identity(dim, dtype=A.dtype, format="csr")).tocsr()
+    norm = float(abs(A).sum(axis=0).max())
+    v = v0.astype(np.result_type(A.dtype, v0.dtype))
+    matvecs = 0
+    t_prev = 0.0
+    for k, t in enumerate(t_phys):
+        dt, t_prev = t - t_prev, t
+        if dt > 0:
+            m, s = _taylor_plan(dt * norm)
+            h = dt / s
+            eta = np.exp(mu * h)
+            for _ in range(s):
+                f = v.copy()
+                b = v
+                c1 = np.abs(b).max()
+                for j in range(1, m + 1):
+                    b = A @ b
+                    b *= h / j
+                    f += b
+                    matvecs += 1
+                    c2 = np.abs(b).max()
+                    if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(f).max():
+                        break
+                    c1 = c2
+                f *= eta
+                v = f
+        out[k] = v
+    return matvecs
+
+
+@pytest.mark.parametrize("name,p,v0", [cases()[i] for i in (0, 3, 5)], ids=["sector", "degree", "full"])
+def test_cheap_stop_test_takes_the_same_decisions(name, p, v0):
+    t_phys = np.array([0.0, 0.1, 0.15, 1.3, 4.0, 4.0, 7.5])
+    L = build_liouvillian_direct(p).matrix
+    real = _hermitian_basis_generator(L, _index_range(2 * p.n_sites))
+    for generator, v in ((-1j * L, v0), (real, v0.real + v0.imag)):
+        got, want = (np.empty((t_phys.size, v.size), dtype=generator.dtype) for _ in range(2))
+        got_matvecs = _propagate(generator, v, t_phys, got)
+        want_matvecs = plain_stop_propagate(generator, v, t_phys, want)
+        assert got_matvecs == want_matvecs > 0
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "limit,samples,setting", [(10 ** 5, 3, "n_sites"), (2 ** 20, 301, "time_grid.n_samples")]
+)
+def test_full_space_budget_raises_before_building(monkeypatch, limit, samples, setting):
+    # at N=4 the estimate is ~0.2 MB for the generator and 16 bytes per
+    # basis index and sample for the trajectory
+    import lmem.dynamics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the generator")
+
+    monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: limit)
+    monkeypatch.setattr(lmem.dynamics, "build_liouvillian_direct", refuse)
+    p = random_perturbed_params(4, u=2.0, rng_seed=1)
+    rho0 = vectorize_operator(product_initial_state(4, 0.5, 0.1))
+    with pytest.raises(MemoryBudgetError, match=f"n_sites=4 over {samples} samples") as info:
+        evolve(rho0, p, np.linspace(0.0, 1.0, samples))
+    assert info.value.setting == setting
+
+
+def test_memory_limit_reads_the_address_space_limit():
+    import resource
+
+    from lmem.dynamics import _memory_limit
+
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    assert _memory_limit() == soft or soft == resource.RLIM_INFINITY
+    assert _memory_limit() > 2 ** 20

@@ -274,11 +274,6 @@ def test_symbolic_initial_states_match_dense_forms(n):
 )
 def test_dense_cap_overflow_names_setting(tmp_path, monkeypatch, capsys, overrides, pattern):
     # used to end in a SizeLimitError traceback from pauli._check_dense
-    import lmem.sectors
-
-    # the segment Majoranas are cached per length; a length cached by an
-    # earlier test would skip the cap
-    lmem.sectors._chain_majoranas.cache_clear()
     monkeypatch.setenv("LMEM_DENSE_LIMIT", "3")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
@@ -543,6 +538,50 @@ def test_run_path_uses_direct_generator_and_symbolic_states(tmp_path, monkeypatc
     ]
     _forbid(monkeypatch, originals, "built the third-quantized generator or vectorized a dense state")
     _run(tmp_path, overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"experiment": "fig3b", "n_draws": 2, "transverse_values": [0.0]}, PURITY_N4],
+    ids=["fig3a", "fig3b-u0", "fig4-purity"],
+)
+def test_run_path_keeps_to_the_occupied_block(tmp_path, monkeypatch, overrides):
+    # without a transverse field every evolution is assembled on its block,
+    # and no reader of the result rebuilds the 4^N amplitude array
+    import lmem.dynamics
+    import lmem.liouvillian
+
+    full_build = lmem.liouvillian.build_liouvillian_direct
+
+    def block_build_only(*args, cols=None, **kwargs):
+        assert cols is not None, "the run path built the 4^N generator"
+        return full_build(*args, cols=cols, **kwargs)
+
+    def forbidden(self):
+        raise AssertionError("the run path read EvolutionResult.amplitudes")
+
+    monkeypatch.setattr(lmem.dynamics, "build_liouvillian_direct", block_build_only)
+    monkeypatch.setattr(lmem.dynamics.EvolutionResult, "amplitudes", property(forbidden))
+    _run(tmp_path, overrides)
+
+
+@pytest.mark.parametrize(
+    "limit,pattern",
+    [(10 ** 5, r"n_sites=4 over 5 samples.*; reduce n_sites$"), (2 ** 20, r"; reduce time_grid\.n_samples$")],
+)
+def test_full_space_budget_names_setting(tmp_path, monkeypatch, capsys, limit, pattern):
+    # at N=4 the generator estimate is ~0.2 MB; 301 samples push the
+    # trajectory past 1 MiB
+    import lmem.dynamics
+
+    monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: limit)
+    samples = 5 if limit < 2 ** 20 else 301
+    overrides = {"experiment": "fig3b", "n_draws": 1, "transverse_values": [2.0],
+                 "time_grid": {"t_max": 1.0, "n_samples": samples}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+    assert main(["run", str(cfg_path)]) == 2
+    _assert_usage_error(capsys, pattern)
 
 
 @pytest.mark.parametrize("overrides", [{}, PURITY_N4], ids=["fig3a", "fig4-purity"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -296,6 +298,12 @@ def basis_projector(index, n):
     return vectorize_operator(op).amplitudes
 
 
+def full_space(res):
+    """The same trajectory stored on all 4^N indices, so res.amplitudes is
+    its value array and may be edited in place."""
+    return replace(res, indices=np.arange(4 ** res.n_sites), values=res.amplitudes)
+
+
 def mixed_up_state(n):
     """Half |0...0><0...0| plus half the maximally mixed state: positive definite."""
     return 0.5 * up_state(n) + 0.5 * np.eye(2 ** n) / 2 ** n
@@ -305,6 +313,7 @@ class TestPhysicality:
     def test_negative_eigenvalue_in_odd_parity_block(self):
         n = 5
         res = evolve(mixed_up_state(n), params(n, J=1.0, gamma=0.7), np.linspace(0, 3, 40))
+        res = full_space(res)
         assert len(row_chunks(len(res), 4 ** n)) == 2
         clean = physicality_report(res)
         assert clean["max_negative_eigenvalue"] == 0.0
@@ -334,6 +343,7 @@ class TestPhysicality:
     def test_defects_seeded_in_a_middle_chunk(self):
         n = 6
         res = evolve(mixed_up_state(n), params(n, J=1.0, gamma=0.5), np.linspace(0, 2, 21))
+        res = full_space(res)
         chunks = row_chunks(len(res), 4 ** n)
         assert len(chunks) == 3 and chunks[1].start < 11 < chunks[1].stop
         res.amplitudes[11, 0] += 1e-3

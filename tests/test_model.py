@@ -152,6 +152,15 @@ class TestConfig:
             ModelParams.from_dict({"n_sites": 3, "couplings": [1.0]})
 
 
+def test_degree_conservation_needs_only_a_zero_transverse_field():
+    # fields, bond dissipators and couplings are quadratic in the Majoranas;
+    # the transverse field is a sum of odd strings
+    assert random_perturbed_params(4, u=0.0, rng_seed=1).conserves_degree()
+    assert not random_perturbed_params(4, u=0.0, rng_seed=1).preserves_sectors()
+    assert not random_perturbed_params(4, u=0.5, rng_seed=1).conserves_degree()
+    assert ModelParams(3).conserves_degree() and ModelParams(3).preserves_sectors()
+
+
 def test_seeded_draws_reproducible():
     a = random_perturbed_params(6, u=0.0, rng_seed=42)
     b = random_perturbed_params(6, u=0.0, rng_seed=42)

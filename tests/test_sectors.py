@@ -214,6 +214,30 @@ class TestBrokenChains:
         assert_same_spectrum(predicted, actual, tol=1e-8)
         assert cond == pytest.approx(np.linalg.cond(R), rel=1e-10)
 
+    def test_dense_cap_holds_after_a_cached_call(self, monkeypatch):
+        from lmem.pauli import SizeLimitError
+        from lmem.sectors import _chain_majoranas
+
+        lab = SectorLabel.from_string("--")
+        p = params(3)
+        compose_segment_spectra(lab, p)  # caches the length-3 matrices
+        _chain_majoranas(3)
+        monkeypatch.setenv("LMEM_DENSE_LIMIT", "2")
+        with pytest.raises(SizeLimitError):
+            _chain_majoranas(3)
+        with pytest.raises(SizeLimitError):
+            compose_segment_spectra(lab, p)
+
+    def test_segment_cache_keeps_two_lengths(self):
+        from lmem.sectors import _cached_chain_majoranas
+
+        _cached_chain_majoranas.cache_clear()
+        p = params(8)
+        for _ in range(3):  # the spectrum-n8 benchmark sector: lengths 1 and 2
+            compose_segment_spectra(SectorLabel.from_string("+-+++++"), p)
+        info = _cached_chain_majoranas.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (2, 2, 2)
+
     def test_composed_condition_number_at_exceptional_point(self):
         # the one coupled pair of +-+ merges its branches at gamma = J
         lab = SectorLabel.from_string("+-+")
