@@ -16,9 +16,6 @@ from .pauli import (
     PauliString,
     majorana_to_spin,
     parity_word,
-    pauli_commutation_sign,
-    pauli_multiply,
-    pauli_to_matrix,
     spin_to_majorana,
 )
 from .model import (
@@ -116,9 +113,6 @@ __all__ = [
     "liouville_inner",
     "majorana_to_spin",
     "parity_word",
-    "pauli_commutation_sign",
-    "pauli_multiply",
-    "pauli_to_matrix",
     "purity",
     "purity_from_observables",
     "random_perturbed_params",

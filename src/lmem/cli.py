@@ -304,15 +304,17 @@ def edge_occupied_state(n: int, zeta: float, amplitude: float) -> OperatorSum:
 
 
 def _initial_amplitudes(op: OperatorSum, setting: str) -> LiouvilleVector:
-    """Check op once as a density matrix and return its Liouville vector; a failure
+    """Vectorize op once, symbolically, and check that vector as a density
+    matrix on its nonzero support (`check_physical_initial_state`); a failure
     raises a ConfigError naming `setting`, or n_sites beyond the dense cap."""
+    rho = vectorize_operator(op)
     try:
-        check_physical_initial_state(op.to_matrix())
+        check_physical_initial_state(rho)
     except SizeLimitError as exc:
         raise ConfigError(f"initial-state check at n_sites={op.n_sites}: {exc}; reduce n_sites") from exc
     except ValueError as exc:
         raise ConfigError(f"{exc}; reduce {setting}") from exc
-    return vectorize_operator(op)
+    return rho
 
 
 def _evolve(rho0: LiouvilleVector, params: ModelParams, t_grid: np.ndarray):

@@ -44,7 +44,9 @@ and splits into two 2^{N-1} blocks, otherwise the full matrices are
 built. Each stack first goes to Cholesky; only a stack it rejects goes to
 `eigvalsh`, so a sample that is not positive definite still reports its
 least eigenvalue, while one Cholesky accepts reports 0.
-`check_physical_initial_state` uses the same Cholesky-first test.
+`check_physical_initial_state` runs the same routine on one state, held
+as a one-sample trajectory on its nonzero amplitudes, so no run path
+builds a Kronecker product of Pauli matrices.
 
 Spectral reports check the structural facts every Lindblad generator obeys:
 eigenvalues in the closed lower half plane, anti-conjugate pairing
@@ -73,10 +75,10 @@ from .fock import (
     hermitian_part,
     hermitian_powers,
     liouville_inner,
-    parity_values,
     row_chunks,
     scatter_columns,
     site_count,
+    vector_trace,
 )
 from .liouvillian import build_liouvillian_direct
 from .model import ModelParams, build_hamiltonian
@@ -135,16 +137,25 @@ def _lowest_eigenvalue(stack: np.ndarray) -> float | None:
     return None
 
 
-def check_physical_initial_state(rho: np.ndarray, tol: float = 1e-10) -> None:
-    """Unit trace, Hermiticity, positive semidefiniteness."""
-    tr = np.trace(rho)
-    if abs(tr - 1) > tol:
-        raise ValueError(f"initial state trace {tr} is not 1")
-    if np.abs(rho - rho.conj().T).max() > tol:
+class PositivityError(ValueError):
+    """A state has a negative eigenvalue."""
+
+
+def check_physical_initial_state(state, n_sites: int | None = None, tol: float = 1e-10) -> None:
+    """Unit trace, Hermiticity and positive semidefiniteness within tol of a
+    state in any `fock.as_amplitudes` form, checked by `_physicality` as a
+    one-sample trajectory on its nonzero amplitudes. A negative eigenvalue
+    raises PositivityError, the other defects ValueError."""
+    v, n = as_amplitudes(state, n_sites)
+    support = np.union1d(0, np.flatnonzero(v))  # the empty word carries the trace
+    report = _physicality(v[None, support], support, n)
+    if report["max_trace_deviation"] > tol:
+        raise ValueError(f"initial state trace {vector_trace(v, n)} is not 1")
+    if report["max_hermiticity_defect"] > tol:
         raise ValueError("initial state is not Hermitian")
-    lam = _lowest_eigenvalue(rho)
-    if lam is not None and lam < -tol:
-        raise ValueError(f"initial state has negative eigenvalue {lam:.3e}")
+    if report["max_negative_eigenvalue"] > tol:
+        lam = -report["max_negative_eigenvalue"]
+        raise PositivityError(f"initial state has negative eigenvalue: minimum eigenvalue {lam:.3e}")
 
 
 def _eigen_evolve(matrix, v0, t_phys) -> np.ndarray:
@@ -406,8 +417,9 @@ def expectation_series(X, result: EvolutionResult) -> np.ndarray:
     return 2 ** result.n_sites * terms.sum(axis=-1)
 
 
-def physicality_report(result: EvolutionResult) -> dict:
-    """Worst-case trace, Hermiticity, and positivity deviations on a trajectory.
+def _physicality(values: np.ndarray, indices: np.ndarray, n_sites: int) -> dict:
+    """Worst-case trace, Hermiticity, and positivity deviations of the
+    samples values[k], held on the sorted basis indices `indices`.
 
     The samples are walked in chunks (`fock.row_chunks`). The trace and
     Hermiticity defects are array reductions over the stored amplitudes.
@@ -419,25 +431,31 @@ def physicality_report(result: EvolutionResult) -> dict:
     matrices. A sample Cholesky accepts counts as 0; the others report
     max(0, -lambda_min).
     """
-    n = result.n_sites
-    odd = parity_values(n) < 0
+    n = n_sites
+    odd = (_bitcount(indices) & 1).astype(bool)
     worst_herm = 0.0
     worst_neg = 0.0
-    for rows in row_chunks(len(result), 4 ** n):
-        values = result.values[rows]
-        part = hermitian_part(values, n, result.indices)
-        worst_herm = max(worst_herm, _hermiticity_defect(values, part))
-        part = scatter_columns(part, result.indices, n)
-        lam = _lowest_eigenvalue(dense_blocks(part, n, parity_blocks=not part[:, odd].any()))
+    for rows in row_chunks(len(values), 4 ** n):
+        chunk = values[rows]
+        part = hermitian_part(chunk, n, indices)
+        worst_herm = max(worst_herm, _hermiticity_defect(chunk, part))
+        blocks = dense_blocks(scatter_columns(part, indices, n), n, parity_blocks=not part[:, odd].any())
+        lam = _lowest_eigenvalue(blocks)
         if lam is not None:
             worst_neg = max(worst_neg, -lam)
     # tr(rho) = 2^N c_0, as in `fock.vector_trace`
-    trace = 2 ** n * gather_columns(result.values, result.indices, [0])[:, 0]
+    trace = 2 ** n * gather_columns(values, indices, [0])[:, 0]
     return {
         "max_trace_deviation": float(np.abs(trace - 1.0).max()),
         "max_hermiticity_defect": worst_herm,
         "max_negative_eigenvalue": worst_neg,
     }
+
+
+def physicality_report(result: EvolutionResult) -> dict:
+    """Worst-case trace, Hermiticity, and positivity deviations on a
+    trajectory, by the chunk routine `_physicality`."""
+    return _physicality(result.values, result.indices, result.n_sites)
 
 
 # ---------------------------------------------------------------------------

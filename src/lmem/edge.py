@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import EvolutionResult, expectation_series
+from .dynamics import EvolutionResult, check_physical_initial_state, expectation_series
+from .dynamics import PositivityError  # noqa: F401 -- build_product_state raises it through the check
 from .fock import (
     as_amplitudes,
     devectorize,
@@ -159,25 +160,17 @@ def product_state_operator(spec: ProductStateSpec, n_sites: int) -> OperatorSum:
     return (front @ plus - back @ minus).scaled(2.0 ** -n)
 
 
-class PositivityError(ValueError):
-    """The constructed matrix has a negative eigenvalue."""
-
-
 def build_product_state(spec: ProductStateSpec, n_sites: int, tol: float = 1e-10) -> np.ndarray:
     """Dense density matrix of the product construction, positivity checked.
 
     The sufficient condition (both bracketed operators positive) can be
-    probed cheaply with `sufficient_positivity_margin`; the eigenvalue check
-    here is the necessary-and-sufficient one.
+    probed cheaply with `sufficient_positivity_margin`; the check here,
+    `check_physical_initial_state`, is the necessary-and-sufficient one and
+    raises PositivityError with the minimum eigenvalue.
     """
-    rho = product_state_operator(spec, n_sites).to_matrix()
-    lam_min = float(np.linalg.eigvalsh(rho).min())
-    if lam_min < -tol:
-        raise PositivityError(
-            f"product-state construction is not positive semidefinite "
-            f"(minimum eigenvalue {lam_min:.6e})"
-        )
-    return rho
+    op = product_state_operator(spec, n_sites)
+    check_physical_initial_state(op, n_sites, tol)
+    return devectorize(op, n_sites)
 
 
 def sufficient_positivity_margin(spec: ProductStateSpec, n_sites: int) -> float:

@@ -21,8 +21,8 @@ is a sum of such permutations. `_product_superoperator` assembles any
 rho -> sum_k s_k L_k rho R_k in one CSR construction: each monomial pair
 of L_k and R_k is one permutation, the value vectors are summed per
 combined mask, and the CSR arrays are written directly, with no sparse
-additions or products. `left_mult_operator` and `right_mult_operator` are
-its one-sided cases.
+additions or products. `left_mult_operator` and `right_mult_operator`,
+and their single-monomial forms, are its one-sided cases.
 
 The dense matrix of an amplitude vector comes from one kernel,
 `dense_blocks`, which rebuilds a whole stack of samples at once: in the
@@ -50,6 +50,8 @@ from .pauli import (
     MajoranaMonomial,
     OperatorSum,
     PauliString,
+    _check_dense,
+    majorana_to_spin,
     operator_to_majorana_terms,
 )
 
@@ -229,22 +231,20 @@ def _crossing_signs(indices: np.ndarray, crossings: int) -> np.ndarray:
     return 1 - 2 * (_bitcount(indices & crossings) & 1)
 
 
-def _monomial_superoperator(mono: MajoranaMonomial, n_sites: int, right: bool):
+def _monomial_operator(mono: MajoranaMonomial, n_sites: int) -> OperatorSum:
     if mono.n_modes != 2 * n_sites:
         raise ValueError("monomial mode count does not match n_sites")
-    idx = _index_range(2 * n_sites)
-    signs = _crossing_signs(idx, _crossings(mono.mask, 2 * n_sites, right)) * mono.coeff
-    return _signed_permutation(idx ^ mono.mask, idx, signs, 4 ** n_sites)
+    return majorana_to_spin(mono)
 
 
 def left_mult_monomial(mono: MajoranaMonomial, n_sites: int) -> sp.csr_matrix:
     """Superoperator of A -> (coeff * w^{mask}) A on amplitude vectors."""
-    return _monomial_superoperator(mono, n_sites, right=False)
+    return _product_superoperator([(_monomial_operator(mono, n_sites), None, 1.0)], n_sites)
 
 
 def right_mult_monomial(mono: MajoranaMonomial, n_sites: int) -> sp.csr_matrix:
     """Superoperator of A -> A * (coeff * w^{mask}) on amplitude vectors."""
-    return _monomial_superoperator(mono, n_sites, right=True)
+    return _product_superoperator([(None, _monomial_operator(mono, n_sites), 1.0)], n_sites)
 
 
 def _product_superoperator(terms, n_sites: int, cols=None) -> sp.csr_matrix:
@@ -438,14 +438,15 @@ _PAULI_OF_BITS = np.array([0, 3, 1, 2])  # (x bit, z bit) = 00, 01, 10, 11 -> I,
 
 @lru_cache(maxsize=8)
 def _band_tables(n_sites: int, parity_blocks: bool):
-    """Gather-and-phase tables of `dense_blocks`: (source, phase, target).
+    """Gather-and-phase tables of `dense_blocks`: (source, power, target).
 
-    source and phase have one row per Z-mask z and one column per X-mask x
+    source and power have one row per Z-mask z and one column per X-mask x
     in use: every x, or the even-popcount ones for parity blocks. Bit b of
     a mask is site N - b, as in the matrix index. The Pauli word
     i^{|x & z|} X^x Z^z (I, X, Y, Z per site) is phase_W w^{mask_W}, so its
     coefficient is t_{x,z} = conj(phase_W) c_{mask_W}: source holds mask_W
-    and phase holds conj(phase_W) (-i)^{|x & z|}; no 4^N table is built.
+    and power the int8 q with i^q = conj(phase_W) (-i)^{|x & z|}, a
+    sixteenth of a complex phase table's memory; no 4^N table is built.
     target[b, r, c] is the flat band index i * (number of x) + slot(x) of
     the entry (i, j) of block b, i and j its r-th and c-th index and
     x = i ^ j.
@@ -454,22 +455,26 @@ def _band_tables(n_sites: int, parity_blocks: bool):
     idx = _index_range(n_sites)
     even = (_bitcount(idx) & 1) == 0
     x = idx[even] if parity_blocks else idx
-    z = idx[:, None]
-    words = np.zeros((dim, x.size), dtype=np.int64)
-    for b in range(n_sites):
-        bits = 2 * ((x >> b) & 1) + ((z >> b) & 1)
-        words += _PAULI_OF_BITS[bits] << (2 * b)
-    masks, power = _word_monomials(words, n_sites)
-    # conj(i^power) (-i)^{|x & z|} = i^{3 |x & z| - power}
-    phase = _PHASE_OF_POWER[(3 * _bitcount(x & z) - power) & 3]
     index_dtype = np.int32 if dim * dim <= np.iinfo(np.int32).max else np.int64
-    source = masks.astype(index_dtype)
-    rows = np.stack([idx[even], idx[~even]]) if parity_blocks else idx[None]
-    slot = np.zeros(dim, dtype=np.int64)
+    source = np.empty((dim, x.size), dtype=index_dtype)
+    power = np.empty((dim, x.size), dtype=np.int8)
+    # chunks of Z-masks bound the int64 temporaries of the word arithmetic
+    for rows in row_chunks(dim, x.size):
+        z = idx[rows, None]
+        words = np.zeros((z.size, x.size), dtype=np.int64)
+        for b in range(n_sites):
+            bits = 2 * ((x >> b) & 1) + ((z >> b) & 1)
+            words += _PAULI_OF_BITS[bits] << (2 * b)
+        masks, p = _word_monomials(words, n_sites)
+        source[rows] = masks
+        # conj(i^p) (-i)^{|x & z|} = i^{3 |x & z| - p}
+        power[rows] = (3 * _bitcount(x & z) - p) & 3
+    rows = (np.stack([idx[even], idx[~even]]) if parity_blocks else idx[None]).astype(index_dtype)
+    slot = np.zeros(dim, dtype=index_dtype)
     slot[x] = np.arange(x.size)
     i, j = rows[:, :, None], rows[:, None, :]
-    target = (i * x.size + slot[i ^ j]).astype(index_dtype)
-    return source, phase, target
+    target = i * x.size + slot[i ^ j]
+    return source, power, target
 
 
 def _walsh_hadamard(a: np.ndarray) -> None:
@@ -508,12 +513,14 @@ def dense_blocks(amplitudes, n_sites: int, parity_blocks: bool = False) -> np.nd
     even-popcount x contribute to them. The bands are held z-major, sample
     axis last, so that every butterfly pass runs over long contiguous
     stretches; the returned stack is a view with the sample axis moved to
-    the front.
+    the front. n_sites beyond the dense cap (`pauli.dense_site_limit`,
+    set by LMEM_DENSE_LIMIT) raises SizeLimitError.
     """
-    source, phase, target = _band_tables(n_sites, parity_blocks)
+    _check_dense(n_sites)
+    source, power, target = _band_tables(n_sites, parity_blocks)
     amps = np.asarray(amplitudes, dtype=complex)
     bands = np.take(amps.T, source, axis=0)  # (2^N, number of x, T), a new C-contiguous array
-    bands *= phase[:, :, None]
+    bands *= np.take(_PHASE_OF_POWER, power)[:, :, None]
     _walsh_hadamard(bands)
     return np.moveaxis(np.take(bands.reshape(-1, len(amps)), target, axis=0), -1, 0)
 

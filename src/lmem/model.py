@@ -4,8 +4,7 @@ interior longitudinal fields, a transverse field, and bond dissipators.
 The unperturbed chain has H = sum_j J_j sx_j sx_{j+1} with site dephasing
 L_j = sqrt(gamma_j) sz_j. Perturbations add b_j sz_j on interior sites,
 u * sum_j sx_j, and bond dissipators L'_j = gamma'_j sx_j sx_{j+1} (the bond
-prefactor is an amplitude as printed, so its effective rate is gamma'^2;
-pass convention="rates" to treat both gamma and gamma' as rates).
+prefactor is an amplitude as printed, so its effective rate is gamma'^2).
 """
 
 from __future__ import annotations
@@ -153,14 +152,10 @@ def build_hamiltonian(params: ModelParams) -> OperatorSum:
     return out
 
 
-def build_dissipators(params: ModelParams, convention: str = "as-printed") -> list[OperatorSum]:
-    """Jump operators: sqrt(gamma_j) sz_j per site, plus bond sx sx terms.
-
-    convention="as-printed" uses amplitude gamma'_j for the bond operators;
-    convention="rates" uses sqrt(gamma'_j) so that gamma' is an actual rate.
-    """
-    if convention not in ("as-printed", "rates"):
-        raise ValueError(f"unknown dissipator convention {convention!r}")
+def build_dissipators(params: ModelParams) -> list[OperatorSum]:
+    """Jump operators: sqrt(gamma_j) sz_j per site, plus bond sx sx terms
+    gamma'_j sx_j sx_{j+1}: the bond prefactor gamma'_j is the amplitude as
+    printed in the paper, not a rate."""
     n = params.n_sites
     out = []
     for j in range(1, n + 1):
@@ -172,9 +167,8 @@ def build_dissipators(params: ModelParams, convention: str = "as-printed") -> li
     for j in range(1, n):
         gp = params.bond_dissipation[j - 1]
         if gp > 0:
-            amp = np.sqrt(gp) if convention == "rates" else gp
             word = PauliString.single(n, j, "X").mul(PauliString.single(n, j + 1, "X"))
-            out.append(OperatorSum(n, [(amp, word)]))
+            out.append(OperatorSum(n, [(gp, word)]))
     return out
 
 

@@ -232,18 +232,6 @@ class PauliString:
         return f"PauliString({self.to_label()!r})"
 
 
-def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:
-    return p.mul(q)
-
-
-def pauli_commutation_sign(p: PauliString, q: PauliString) -> int:
-    return p.commutation_sign(q)
-
-
-def pauli_to_matrix(p: PauliString) -> np.ndarray:
-    return p.to_matrix()
-
-
 class OperatorSum:
     """A finite complex combination of Pauli words on a fixed number of sites.
 

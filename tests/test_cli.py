@@ -21,7 +21,7 @@ from lmem.cli import (
 )
 from lmem.edge import ProductStateSpec, build_product_state
 from lmem.fock import vectorize, vectorize_operator
-from lmem.pauli import PauliString, parity_word
+from lmem.pauli import OperatorSum, PauliString, parity_word
 
 
 def base_model(n):
@@ -537,6 +537,22 @@ def test_run_path_uses_direct_generator_and_symbolic_states(tmp_path, monkeypatc
         lmem.fock.vectorize,
     ]
     _forbid(monkeypatch, originals, "built the third-quantized generator or vectorized a dense state")
+    _run(tmp_path, overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"experiment": "fig3b", "n_draws": 2}, PURITY_N4],
+    ids=["fig3a", "fig3b", "fig4-purity"],
+)
+def test_run_path_builds_no_kronecker_matrix(tmp_path, monkeypatch, overrides):
+    # initial states are checked on their Liouville vectors; the Kronecker
+    # builds of Pauli words and operator sums are oracles
+    def forbidden(self):
+        raise AssertionError("the run path built a Kronecker matrix")
+
+    monkeypatch.setattr(PauliString, "to_matrix", forbidden)
+    monkeypatch.setattr(OperatorSum, "to_matrix", forbidden)
     _run(tmp_path, overrides)
 
 

@@ -363,6 +363,66 @@ class TestPhysicality:
         assert physicality_report(res)["max_negative_eigenvalue"] < 1e-15
 
 
+class TestInitialStateCheck:
+    """check_physical_initial_state as a one-sample trajectory on the state's support."""
+
+    @staticmethod
+    def stationary(n, zeta):
+        return (OperatorSum.identity(n) + OperatorSum.from_pauli(parity_word(n), zeta)).scaled(2.0 ** -n)
+
+    def test_accepts_and_rejects_every_state_form(self):
+        n = 3
+        for zeta, ok in ((0.5, True), (1.5, False)):
+            op = self.stationary(n, zeta)
+            for state in (op, vectorize_operator(op), op.to_matrix()):
+                if ok:
+                    check_physical_initial_state(state)
+                else:
+                    # (I + zeta M) / 2^N has the eigenvalues (1 +- zeta) / 2^N
+                    with pytest.raises(ValueError, match=f"negative eigenvalue: minimum eigenvalue {-0.5 / 8:.3e}"):
+                        check_physical_initial_state(state)
+
+    def test_non_hermitian_state_rejected(self):
+        n = 2
+        op = self.stationary(n, 0.5) + OperatorSum.from_pauli(PauliString.single(n, 1, "Z"), 0.1j)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_physical_initial_state(op)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_physical_initial_state(op.to_matrix())
+
+    def test_odd_degree_state_takes_the_full_matrix_path(self, monkeypatch):
+        import lmem.dynamics
+
+        # sx_1 = w_1 has degree 1, so the state does not commute with the parity
+        n = 3
+        op = OperatorSum.identity(n, 0.125) + OperatorSum.from_pauli(PauliString.single(n, 1, "X"), 0.2)
+        lam = np.linalg.eigvalsh(op.to_matrix()).min()
+        assert lam == pytest.approx(-0.075)
+        paths = []
+        kernel = lmem.dynamics.dense_blocks
+
+        def spy(amplitudes, n_sites, parity_blocks=False):
+            paths.append(parity_blocks)
+            return kernel(amplitudes, n_sites, parity_blocks)
+
+        monkeypatch.setattr(lmem.dynamics, "dense_blocks", spy)
+        with pytest.raises(ValueError, match=f"minimum eigenvalue {lam:.3e}"):
+            check_physical_initial_state(op)
+        assert paths == [False]
+
+
+def test_dense_kernels_honour_the_cap(monkeypatch):
+    from lmem.pauli import SizeLimitError
+
+    n = 4
+    res = evolve(up_state(n), params(n), np.array([0.0, 1.0]))
+    monkeypatch.setenv("LMEM_DENSE_LIMIT", "3")
+    with pytest.raises(SizeLimitError, match="LMEM_DENSE_LIMIT"):
+        physicality_report(res)
+    with pytest.raises(SizeLimitError, match="LMEM_DENSE_LIMIT"):
+        devectorize(res.state(1))
+
+
 class TestExpectation:
     def test_identity_expectation(self):
         n = 2

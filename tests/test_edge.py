@@ -463,3 +463,16 @@ def test_pair_orthogonality_relations():
                 # the words differ exactly by the parity factor
                 if wj != wi.mul(parity_word(n)).hermitian_key()[1]:
                     assert abs(inner_p) < 1e-10
+
+
+def test_readme_library_example(capsys):
+    # the README's "Library example" block, run as printed
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    ratio_line, category_line = capsys.readouterr().out.splitlines()
+    assert float(ratio_line.split()[0]) == pytest.approx(2.0, abs=1e-12)
+    assert category_line == "A"

@@ -69,8 +69,6 @@ def test_single_bond_dissipator():
     assert len(ds) == 1
     word = PauliString.from_codes("XXI")
     assert ds[0].coefficient(word) == pytest.approx(0.2)
-    ds_rates = build_dissipators(p, convention="rates")
-    assert ds_rates[0].coefficient(word) == pytest.approx(np.sqrt(0.2))
 
 
 def test_negative_rate_rejected():

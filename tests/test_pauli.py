@@ -7,8 +7,6 @@ from lmem.pauli import (
     PauliString,
     majorana_to_spin,
     parity_word,
-    pauli_commutation_sign,
-    pauli_multiply,
     spin_to_majorana,
 )
 
@@ -39,7 +37,7 @@ class TestPauliString:
     def test_x_times_y_is_iz(self):
         x = PauliString.single(1, 1, "X")
         y = PauliString.single(1, 1, "Y")
-        prod = pauli_multiply(x, y)
+        prod = x.mul(y)
         assert prod.codes == "Z"
         assert prod.phase == 1j
 
@@ -74,8 +72,8 @@ class TestPauliString:
     def test_commutation_sign_trivial_cases(self):
         x1 = PauliString.single(2, 1, "X")
         z1 = PauliString.single(2, 1, "Z")
-        assert pauli_commutation_sign(x1, x1) == 1
-        assert pauli_commutation_sign(x1, z1) == -1
+        assert x1.commutation_sign(x1) == 1
+        assert x1.commutation_sign(z1) == -1
 
     def test_commutation_sign_against_dense(self):
         # edge-classification word at N=4, value frozen from the dense oracle
