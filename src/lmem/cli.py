@@ -101,6 +101,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {name}={value}")
+    return value
+
+
 class ExperimentConfig:
     """Validated experiment description."""
 
@@ -120,13 +127,20 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got seed={self.seed}")
         self.output_dir = Path(data.get("output_dir", "lmem-out"))
         self.zeta = float(data.get("zeta", 0.5))
-        self.bulk_amplitude = float(data.get("bulk_amplitude", 0.1))
+        if not -1.0 <= self.zeta <= 1.0:
+            raise ConfigError(f"zeta must lie in [-1, 1], got zeta={self.zeta}")
+        if exp in ("fig3a", "fig3b") and self.zeta == 0:
+            # both compare the edge ratio x1/x2 with 1/zeta
+            raise ConfigError(f"{exp} needs a nonzero zeta, got zeta={self.zeta}")
+        self.bulk_amplitude = _finite("bulk_amplitude", data.get("bulk_amplitude", 0.1))
         self.nonproduct_amplitudes = tuple(
-            float(v) for v in data.get("nonproduct_amplitudes", (0.05, 0.05))
+            _finite("nonproduct_amplitudes", v) for v in data.get("nonproduct_amplitudes", (0.05, 0.05))
         )
-        self.edge_state_amplitude = float(data.get("edge_state_amplitude", 0.3))
+        self.edge_state_amplitude = _finite("edge_state_amplitude", data.get("edge_state_amplitude", 0.3))
         self.n_draws = int(data.get("n_draws", 10))
-        self.transverse_values = [float(v) for v in data.get("transverse_values", (0.0, 2.0))]
+        self.transverse_values = [
+            _finite("transverse_values", v) for v in data.get("transverse_values", (0.0, 2.0))
+        ]
         self.max_n_sites = int(data.get("max_n_sites", 4))
         if self.n_draws < 1:
             raise ConfigError(f"n_draws must be >= 1, got n_draws={self.n_draws}")
@@ -142,7 +156,10 @@ class ExperimentConfig:
         if exp != "oracle-suite" or "model" in data:
             if "model" not in data:
                 raise ConfigError(f"experiment {exp!r} requires a model block")
-            self.model = ModelParams.from_dict(data["model"])
+            try:
+                self.model = ModelParams.from_dict(data["model"])
+            except ValueError as exc:
+                raise ConfigError(f"model: {exc}") from exc
         else:
             self.model = None
 
@@ -171,6 +188,9 @@ class ExperimentConfig:
                 "gamma_scan needs finite gamma_min <= gamma_max and n_points >= 2, "
                 f"got gamma_scan=({lo}, {hi}, {k})"
             )
+        if lo < 0:
+            # every gamma of the scan becomes each site's dephasing rate
+            raise ConfigError(f"gamma_scan.gamma_min must be >= 0, got gamma_scan.gamma_min={lo}")
 
         self.sector = data.get("sector")
         if self.sector is not None:

@@ -60,7 +60,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from numpy.linalg import LinAlgError, cholesky, eigvalsh
-from scipy.spatial import cKDTree
 
 from .fock import (
     _PHASE_OF_POWER,
@@ -534,16 +533,41 @@ class ScanPoint:
     exceptional: bool
 
 
+_GAP_CHUNK = 1 << 20  # pair distances `_min_gap` holds at once
+
+
+def _min_gap(lam: np.ndarray) -> float:
+    """Smallest distance |lam[i] - lam[j]| over i != j; inf below two entries.
+
+    One sort finds an exact repeat, which makes the gap 0.0; a composed
+    segment spectrum always has one (each eigenvalue comes twice, for the
+    edge pair). A spectrum without repeats gets the exact minimum of
+    sqrt(dx^2 + dy^2) over all pairs, in chunks of rows.
+    """
+    if lam.size < 2:
+        return np.inf
+    x, y = lam.real, lam.imag
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    if np.any((xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])):
+        return 0.0
+    best = np.inf
+    step = max(1, _GAP_CHUNK // lam.size)
+    for start in range(0, lam.size, step):
+        rows = np.arange(start, min(start + step, lam.size))
+        dx = x[rows, None] - x
+        dy = y[rows, None] - y
+        d2 = dx * dx + dy * dy
+        d2[np.arange(rows.size), rows] = np.inf
+        best = min(best, float(d2.min()))
+    return float(np.sqrt(best))
+
+
 def _scan_point(params_base: ModelParams, g: float, sector: SectorLabel) -> ScanPoint:
     """One gamma of `exceptional_point_scan`."""
     p = replace(params_base, dephasing_rates=np.full(params_base.n_sites, g))
     lam, cond = compose_segment_spectra(sector, p)
-    if lam.size > 1:
-        tree = cKDTree(np.column_stack([lam.real, lam.imag]))
-        dists, _ = tree.query(np.column_stack([lam.real, lam.imag]), k=2)
-        min_gap = float(dists[:, 1].min())
-    else:
-        min_gap = np.inf
+    min_gap = _min_gap(lam)
     return ScanPoint(
         gamma=float(g),
         eigenvalues=lam,
@@ -566,6 +590,11 @@ def exceptional_point_scan(
     eigenvalues coalesce within EP_GAP_TOL and the eigenvector matrix
     condition number exceeds EP_COND_THRESHOLD; the condition number
     distinguishes a defective coalescence from an ordinary degeneracy.
+
+    min_gap is the smallest distance between two entries of the spectrum,
+    so it is 0.0 whenever the composed spectrum repeats a value. Segment
+    spectra always do: each eigenvalue comes twice, for the decoupled edge
+    pair. The flag therefore rests on the condition number alone.
     """
     return [_scan_point(params_base, g, sector) for g in np.asarray(gamma_values, dtype=float)]
 

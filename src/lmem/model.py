@@ -30,7 +30,7 @@ class ModelParams:
 
     couplings has length N-1, dephasing_rates length N, field_b length N
     (only interior entries 2..N-1 enter the Hamiltonian), bond_dissipation
-    length N-1. All rates must be nonnegative.
+    length N-1. Every entry must be finite, and all rates nonnegative.
     """
 
     n_sites: int
@@ -44,7 +44,7 @@ class ModelParams:
     def __post_init__(self):
         n = self.n_sites
         if n < 2:
-            raise ValueError("n_sites must be >= 2")
+            raise ValueError(f"n_sites must be >= 2, got n_sites={n}")
         self.couplings = (
             np.ones(n - 1) if self.couplings is None
             else _as_float_array(self.couplings, n - 1, "couplings")
@@ -63,6 +63,10 @@ class ModelParams:
         )
         self.transverse_u = float(self.transverse_u)
         self.rng_seed = int(self.rng_seed)
+        for name in ("couplings", "dephasing_rates", "field_b", "transverse_u", "bond_dissipation"):
+            value = np.asarray(getattr(self, name))
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {name}={value.tolist()}")
         if np.any(self.dephasing_rates < 0):
             raise ValueError("dephasing_rates must be nonnegative")
         if np.any(self.bond_dissipation < 0):

@@ -32,7 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .fock import _index_range, site_count
 from .kappa import build_P_operator, kappa_all
@@ -308,9 +307,12 @@ def match_spectra(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> list[tuple
     ia, ib = spectral_order(a), spectral_order(b)
     if a.size == b.size and (a.size == 0 or np.abs(a[ia] - b[ib]).max() < tol):
         return list(zip(ia.tolist(), ib.tolist()))
-    # imported here: scipy.sparse.csgraph adds ~3 MB and 45 modules to every
-    # process, and no experiment reaches this branch
+    # imported here: no experiment reaches this branch, and at module level
+    # scipy.sparse.csgraph would add ~3 MB and 45 modules to every process,
+    # scipy.spatial (which loads scipy.linalg and scipy.special) ~0.2 s and
+    # ~16 MB
     from scipy.sparse.csgraph import maximum_bipartite_matching
+    from scipy.spatial import cKDTree
 
     tree = cKDTree(np.column_stack([b.real, b.imag]))
     hits = tree.query_ball_point(np.column_stack([a.real, a.imag]), r=tol)

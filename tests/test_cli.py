@@ -51,6 +51,19 @@ PURITY_N4 = {
     "time_grid": {"t_max": 2.0, "n_samples": 3},
 }
 
+SPECTRUM_N4 = {
+    "experiment": "fig4-spectrum",
+    "model": {"n_sites": 4, "couplings": [2.0] * 3, "dephasing_rates": [1.0] * 4},
+    "gamma_scan": {"gamma_min": 1.0, "gamma_max": 3.0, "n_points": 3},
+    "sector": "+-+",
+}
+
+CENSUS_N4 = {
+    "experiment": "sector-census",
+    "model": {"n_sites": 4, "couplings": [1.0] * 3, "dephasing_rates": [0.5] * 4},
+    "with_spectra": True,
+}
+
 
 class TestConfig:
     def test_unknown_field_rejected(self):
@@ -302,12 +315,45 @@ def test_bad_config_exits_with_usage_status(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, pattern",
+    [
+        (
+            {"experiment": "fig4-spectrum", "sector": "+-+",
+             "gamma_scan": {"gamma_min": -1.0, "gamma_max": 2.0, "n_points": 4}},
+            r"gamma_scan\.gamma_min must be >= 0, got gamma_scan\.gamma_min=-1\.0",
+        ),
+        ({"model": {"n_sites": 1}}, r"model: n_sites must be >= 2, got n_sites=1"),
+        ({"zeta": float("nan")}, r"zeta must lie in \[-1, 1\], got zeta=nan"),
+        ({"zeta": 0.0}, r"fig3a needs a nonzero zeta, got zeta=0\.0"),
+        (
+            {"model": {**base_model(4), "couplings": [1.0, float("nan"), 1.0]}},
+            r"model: couplings must be finite, got couplings=\[1\.0, nan, 1\.0\]",
+        ),
+        (
+            {"experiment": "fig3b", "n_draws": 1, "transverse_values": [0.0, float("inf")]},
+            r"transverse_values must be finite, got transverse_values=inf",
+        ),
+    ],
+    ids=["gamma_min<0", "n_sites=1", "zeta=nan", "zeta=0", "couplings=nan", "transverse=inf"],
+)
+def test_bad_setting_is_a_usage_error(tmp_path, capsys, overrides, pattern):
+    # each used to end in a traceback with exit status 1: a negative
+    # gamma_min partway through the scan naming dephasing_rates, n_sites=1
+    # from ModelParams, zeta=nan in edge.validate, zeta=0 dividing by zero
+    # and the non-finite values inside the generator or the eigensolver
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+    assert main(["run", str(cfg_path)]) == 2
+    _assert_usage_error(capsys, pattern)
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_config_exit_status_from_the_command_line(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(make_config(tmp_path, seed=-1)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_src_dir(), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
-        [sys.executable, "-m", "lmem.cli", "run", str(cfg_path)], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "lmem.cli", "run", str(cfg_path)], capture_output=True, text=True, env=_env()
     )
     assert out.returncode == 2
     assert out.stderr == "lmem: error: seed must be >= 0, got seed=-1\n"
@@ -445,19 +491,49 @@ def _src_dir() -> str:
     return str(Path(lmem.__file__).resolve().parents[1])
 
 
+def _env() -> dict:
+    """The environment of a child Python that imports this checkout's lmem."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_src_dir(), os.environ.get("PYTHONPATH")]))}
+
+
+# modules no experiment uses: scipy.integrate would add ~0.3 s of imports,
+# scipy.sparse.csgraph ~3 MB of peak RSS, and scipy.spatial, with the
+# scipy.linalg and scipy.special it loads, ~0.2 s and ~16 MB
+UNUSED_SCIPY = ("scipy.integrate", "scipy.sparse.csgraph", "scipy.spatial", "scipy.linalg", "scipy.special")
+
+
 def test_import_does_not_load_scipy_integrate():
-    # the run path imports what it needs at load time; scipy.integrate would
-    # add ~0.3 s of imports, and scipy.sparse.csgraph ~3 MB of peak RSS, that
-    # no experiment uses
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_src_dir(), os.environ.get("PYTHONPATH")]))}
+    # the run path imports what it needs at load time, and nothing more
+    code = f"import sys, lmem, lmem.cli; print([m for m in {UNUSED_SCIPY!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_env())
+    assert out.stdout.strip() == "[]"
+
+
+def test_runs_do_not_load_unused_scipy(tmp_path):
+    # every experiment at N=4 and `lmem verify`, one after another in one
+    # process; a module imported lazily on some path stays in sys.modules
+    configs = [
+        make_config(tmp_path),
+        make_config(tmp_path, experiment="fig3b", n_draws=1),
+        make_config(tmp_path, **PURITY_N4),
+        make_config(tmp_path, **SPECTRUM_N4),
+        make_config(tmp_path, **CENSUS_N4),
+        {"experiment": "oracle-suite", "max_n_sites": 4, "seed": 0},
+    ]
+    argvs = []
+    for cfg in configs:
+        path = tmp_path / f"{cfg['experiment']}.json"
+        path.write_text(json.dumps(cfg))
+        argvs.append(["run", str(path), "--out", str(tmp_path / cfg["experiment"])])
+    argvs.append(["verify", "--out", str(tmp_path / "verify")])
     code = (
-        "import sys, lmem, lmem.cli; "
-        "print([m in sys.modules for m in ('scipy.integrate', 'scipy.sparse.csgraph')])"
+        "import sys\n"
+        "from lmem.cli import main\n"
+        f"assert [main(argv) for argv in {argvs!r}] == [0] * {len(argvs)}\n"
+        f"print([m for m in {UNUSED_SCIPY!r} if m in sys.modules])\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout.strip() == "[False, False]"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_env())
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 def _forbid(monkeypatch, originals, what) -> int:
@@ -491,23 +567,7 @@ def test_run_path_builds_no_kappa_cascade(tmp_path, monkeypatch, overrides):
     _run(tmp_path, overrides)
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {
-            "experiment": "fig4-spectrum",
-            "model": {"n_sites": 4, "couplings": [2.0] * 3, "dephasing_rates": [1.0] * 4},
-            "gamma_scan": {"gamma_min": 1.0, "gamma_max": 3.0, "n_points": 3},
-            "sector": "+-+",
-        },
-        {
-            "experiment": "sector-census",
-            "model": {"n_sites": 4, "couplings": [1.0] * 3, "dephasing_rates": [0.5] * 4},
-            "with_spectra": True,
-        },
-    ],
-    ids=["fig4-spectrum", "sector-census"],
-)
+@pytest.mark.parametrize("overrides", [SPECTRUM_N4, CENSUS_N4], ids=["fig4-spectrum", "sector-census"])
 def test_run_path_builds_no_generator_or_dense_block(tmp_path, monkeypatch, overrides):
     # sector spectra come from the broken-chain segments; the 4^N generator
     # and its dense sector restriction are oracles for the tests and verify

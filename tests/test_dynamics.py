@@ -5,7 +5,11 @@ import pytest
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
+from lmem import dynamics
 from lmem.dynamics import (
+    EP_COND_THRESHOLD,
+    EP_GAP_TOL,
+    _min_gap,
     _taylor_plan,
     check_physical_initial_state,
     evolve,
@@ -580,3 +584,48 @@ def test_exceptional_point_scan_rejects_perturbed_model():
     base = ModelParams(3, [1.0, 1.0], [1.0, 1.0, 1.0], bond_dissipation=[0.5, 0.0])
     with pytest.raises(ValueError, match="field_b, transverse_u and bond_dissipation"):
         exceptional_point_scan(base, [1.0], SectorLabel((-1, 1)))
+
+
+def _kdtree_min_gap(lam):
+    """The nearest-neighbour gap from a k-d tree, the oracle of `_min_gap`."""
+    from scipy.spatial import cKDTree
+
+    points = np.column_stack([lam.real, lam.imag])
+    dists, _ = cKDTree(points).query(points, k=2)
+    return float(dists[:, 1].min())
+
+
+def _random_spectra(seed, repeats):
+    rng = np.random.default_rng(seed)
+    for trial in range(40):
+        n = int(rng.integers(2, 300))
+        lam = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-6, 2)
+        if trial % 2:  # many shared real parts, so the sort must order by both
+            lam = np.round(lam.real, 1) + 1j * lam.imag
+        if repeats:
+            lam = rng.permutation(np.concatenate([lam, rng.choice(lam, int(rng.integers(1, n + 1)))]))
+        yield lam
+
+
+@pytest.mark.parametrize("chunk", [dynamics._GAP_CHUNK, 64], ids=["default-chunk", "row-chunks"])
+def test_min_gap_matches_kdtree(monkeypatch, chunk):
+    monkeypatch.setattr(dynamics, "_GAP_CHUNK", chunk)
+    for lam in _random_spectra(11, repeats=True):
+        assert _min_gap(lam) == _kdtree_min_gap(lam) == 0.0
+    for lam in _random_spectra(12, repeats=False):
+        gap = _min_gap(lam)
+        assert gap > 0 and gap == _kdtree_min_gap(lam)
+    assert _min_gap(np.array([1.0 - 2.0j])) == np.inf
+    assert _min_gap(np.array([], dtype=complex)) == np.inf
+
+
+def test_scan_min_gap_and_flags_match_kdtree():
+    # the shipped fig4-spectrum sector at N=6, gamma = J on the grid; every
+    # composed spectrum repeats each eigenvalue (the edge pair), so the gap is 0
+    base = params(6, J=2.0, gamma=1.0)
+    points = exceptional_point_scan(base, np.linspace(0.5, 4.0, 8), SectorLabel.from_string("+-+++"))
+    for pt in points:
+        gap = _kdtree_min_gap(pt.eigenvalues)
+        assert pt.min_gap == gap == 0.0
+        assert pt.exceptional == (gap < EP_GAP_TOL and pt.condition_number > EP_COND_THRESHOLD)
+    assert [pt.gamma for pt in points if pt.exceptional] == [2.0]
