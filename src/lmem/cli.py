@@ -220,6 +220,7 @@ class ExperimentConfig:
 
 
 def _fmt(value) -> str:
+    """One CSV value as text: the reference for `write_csv`'s row templates."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -229,12 +230,33 @@ def _fmt(value) -> str:
     return f"{float(value):.16e}"
 
 
+def _row_template(types) -> str:
+    """The %-format template that writes a row of values of these types as
+    `_fmt` writes each value: %d reads a bool or integer, numpy's included,
+    as the Python int it converts to, and %e any other value as float(value)."""
+    specs = []
+    for t in types:
+        if issubclass(t, str):
+            specs.append("%s")
+        elif issubclass(t, (bool, np.bool_, int, np.integer)):
+            specs.append("%d")
+        else:
+            specs.append("%.16e")
+    return ",".join(specs) + "\n"
+
+
 def write_csv(path: Path, header, rows) -> None:
+    """Write header and rows, each value as `_fmt` formats it; each row is
+    one %-format of a template built once per tuple of value types."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    templates = {}
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            types = tuple(map(type, row))
+            if types not in templates:
+                templates[types] = _row_template(types)
+            fh.write(templates[types] % tuple(row))
 
 
 def write_metadata(outdir: Path, config: ExperimentConfig, extra: dict) -> None:
@@ -424,7 +446,13 @@ def run_fig3b(config: ExperimentConfig, outdir: Path) -> dict:
         for k, ds in enumerate(draw_seeds):
             res = _evolve(rho0, random_perturbed_params(n, u=u, rng_seed=ds), t_grid)
             tr = ratio_trace(x1, x2, res)
-            phys = physicality_report(res)
+            try:
+                phys = physicality_report(res)
+            except SizeLimitError as exc:
+                # only a transverse field leaves the quadratic path for the dense one
+                raise ConfigError(
+                    f"physicality check of the u={u:g} trajectory at n_sites={n}: {exc}; reduce n_sites"
+                ) from exc
             evolution[f"u={u:g}"] = res.method_tag
             write_csv(
                 outdir / f"fig3b_u{u:g}_draw{k:02d}.csv",

@@ -37,13 +37,24 @@ third-quantized form is its oracle). Two methods are cross-validated:
 `physicality_report` certifies that a whole trajectory stays a density
 matrix without a per-sample loop over dense matrices. The trace and
 Hermiticity defects are reductions over the amplitude array. Positivity
-is checked on the Hermitian part of each sample, rebuilt in chunks of
-samples by the Walsh-Hadamard kernel `fock.dense_blocks`: when every
-odd-degree amplitude of a chunk vanishes, rho commutes with the parity M
-and splits into two 2^{N-1} blocks, otherwise the full matrices are
-built. Each stack first goes to Cholesky; only a stack it rejects goes to
-`eigvalsh`, so a sample that is not positive definite still reports its
-least eigenvalue, while one Cholesky accepts reports 0.
+is that of the Hermitian part of each sample, by one of two paths chosen
+from the stored basis indices:
+
+* quadratic: when every index has Majorana degree 0, 2, 2N - 2 or 2N
+  (N >= 3), as for every fig3a state and fig3b's without a transverse
+  field, each parity block of a sample is a quadratic form in the
+  Majoranas, and its least eigenvalue follows exactly from the
+  eigenvalues of a 2N x 2N matrix and the sign of its Pfaffian
+  (`_quadratic_lowest`), batched over samples and both blocks. No 2^N
+  matrix is built, so the dense cap does not apply.
+* dense: every other trajectory is rebuilt in chunks of samples by the
+  Walsh-Hadamard kernel `fock.dense_blocks`: when every odd-degree
+  amplitude of a chunk vanishes, rho commutes with the parity M and splits
+  into two 2^{N-1} blocks, otherwise the full matrices are built. Each
+  stack first goes to Cholesky; only a stack it rejects goes to
+  `eigvalsh`, so a sample that is not positive definite still reports its
+  least eigenvalue, while one Cholesky accepts reports 0.
+
 `check_physical_initial_state` runs the same routine on one state, held
 as a one-sample trajectory on its nonzero amplitudes, so no run path
 builds a Kronecker product of Pauli matrices.
@@ -56,6 +67,7 @@ eigenvalues in the closed lower half plane, anti-conjugate pairing
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -416,20 +428,116 @@ def expectation_series(X, result: EvolutionResult) -> np.ndarray:
     return 2 ** result.n_sites * terms.sum(axis=-1)
 
 
-def _physicality(values: np.ndarray, indices: np.ndarray, n_sites: int) -> dict:
-    """Worst-case trace, Hermiticity, and positivity deviations of the
-    samples values[k], held on the sorted basis indices `indices`.
+def _is_quadratic(indices: np.ndarray, n_sites: int) -> bool:
+    """Whether every basis index has Majorana degree 0, 2, 2N - 2 or 2N, with
+    N >= 3; below that the degree-2 and degree-(2N - 2) words coincide."""
+    k = _bitcount(indices)
+    return n_sites >= 3 and not np.any((k % 2 == 1) | ((k > 2) & (k < 2 * n_sites - 2)))
 
-    The samples are walked in chunks (`fock.row_chunks`). The trace and
-    Hermiticity defects are array reductions over the stored amplitudes.
-    Positivity is that of the Hermitian part of each sample, scattered
-    into 4^N amplitude vectors one chunk at a time and rebuilt by
-    `fock.dense_blocks`. A chunk whose
-    odd-degree amplitudes all vanish commutes with the parity M and is
-    checked on its two 2^{N-1} parity blocks, otherwise on the full
-    matrices. A sample Cholesky accepts counts as 0; the others report
-    max(0, -lambda_min).
+
+@lru_cache(maxsize=None)
+def _pair_tables(n_sites: int):
+    """(rows, cols, masks, powers) of `_quadratic_lowest`, one entry per pair
+    i < j of the 2N modes (0-based): the mask of w_i w_j in masks[0], that
+    of its complement w^{i^ j^}, the degree-(2N - 2) word without modes i
+    and j, in masks[1], and N + 2 (i + j), the power of i in
+    w^{i^ j^} = i^N (-1)^{i + j} w_i w_j Z_1 ... Z_N.
     """
+    m = 2 * n_sites
+    rows, cols = np.triu_indices(m, 1)
+    pairs = (np.int64(1) << rows) | (np.int64(1) << cols)
+    masks = np.stack([pairs, ((1 << m) - 1) ^ pairs])
+    return rows, cols, masks, n_sites + 2 * (rows + cols)
+
+
+def _pfaffian_signs(a: np.ndarray) -> np.ndarray:
+    """sgn Pf of each real antisymmetric 2N x 2N matrix of the stack a (B, 2N, 2N),
+    0 where the Pfaffian vanishes.
+
+    Parlett-Reid elimination with partial pivoting (Wimmer, ACM TOMS 38, 30
+    (2012)), batched: each of the N steps swaps the largest entry of the
+    first column below the diagonal into row 1 (a swap negates the
+    Pfaffian), multiplies in the sign of the pivot a[0, 1], and passes on
+    the trailing block with the rank-two update that eliminates rows and
+    columns 0 and 1.
+    """
+    batch = np.arange(len(a))[:, None, None]
+    sign = np.ones(len(a))
+    while a.shape[-1]:
+        size = a.shape[-1]
+        r = 1 + np.abs(a[:, 1:, 0]).argmax(axis=1)
+        sign[r != 1] *= -1
+        perm = np.tile(np.arange(size), (len(a), 1))
+        perm[:, 1] = r
+        perm[np.arange(len(a)), r] = 1
+        a = a[batch, perm[:, :, None], perm[:, None, :]]
+        pivot = a[:, 0, 1]
+        sign *= np.sign(pivot)
+        # a zero pivot leaves a zero row 0, and the sign 0 stays
+        tau = np.divide(a[:, 0, 2:], pivot[:, None], out=np.zeros((len(a), size - 2)), where=pivot[:, None] != 0)
+        col = a[:, 2:, 1]
+        a = a[:, 2:, 2:] + tau[:, :, None] * col[:, None, :] - col[:, :, None] * tau[:, None, :]
+    return sign
+
+
+def _quadratic_lowest(part: np.ndarray, indices: np.ndarray, n_sites: int) -> np.ndarray:
+    """Least eigenvalue of each Hermitian sample part[k] on each parity block,
+    shape (T, 2), for amplitudes on indices of Majorana degrees 0, 2, 2N - 2
+    and 2N only (`_is_quadratic`); no 2^N matrix is built. Where the lower
+    bound c(p) - sum eps_k below is nonnegative, the block is positive
+    semidefinite and the bound is returned in its place, so max(0, -x) is
+    exact for every entry x, and the Pfaffian runs only on the other blocks.
+
+    W = w_1 ... w_{2N} = i^N Z_1 ... Z_N is i^N p on the block p = +1 (even
+    popcount) and p = -1 (odd), and each degree-(2N - 2) word is
+    w^{i^ j^} = (-1)^{i + j} w_i w_j W. On block p a sample is therefore
+    c(p) I + sum_{i<j} h_ij(p) w_i w_j with c(p) = c_0 + i^N p c_W and
+    h_ij(p) = c_ij + (-1)^{i + j} i^N p c_{i^ j^}: the quadratic form
+    c(p) I + (i/2) sum a_ij w_i w_j of the real antisymmetric a(p) with
+    a_ij = -i h_ij above the diagonal (Lieb, Schultz & Mattis, Ann. Phys.
+    16, 407 (1961)). With +-eps_k the eigenvalues of i a(p), its spectrum
+    on block p is c(p) + sum_k s_k eps_k over the signs with
+    prod_k s_k = (-1)^N p sgn det O, where O brings a(p) to its canonical
+    form, and sgn det O = sgn Pf a(p). The least eigenvalue is therefore
+    c(p) - sum eps_k when sgn Pf a(p) p > 0, and c(p) - sum eps_k +
+    2 min eps_k otherwise; when Pf a(p) = 0 some eps_k = 0 and both agree.
+    The factors are powers of i, exact on finite amplitudes, so an
+    imaginary part of c(p) or a(p) that is not exactly 0 is a bug, not
+    rounding, and raises.
+    """
+    n = n_sites
+    m = 2 * n
+    rows, cols, masks, powers = _pair_tables(n)
+    # blocks p = +1, -1 along the first axis, where W = i^{N + shift}
+    p = np.array([[1], [-1]])
+    shift = 1 - p
+    c0, cw = gather_columns(part, indices, [0, (1 << m) - 1]).T
+    c = c0 + _PHASE_OF_POWER[(n + shift) & 3] * cw  # (2, T)
+    pair, comp = gather_columns(part, indices, masks).transpose(1, 0, 2)  # (T, pairs) each
+    # -i h_ij = i^3 c_ij + i^{3 + N + 2(i + j) + shift} c_{i^ j^}
+    upper = -1j * pair + _PHASE_OF_POWER[(3 + powers + shift[..., None]) & 3] * comp
+    if c.imag.any() or upper.imag.any():
+        raise RuntimeError("the state is not a real quadratic form on a parity block")
+    a = np.zeros((2, len(part), m, m))
+    a[..., rows, cols] = upper.real
+    a[..., cols, rows] = -upper.real
+    eps = eigvalsh(1j * a)[..., n:]  # the N nonnegative eigenvalues, ascending
+    lowest = c.real - eps.sum(axis=-1)
+    # the all-minus signs are allowed when sgn Pf a(p) p > 0; otherwise the smallest mode flips
+    negative = lowest < 0
+    if negative.any():
+        flip = _pfaffian_signs(a[negative]) * np.broadcast_to(p, negative.shape)[negative] <= 0
+        lowest[negative] += np.where(flip, 2 * eps[negative, 0], 0.0)
+    return lowest.T
+
+
+def _dense_positivity(values: np.ndarray, indices: np.ndarray, n_sites: int) -> tuple[float, float]:
+    """(Hermiticity defect, max(0, -lambda_min)) over the samples values[k],
+    walked in chunks (`fock.row_chunks`). The Hermitian part of each chunk is
+    scattered into 4^N amplitude vectors and rebuilt by `fock.dense_blocks`:
+    a chunk whose odd-degree amplitudes all vanish commutes with the parity
+    M and is checked on its two 2^{N-1} parity blocks, otherwise on the full
+    matrices. A sample Cholesky accepts counts as 0."""
     n = n_sites
     odd = (_bitcount(indices) & 1).astype(bool)
     worst_herm = 0.0
@@ -442,6 +550,28 @@ def _physicality(values: np.ndarray, indices: np.ndarray, n_sites: int) -> dict:
         lam = _lowest_eigenvalue(blocks)
         if lam is not None:
             worst_neg = max(worst_neg, -lam)
+    return worst_herm, worst_neg
+
+
+def _physicality(values: np.ndarray, indices: np.ndarray, n_sites: int) -> dict:
+    """Worst-case trace, Hermiticity, and positivity deviations of the
+    samples values[k], held on the sorted basis indices `indices`.
+
+    The trace and Hermiticity defects are array reductions over the stored
+    amplitudes. Positivity is that of the Hermitian part of each sample,
+    reported as max(0, -lambda_min). Samples stored on Majorana degrees 0,
+    2, 2N - 2 and 2N only (fig3a, and fig3b without a transverse field)
+    take the exact quadratic-form spectrum `_quadratic_lowest` from 2N x 2N
+    matrices; every other trajectory, and any N < 3, the dense blocks of
+    `_dense_positivity`, within the dense cap.
+    """
+    n = n_sites
+    if _is_quadratic(indices, n):
+        part = hermitian_part(values, n, indices)
+        worst_herm = _hermiticity_defect(values, part)
+        worst_neg = max(0.0, -float(_quadratic_lowest(part, indices, n).min()))
+    else:
+        worst_herm, worst_neg = _dense_positivity(values, indices, n)
     # tr(rho) = 2^N c_0, as in `fock.vector_trace`
     trace = 2 ** n * gather_columns(values, indices, [0])[:, 0]
     return {

@@ -155,6 +155,23 @@ def test_csv_formatting_round_trips_doubles(tmp_path):
     assert [float(s) for s in lines] == values
 
 
+def test_csv_rows_match_the_value_formatter(tmp_path):
+    from fractions import Fraction
+
+    from lmem.cli import _fmt
+
+    rows = [
+        (True, np.True_, np.False_, 3, np.int64(-4), "label", np.str_("x"), 0.1, np.float64(-2.5e-17)),
+        (False, False, True, 0, np.int32(7), "", "y", np.nan, np.float64(np.inf)),
+        (1, 2, 3, 4, 5, "z", "w", -np.inf, np.float32(0.1)),
+        (Fraction(1, 3), True, False, 1, 2, "f", "g", -0.0, 1e-300),  # any other number: float(value)
+    ]
+    path = tmp_path / "x.csv"
+    write_csv(path, [f"c{k}" for k in range(9)], rows)
+    expected = ["c0,c1,c2,c3,c4,c5,c6,c7,c8"] + [",".join(_fmt(v) for v in row) for row in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
 def test_fig3a_end_to_end(tmp_path):
     cfg = ExperimentConfig(make_config(tmp_path))
     results = run_experiment(cfg)
@@ -279,8 +296,12 @@ def test_symbolic_initial_states_match_dense_forms(n):
             {"experiment": "sector-census", "with_spectra": True},
             r"with_spectra at n_sites=4: .*LMEM_DENSE_LIMIT",
         ),
-        ({}, r"initial-state check at n_sites=4: .*LMEM_DENSE_LIMIT"),
-        ({"experiment": "fig3b", "n_draws": 1}, r"initial-state check at n_sites=4: .*LMEM_DENSE_LIMIT"),
+        # fig3a's states stay on the quadratic positivity path, which builds no 2^N matrix
+        ({}, None),
+        (
+            {"experiment": "fig3b", "n_draws": 1},
+            r"physicality check of the u=2 trajectory at n_sites=4: .*LMEM_DENSE_LIMIT.*; reduce n_sites$",
+        ),
         (PURITY_N4, r"initial-state check at n_sites=4: .*LMEM_DENSE_LIMIT"),
     ],
     ids=["fig4-spectrum", "sector-census", "fig3a", "fig3b", "fig4-purity"],
@@ -290,6 +311,10 @@ def test_dense_cap_overflow_names_setting(tmp_path, monkeypatch, capsys, overrid
     monkeypatch.setenv("LMEM_DENSE_LIMIT", "3")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+    if pattern is None:
+        assert main(["run", str(cfg_path)]) == 0
+        assert (tmp_path / "out" / "metadata.json").exists()
+        return
     with pytest.raises(ConfigError, match=pattern):
         run_experiment(ExperimentConfig.from_file(cfg_path))
     # lmem run reports the same message as a one-line usage error
@@ -660,11 +685,28 @@ def test_full_space_budget_names_setting(tmp_path, monkeypatch, capsys, limit, p
     _assert_usage_error(capsys, pattern)
 
 
-@pytest.mark.parametrize("overrides", [{}, PURITY_N4], ids=["fig3a", "fig4-purity"])
+@pytest.mark.parametrize("overrides", [PURITY_N4], ids=["fig4-purity"])
 def test_run_path_positivity_stops_at_cholesky(tmp_path, monkeypatch, overrides):
     # every initial state and trajectory sample of these runs is positive
     # definite, so Cholesky accepts it and the eigvalsh fallback never runs
     assert _forbid(monkeypatch, [np.linalg.eigvalsh], "reached the eigvalsh fallback") > 0
+    _run(tmp_path, overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"experiment": "fig3b", "n_draws": 2, "transverse_values": [0.0]}],
+    ids=["fig3a", "fig3b-u0"],
+)
+def test_degree_path_positivity_builds_no_dense_block(tmp_path, monkeypatch, overrides):
+    # the initial states and trajectories of these runs stay on Majorana
+    # degrees 0, 2, 2N - 2 and 2N, so positivity comes from the quadratic
+    # form: no dense block is rebuilt and none reaches Cholesky (nor its
+    # eigvalsh fallback, which runs only after Cholesky)
+    import lmem.fock
+
+    originals = [lmem.fock.dense_blocks, np.linalg.cholesky]
+    assert _forbid(monkeypatch, originals, "built or factorized a dense block") > 0
     _run(tmp_path, overrides)
 
 

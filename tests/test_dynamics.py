@@ -21,10 +21,13 @@ from lmem.dynamics import (
     spectrum_analysis,
 )
 from lmem.fock import (
+    dense_blocks,
     devectorize,
+    hermitian_powers,
     parity_values,
     reversal_signs,
     row_chunks,
+    scatter_columns,
     vector_purity,
     vectorize,
     vectorize_operator,
@@ -413,6 +416,122 @@ class TestInitialStateCheck:
         with pytest.raises(ValueError, match=f"minimum eigenvalue {lam:.3e}"):
             check_physical_initial_state(op)
         assert paths == [False]
+
+
+def quadratic_support(n):
+    """Basis indices of Majorana degree 0, 2, 2N - 2 and 2N."""
+    idx = np.arange(4 ** n)
+    return idx[np.isin(np.bitwise_count(idx), (0, 2, 2 * n - 2, 2 * n))]
+
+
+def random_quadratic_states(n, count, seed):
+    """count random Hermitian states on `quadratic_support(n)`, c_0 = 2^-N."""
+    indices = quadratic_support(n)
+    x = np.random.default_rng(seed).normal(size=(count, indices.size)) / 2 ** n
+    values = np.where(hermitian_powers(indices) == 1, 1j, 1.0) * x  # i^{p_a} x_a is Hermitian
+    values[:, 0] = 2.0 ** -n
+    return indices, values
+
+
+def dense_block_minima(values, indices, n):
+    """Least eigenvalue of each sample on each parity block, (T, 2), by eigvalsh."""
+    blocks = dense_blocks(scatter_columns(values, indices, n), n, parity_blocks=True)
+    return np.linalg.eigvalsh(blocks).min(axis=-1)
+
+
+def pfaffian(a):
+    """Pf a by expansion along the first row."""
+    if not len(a):
+        return 1.0
+    total = 0.0
+    for j in range(1, len(a)):
+        rest = [k for k in range(1, len(a)) if k != j]
+        total += (-1) ** (j + 1) * a[0, j] * pfaffian(a[np.ix_(rest, rest)])
+    return total
+
+
+class TestQuadraticPositivity:
+    """The 2N x 2N quadratic-form path of `_physicality` against dense eigvalsh."""
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_pfaffian_signs_match_the_expansion(self, m):
+        a = np.random.default_rng(m).normal(size=(25, m, m))
+        a -= a.transpose(0, 2, 1)
+        a[0, :, m - 1] = a[0, m - 1, :] = 0.0  # a vanishing Pfaffian has sign 0
+        expected = np.sign([pfaffian(x) for x in a])
+        assert expected[0] == 0
+        np.testing.assert_array_equal(dynamics._pfaffian_signs(a), expected)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_states_match_dense_blocks(self, n, monkeypatch):
+        indices, values = random_quadratic_states(n, 40, seed=n)
+        assert dynamics._is_quadratic(indices, n)
+        ref = dense_block_minima(values, indices, n)
+        assert (ref < 0).all()  # so every block goes through the Pfaffian
+        got = dynamics._quadratic_lowest(values, indices, n)
+        atol = 1e-13 * np.abs(ref).max()
+        np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+        # random forms have no zero mode, so the Pfaffian sign decides the
+        # branch: with every sign flipped the least eigenvalues come out wrong
+        signs = dynamics._pfaffian_signs
+        monkeypatch.setattr(dynamics, "_pfaffian_signs", lambda a: -signs(a))
+        wrong = np.abs(dynamics._quadratic_lowest(values, indices, n) - ref) > 1e3 * atol
+        assert wrong.all()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_states_negative_on_one_parity_block(self, n):
+        indices, values = random_quadratic_states(n, 20, seed=10 + n)
+        lowest = dense_block_minima(values, indices, n)
+        values[:, 0] -= lowest.mean(axis=1)  # shifts both blocks' spectra by the same amount
+        ref = dense_block_minima(values, indices, n)
+        assert ((ref < 0).sum(axis=1) == 1).all()
+        got = dynamics._quadratic_lowest(values, indices, n)
+        atol = 1e-13 * np.abs(ref).max()
+        # the positive block may report a nonnegative lower bound instead
+        np.testing.assert_allclose(np.minimum(got, 0), np.minimum(ref, 0), rtol=0, atol=atol)
+        assert (got <= ref + atol).all()
+        report = dynamics._physicality(values, indices, n)
+        assert report["max_negative_eigenvalue"] == pytest.approx(-ref.min(), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, kind", [(4, "product"), (4, "nonproduct"), (6, "product"), (6, "nonproduct"), (5, "fig3b")]
+    )
+    def test_fig3_trajectories_report_as_the_dense_path(self, n, kind, monkeypatch):
+        from lmem.cli import nonproduct_initial_state, product_initial_state
+
+        if kind == "fig3b":
+            p = random_perturbed_params(n, u=0.0, rng_seed=5)
+            rho0 = product_initial_state(n, 0.5, 0.1)
+        else:
+            p = params(n, J=1.0, gamma=1.0)
+            rho0 = (product_initial_state(n, 0.5, 0.1) if kind == "product"
+                    else nonproduct_initial_state(n, 0.5, 0.1, (0.05, 0.05)))
+        res = evolve(rho0, p, np.linspace(0, 10, 41))
+        assert dynamics._is_quadratic(res.indices, n)
+        got = dynamics._quadratic_lowest(res.values, res.indices, n)
+        np.testing.assert_allclose(got, dense_block_minima(res.values, res.indices, n), rtol=0, atol=1e-15)
+        report = physicality_report(res)
+        monkeypatch.setattr(dynamics, "_is_quadratic", lambda indices, n_sites: False)
+        assert report == physicality_report(res)
+        assert report["max_negative_eigenvalue"] == 0.0
+
+    def test_two_sites_take_the_dense_path(self):
+        # at N = 2 the degree-2 and degree-(2N - 2) words coincide, so a
+        # complement table would count every pair amplitude twice
+        n = 2
+        indices, values = random_quadratic_states(n, 30, seed=2)
+        assert indices.size == 8 and not dynamics._is_quadratic(indices, n)
+        ref = dense_block_minima(values, indices, n)
+        assert ref.min() < 0
+        got = dynamics._physicality(values, indices, n)
+        assert got["max_negative_eigenvalue"] == pytest.approx(-ref.min(), rel=1e-12)
+
+    def test_an_imaginary_quadratic_form_raises(self):
+        n = 3
+        indices, values = random_quadratic_states(n, 2, seed=1)
+        values[1, 1] += 0.01  # w_1 w_2 is anti-Hermitian: a real amplitude breaks the form
+        with pytest.raises(RuntimeError, match="not a real quadratic form"):
+            dynamics._quadratic_lowest(values, indices, n)
 
 
 def test_dense_kernels_honour_the_cap(monkeypatch):
