@@ -10,6 +10,15 @@ relations, and exceptional-point scans of sector spectra.
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the user chose a count: lmem's dense factorizations
+# are small, and extra threads only slow them, the more so with runs side by
+# side. OpenBLAS reads the variable when numpy loads it, so this has no
+# effect once numpy has been imported.
+if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .pauli import (
     MajoranaMonomial,
     OperatorSum,
@@ -56,6 +65,7 @@ from .dynamics import (
     EvolutionResult,
     SpectrumReport,
     evolve,
+    evolve_batches,
     exceptional_point_scan,
     expectation,
     spectrum_analysis,
@@ -105,6 +115,7 @@ __all__ = [
     "edge_factorization_test",
     "enumerate_sector_basis",
     "evolve",
+    "evolve_batches",
     "exceptional_point_scan",
     "expectation",
     "kappa_as_liouville_matrix",

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from .dynamics import (
     MemoryBudgetError,
     check_physical_initial_state,
     evolve,
+    evolve_batches,
     exceptional_point_scan,
     physicality_report,
 )
@@ -57,7 +59,7 @@ from .edge import (
 )
 from .fock import LiouvilleVector, vectorize_operator
 from .model import ModelParams, random_perturbed_params
-from .pauli import OperatorSum, PauliString, SizeLimitError, parity_word
+from .pauli import OperatorSum, PauliString, SizeLimitError, _check_dense, parity_word
 from .sectors import (
     SectorLabel,
     all_sector_labels,
@@ -101,10 +103,40 @@ class ConfigError(ValueError):
     pass
 
 
+def _real(name: str, value) -> float:
+    """A JSON number as a float; any other value, a bool or a string
+    included, is a ConfigError naming the setting."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number, got {name}={value!r}")
+    return float(value)
+
+
 def _finite(name: str, value) -> float:
-    value = float(value)
+    value = _real(name, value)
     if not np.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {name}={value}")
+    return value
+
+
+def _integer(name: str, value) -> int:
+    """A JSON number without a fractional part as an int; anything else is a
+    ConfigError naming the setting."""
+    if isinstance(value, (bool, np.bool_)) or not (
+        isinstance(value, (int, np.integer))
+        or (isinstance(value, (float, np.floating)) and float(value).is_integer())
+    ):
+        raise ConfigError(f"{name} must be an integer, got {name}={value!r}")
+    return int(value)
+
+
+_JSON_KINDS = {list: "a list", dict: "a JSON object", str: "a string", bool: "true or false"}
+
+
+def _of_type(name: str, value, kind: type):
+    """value itself when it is a `kind` (a path counts as a string), else a
+    ConfigError naming the setting."""
+    if not isinstance(value, (kind, Path) if kind is str else kind):
+        raise ConfigError(f"{name} must be {_JSON_KINDS[kind]}, got {name}={value!r}")
     return value
 
 
@@ -112,6 +144,8 @@ class ExperimentConfig:
     """Validated experiment description."""
 
     def __init__(self, data: dict):
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -122,11 +156,11 @@ class ExperimentConfig:
             )
         self.experiment = exp
         self.raw = dict(data)
-        self.seed = int(data.get("seed", 0))
+        self.seed = _integer("seed", data.get("seed", 0))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got seed={self.seed}")
-        self.output_dir = Path(data.get("output_dir", "lmem-out"))
-        self.zeta = float(data.get("zeta", 0.5))
+        self.output_dir = Path(_of_type("output_dir", data.get("output_dir", "lmem-out"), str))
+        self.zeta = _real("zeta", data.get("zeta", 0.5))
         if not -1.0 <= self.zeta <= 1.0:
             raise ConfigError(f"zeta must lie in [-1, 1], got zeta={self.zeta}")
         if exp in ("fig3a", "fig3b") and self.zeta == 0:
@@ -134,24 +168,31 @@ class ExperimentConfig:
             raise ConfigError(f"{exp} needs a nonzero zeta, got zeta={self.zeta}")
         self.bulk_amplitude = _finite("bulk_amplitude", data.get("bulk_amplitude", 0.1))
         self.nonproduct_amplitudes = tuple(
-            _finite("nonproduct_amplitudes", v) for v in data.get("nonproduct_amplitudes", (0.05, 0.05))
+            _finite("nonproduct_amplitudes", v)
+            for v in _of_type("nonproduct_amplitudes", data.get("nonproduct_amplitudes", [0.05, 0.05]), list)
         )
+        if len(self.nonproduct_amplitudes) != 2:
+            raise ConfigError(
+                f"nonproduct_amplitudes must list two amplitudes, got "
+                f"nonproduct_amplitudes={list(self.nonproduct_amplitudes)}"
+            )
         self.edge_state_amplitude = _finite("edge_state_amplitude", data.get("edge_state_amplitude", 0.3))
-        self.n_draws = int(data.get("n_draws", 10))
+        self.n_draws = _integer("n_draws", data.get("n_draws", 10))
         self.transverse_values = [
-            _finite("transverse_values", v) for v in data.get("transverse_values", (0.0, 2.0))
+            _finite("transverse_values", v)
+            for v in _of_type("transverse_values", data.get("transverse_values", [0.0, 2.0]), list)
         ]
-        self.max_n_sites = int(data.get("max_n_sites", 4))
+        self.max_n_sites = _integer("max_n_sites", data.get("max_n_sites", 4))
         if self.n_draws < 1:
             raise ConfigError(f"n_draws must be >= 1, got n_draws={self.n_draws}")
         if not self.transverse_values:
             raise ConfigError("transverse_values must list at least one value, got []")
         if self.max_n_sites < 2:
             raise ConfigError(f"max_n_sites must be >= 2, got max_n_sites={self.max_n_sites}")
-        self.with_spectra = bool(data.get("with_spectra", False))
+        self.with_spectra = _of_type("with_spectra", data.get("with_spectra", False), bool)
         # accepted so that existing configs load; the exact propagator has
         # no tolerance to set, so it does not affect any result
-        self.rtol = float(data.get("rtol", 1e-10))
+        self.rtol = _real("rtol", data.get("rtol", 1e-10))
 
         if exp != "oracle-suite" or "model" in data:
             if "model" not in data:
@@ -163,24 +204,24 @@ class ExperimentConfig:
         else:
             self.model = None
 
-        tg = data.get("time_grid", {"t_max": 10.0, "n_samples": 51})
+        tg = _of_type("time_grid", data.get("time_grid", {}), dict)
         if set(tg) - {"t_max", "n_samples"}:
             raise ConfigError("time_grid accepts only t_max and n_samples")
-        self.t_max = float(tg.get("t_max", 10.0))
-        self.n_samples = int(tg.get("n_samples", 51))
+        self.t_max = _real("time_grid.t_max", tg.get("t_max", 10.0))
+        self.n_samples = _integer("time_grid.n_samples", tg.get("n_samples", 51))
         if not (np.isfinite(self.t_max) and self.t_max >= 0) or self.n_samples < 2:
             raise ConfigError(
                 "time_grid requires a finite t_max >= 0 and n_samples >= 2, "
                 f"got time_grid.t_max={self.t_max}, n_samples={self.n_samples}"
             )
 
-        gs = data.get("gamma_scan", {"gamma_min": 0.5, "gamma_max": 4.0, "n_points": 36})
+        gs = _of_type("gamma_scan", data.get("gamma_scan", {}), dict)
         if set(gs) - {"gamma_min", "gamma_max", "n_points"}:
             raise ConfigError("gamma_scan accepts only gamma_min, gamma_max, n_points")
         self.gamma_scan = (
-            float(gs.get("gamma_min", 0.5)),
-            float(gs.get("gamma_max", 4.0)),
-            int(gs.get("n_points", 36)),
+            _real("gamma_scan.gamma_min", gs.get("gamma_min", 0.5)),
+            _real("gamma_scan.gamma_max", gs.get("gamma_max", 4.0)),
+            _integer("gamma_scan.n_points", gs.get("n_points", 36)),
         )
         lo, hi, k = self.gamma_scan
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi) or k < 2:
@@ -194,7 +235,11 @@ class ExperimentConfig:
 
         self.sector = data.get("sector")
         if self.sector is not None:
-            self.sector = SectorLabel.from_string(self.sector)
+            _of_type("sector", self.sector, str)
+            try:
+                self.sector = SectorLabel.from_string(self.sector)
+            except ValueError as exc:
+                raise ConfigError(f"sector: {exc}") from exc
             if self.model is not None and self.sector.n_sites != self.model.n_sites:
                 raise ConfigError(
                     f"sector needs one sign per bond, {self.model.n_sites - 1} for "
@@ -203,8 +248,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls(json.load(fh))
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        return cls(data)
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_samples)
@@ -359,13 +408,20 @@ def _initial_amplitudes(op: OperatorSum, setting: str) -> LiouvilleVector:
     return rho
 
 
-def _evolve(rho0: LiouvilleVector, params: ModelParams, t_grid: np.ndarray):
-    """`evolve`; a full-space run beyond the memory budget raises a ConfigError
-    naming the setting to reduce."""
+@contextmanager
+def _memory_budget():
+    """Turn a `MemoryBudgetError` of an evolution into a ConfigError naming
+    the setting to reduce."""
     try:
-        return evolve(rho0, params, t_grid)
+        yield
     except MemoryBudgetError as exc:
         raise ConfigError(f"{exc}; reduce {exc.setting}") from exc
+
+
+def _evolve(rho0: LiouvilleVector, params: ModelParams, t_grid: np.ndarray):
+    """`evolve` within `_memory_budget`."""
+    with _memory_budget():
+        return evolve(rho0, params, t_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +487,17 @@ def run_fig3b(config: ExperimentConfig, outdir: Path) -> dict:
     n = params.n_sites
     zeta = config.zeta
     t_grid = config.time_grid()
+    if any(config.transverse_values):
+        # a transverse field leaves the quadratic positivity path for the
+        # dense one; its cap is checked before any output is written
+        u = next(u for u in config.transverse_values if u)
+        try:
+            _check_dense(n)
+        except SizeLimitError as exc:
+            raise ConfigError(
+                f"physicality check of the u={u:g} trajectory at n_sites={n}: {exc}; reduce n_sites"
+            ) from exc
+
     # one counted seed stream: draw k of every u uses the same seed
     draw_seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(config.n_draws)]
     rho0 = _initial_amplitudes(
@@ -443,28 +510,30 @@ def run_fig3b(config: ExperimentConfig, outdir: Path) -> dict:
     worst_phys = {"max_trace_deviation": 0.0, "max_hermiticity_defect": 0.0, "max_negative_eigenvalue": 0.0}
     evolution = {}
     for u in config.transverse_values:
-        for k, ds in enumerate(draw_seeds):
-            res = _evolve(rho0, random_perturbed_params(n, u=u, rng_seed=ds), t_grid)
-            tr = ratio_trace(x1, x2, res)
-            try:
-                phys = physicality_report(res)
-            except SizeLimitError as exc:
-                # only a transverse field leaves the quadratic path for the dense one
-                raise ConfigError(
-                    f"physicality check of the u={u:g} trajectory at n_sites={n}: {exc}; reduce n_sites"
-                ) from exc
-            evolution[f"u={u:g}"] = res.method_tag
-            write_csv(
-                outdir / f"fig3b_u{u:g}_draw{k:02d}.csv",
-                ["t", "x1", "x2", "ratio"],
-                zip(tr.times, tr.x1, tr.x2, tr.values),
-            )
-            summary_rows.append((u, k, tr.values[0], tr.max_drift))
-            per_draw.setdefault(f"u={u:g}", []).append(
-                {"draw": k, "seed": ds, "ratio_initial": float(tr.values[0]), "max_drift": tr.max_drift}
-            )
-            for key in worst_phys:
-                worst_phys[key] = max(worst_phys[key], phys[key])
+        draws = [random_perturbed_params(n, u=u, rng_seed=ds) for ds in draw_seeds]
+        k = 0
+        with _memory_budget():
+            for batch in evolve_batches(rho0, draws, t_grid):
+                for res in batch:
+                    # each run of the batch is checked alone: stacked samples would fill
+                    # the dense path's chunks beyond one trajectory and raise peak memory
+                    phys = physicality_report(res)
+                    for key in worst_phys:
+                        worst_phys[key] = max(worst_phys[key], phys[key])
+                    tr = ratio_trace(x1, x2, res)
+                    evolution[f"u={u:g}"] = res.method_tag
+                    write_csv(
+                        outdir / f"fig3b_u{u:g}_draw{k:02d}.csv",
+                        ["t", "x1", "x2", "ratio"],
+                        zip(tr.times, tr.x1, tr.x2, tr.values),
+                    )
+                    summary_rows.append((u, k, tr.values[0], tr.max_drift))
+                    per_draw.setdefault(f"u={u:g}", []).append(
+                        {"draw": k, "seed": draw_seeds[k], "ratio_initial": float(tr.values[0]),
+                         "max_drift": tr.max_drift}
+                    )
+                    k += 1
+                del batch, res  # only one batch's trajectories are held at a time
     write_csv(
         outdir / "fig3b_summary.csv",
         ["u", "draw", "ratio_initial", "max_drift"],

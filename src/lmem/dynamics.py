@@ -12,22 +12,34 @@ third-quantized form is its oracle). Two methods are cross-validated:
   substep stops its series once two terms fall below the unit roundoff.
   The steps hold three working vectors, and no random numbers are drawn.
 
-  The state is propagated on the smallest closed block it occupies.
-  Without a transverse field the Hamiltonian and every jump operator are
-  quadratic in the Majoranas, so L keeps the degree of each monomial;
-  when the model also commutes with every parity pair, it keeps the
-  sector too. The block is the union of the (degree, sector) cells, or
-  degree cells, that the initial amplitudes occupy, and L is assembled
-  on it directly; only a transverse field makes the block the whole 4^N
-  space. On the Hermitian basis h_a = i^{p_a} w^a (`fock.hermitian_powers`)
-  the generator -i L is a real matrix, since L maps Hermitian operators
-  to Hermitian ones: a Hermitian rho(0) propagates as one real vector and
-  any other as two real columns. The result keeps the block's amplitudes
-  only (`EvolutionResult.values`); the observables gather the columns
-  they need, and `EvolutionResult.amplitudes` rebuilds the 4^N array for
-  oracles and tests. A full-space run whose generator and trajectory
-  would not fit in the memory the process may allocate raises
-  `MemoryBudgetError` before anything is built.
+  The state is propagated on the smallest block, closed under all of the
+  model's symmetries, that it occupies. Every model commutes with the
+  conjugations rho -> sx_1 rho sx_1 and rho -> sx_N rho sx_N: b_1 and b_N
+  never enter H, the field is sx, and each jump operator is one Pauli
+  word. So L keeps the two signs of w^a under them, the edge labels
+  (`_edge_labels`); at fixed degree they are the edge-mode bits a_1 and
+  a_{2N}. Without a transverse field the Hamiltonian and every jump
+  operator are quadratic in the Majoranas, so L keeps the degree of each
+  monomial too; when the model also commutes with every parity pair, it
+  keeps the sector as well. The block is the union of the cells, (degree,
+  sector, edge labels) or (degree, edge labels) or edge labels alone, that
+  the initial amplitudes occupy, and L is assembled on it directly; the
+  leak check of `fock._product_superoperator` guards that it is closed. On
+  the Hermitian basis h_a = i^{p_a} w^a (`fock.hermitian_powers`) the
+  generator -i L is a real matrix, since L maps Hermitian operators to
+  Hermitian ones: a Hermitian rho(0) propagates as one real vector and any
+  other as two real columns. The result keeps the block's amplitudes only
+  (`EvolutionResult.values`); the observables gather the columns they
+  need, and `EvolutionResult.amplitudes` rebuilds the 4^N array for
+  oracles and tests.
+
+  `evolve_batches` runs one initial state under many models, as fig3b's
+  seeded draws: the runs that share a block are stacked as one
+  block-diagonal generator (`sp.block_diag`) and stepped as one vector,
+  each block shifted by its own mean diagonal, in batches bounded by
+  `fock.row_chunks`; `evolve` is its batch of one. A batch whose
+  generators and trajectories would not fit in the memory the process may
+  allocate raises `MemoryBudgetError` before any of them is built.
 
 * "eigen": dense eigendecomposition with biorthogonal left/right pairs,
   |rho(t)> = R exp(-i diag(lambda) t) R^{-1} |rho(0)>, on the whole
@@ -66,8 +78,10 @@ eigenvalues in the closed lower half plane, anti-conjugate pairing
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,7 +131,7 @@ class EvolutionResult:
     values: np.ndarray  # shape (len(times), len(indices))
     method_tag: str
     time_unit: str  # "1/gamma" or "absolute"
-    matvecs: int = 0  # sparse matrix-vector products performed
+    matvecs: int = 0  # sparse matrix-vector products of the batch the run was stepped in
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -200,23 +214,34 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     return int(_DEGREES[k]), int(steps[k])
 
 
-def _propagate(A, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
-    """Write exp(A t) v0 to out[k] for each t_phys[k]; return the matvecs.
+def _propagate(blocks, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
+    """Write exp(A t) v0 to out[k] for each t_phys[k], A the block-diagonal
+    matrix of the square sparse `blocks`; return the matvecs.
 
-    A and v0 may be real or complex, and v0 one vector or a stack of
-    columns. t_phys is nondecreasing with t_phys[0] >= 0. Each interval is
-    stepped from the previous sample, so a repeated time costs nothing.
+    The blocks and v0 may be real or complex, and v0 one vector or a stack
+    of columns, with the blocks' rows stacked along its first axis; out[k]
+    receives v reshaped to out's sample shape. Each block is shifted by its
+    own mean diagonal mu_b, restored by eta = e^{mu_b h} on its rows, and
+    the plan (m, s) comes from the 1-norm of the shifted block-diagonal
+    matrix, so one block takes the steps it would take alone. t_phys is
+    nondecreasing with t_phys[0] >= 0. Each interval is stepped from the
+    previous sample, so a repeated time costs nothing.
+
     A series stops once two terms fall below the unit roundoff times
-    ||f||_inf. bound = sum_j ||b_j||_inf is at least ||f||_inf, so
-    ||f||_inf is only computed once the two terms fall below twice the
-    unit roundoff times bound (the factor 2 covers the rounding of bound);
-    the decisions are those of the plain test.
+    ||f||_inf, taken over the whole stacked vector. bound = sum_j
+    ||b_j||_inf is at least ||f||_inf, so ||f||_inf is only computed once
+    the two terms fall below twice the unit roundoff times bound (the
+    factor 2 covers the rounding of bound); the decisions are those of the
+    plain test.
     """
-    dim = A.shape[0]
-    mu = A.diagonal().sum() / dim
-    A = (A - mu * sp.identity(dim, dtype=A.dtype, format="csr")).tocsr()
+    sizes = [b.shape[0] for b in blocks]
+    mus = np.array([b.diagonal().sum() / size for b, size in zip(blocks, sizes)])
+    # a batch of one is shifted as it is, without the block_diag copy
+    A = blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
+    A = (A - sp.diags(np.repeat(mus, sizes), format="csr")).tocsr()
     norm = float(abs(A).sum(axis=0).max())
     v = v0.astype(np.result_type(A.dtype, v0.dtype))
+    eta_shape = (-1,) + (1,) * (v.ndim - 1)  # one factor per row of v
     matvecs = 0
     t_prev = 0.0
     for k, t in enumerate(t_phys):
@@ -224,7 +249,7 @@ def _propagate(A, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
         if dt > 0:
             m, s = _taylor_plan(dt * norm)
             h = dt / s
-            eta = np.exp(mu * h)
+            eta = np.repeat(np.exp(mus * h), sizes).reshape(eta_shape)
             for _ in range(s):
                 f = v.copy()
                 b = v
@@ -242,19 +267,40 @@ def _propagate(A, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
                     c1 = c2
                 f *= eta
                 v = f
-        out[k] = v
+        out[k] = v.reshape(out.shape[1:])
     return matvecs
 
 
-def _occupied_indices(v0: np.ndarray, n_sites: int, sectors: bool) -> np.ndarray:
+def _edge_labels(indices: np.ndarray, n_sites: int) -> np.ndarray:
+    """s_1 + 2 s_N for each basis index a, where s_1 (s_N) is 1 when w^a
+    changes sign under rho -> sx_1 rho sx_1 (sx_N rho sx_N).
+
+    sx_1 = w_1 and sx_N is proportional to w_1 ... w_{2N-1}, and conjugation
+    by a product F of k Majoranas multiplies w^a by (-1)^{k|a| - |a & F|}.
+    So s_1 = |a| + a_1 and s_N = a_{2N} (mod 2): at fixed degree the labels
+    are the two edge-mode bits.
+    """
+    m = 2 * n_sites
+    k = _bitcount(indices)
+    s1 = (k - (indices & 1)) & 1
+    sn = ((m - 1) * k - _bitcount(indices & ((1 << (m - 1)) - 1))) & 1
+    return s1 | (sn << 1)
+
+
+def _occupied_indices(v0: np.ndarray, n_sites: int, degree: bool, sectors: bool) -> np.ndarray:
     """Basis indices of the union of the cells v0 occupies. A cell is one
-    Majorana degree, and with `sectors` one parity-pair sector within it."""
-    idx = _index_range(2 * n_sites)
-    cells = _bitcount(idx) << (2 * n_sites)
+    pair of edge labels (`_edge_labels`), within one Majorana degree when
+    `degree`, and within one parity-pair sector too when `sectors`."""
+    n = n_sites
+    idx = _index_range(2 * n)
+    cells = _edge_labels(idx, n)
+    if degree:
+        cells |= _bitcount(idx) << (2 * n)
     if sectors:
-        # bit 2j - 1 of a ^ (a >> 1) is 1 where a_{2j} != a_{2j+1}, i.e. p_j = -1
-        pair_bits = sum(1 << (2 * j - 1) for j in range(1, n_sites))
-        cells |= (idx ^ (idx >> 1)) & pair_bits
+        # bit 2j - 1 of a ^ (a >> 1) is 1 where a_{2j} != a_{2j+1}, i.e. p_j = -1;
+        # shifted past the edge labels, below the degree
+        pair_bits = sum(1 << (2 * j - 1) for j in range(1, n))
+        cells |= ((idx ^ (idx >> 1)) & pair_bits) << 2
     # a zero state keeps one cell, so the block is never empty
     occupied = cells[np.flatnonzero(v0)] if v0.any() else cells[:1]
     return np.flatnonzero(np.isin(cells, occupied))
@@ -277,7 +323,7 @@ def _hermitian_basis_generator(matrix: sp.csr_matrix, indices: np.ndarray) -> sp
 
 
 class MemoryBudgetError(MemoryError):
-    """A full-space evolution would not fit in the memory the process may allocate."""
+    """An evolution would not fit in the memory the process may allocate."""
 
     def __init__(self, message: str, setting: str):
         super().__init__(message)
@@ -296,25 +342,26 @@ def _memory_limit() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_full_space_budget(params: ModelParams, n_samples: int) -> None:
-    """Raise MemoryBudgetError when the 4^N generator build and the trajectory
-    are estimated to exceed `_memory_limit`.
+def _check_budget(models: list[ModelParams], n_samples: int, block: int) -> None:
+    """Raise MemoryBudgetError when the generator builds and trajectories of
+    a batch of runs on a block of `block` basis indices are estimated to
+    exceed `_memory_limit`.
 
-    The build holds about 64 bytes per (combined mask, basis index): one
-    mask per Hamiltonian word and one for the diagonal. The trajectory
-    holds 16 bytes of complex amplitude per basis index and sample.
+    A build holds about 64 bytes per (combined mask, basis index): one mask
+    per Hamiltonian word and one for the diagonal. A trajectory holds 16
+    bytes of complex amplitude per basis index and sample.
     """
-    n = params.n_sites
-    dim = 4 ** n
-    generator = 64 * (len(build_hamiltonian(params)) + 1) * dim
-    trajectory = 16 * n_samples * dim
+    n = models[0].n_sites
+    generator = 64 * sum(len(build_hamiltonian(p)) + 1 for p in models) * block
+    trajectory = 16 * n_samples * block * len(models)
     limit = _memory_limit()
     if generator + trajectory > limit:
         mib = 2 ** 20
         raise MemoryBudgetError(
-            f"evolving the full 4^N space at n_sites={n} over {n_samples} samples needs about "
-            f"{generator // mib} MiB for the generator and {trajectory // mib} MiB for the "
-            f"trajectory, more than the {limit // mib} MiB this process may allocate",
+            f"evolving {len(models)} run(s) on a block of {block} basis states at n_sites={n} "
+            f"over {n_samples} samples needs about {generator // mib} MiB for the generator and "
+            f"{trajectory // mib} MiB for the trajectory, more than the {limit // mib} MiB "
+            "this process may allocate",
             "n_sites" if generator > limit else "time_grid.n_samples",
         )
 
@@ -350,58 +397,91 @@ def evolve(
     LiouvilleVector, an OperatorSum or a raw amplitude vector; it is not
     checked for physicality (`check_physical_initial_state` does that).
     method "expm" (default) is the exact propagator on the block of the
-    cells rho0 occupies, tagged "taylor-sector" when the cells are
-    (degree, sector) pairs, "taylor-degree" when they are degrees and
-    "taylor" in the full space; "eigen" is the eigen-expansion oracle.
+    cells rho0 occupies (`evolve_batches` with a batch of one), tagged
+    "taylor-sector" when the cells are (degree, sector) pairs,
+    "taylor-degree" when they are degrees and "taylor" when only the edge
+    labels cut the space; "eigen" is the eigen-expansion oracle on the
+    whole space.
     """
-    n = params.n_sites
-    t_grid = _check_time_grid(t_grid)
     if method not in ("expm", "eigen"):
         raise ValueError(f"unknown evolution method {method!r}; use 'expm' or 'eigen'")
+    if method == "expm":
+        return next(evolve_batches(rho0, [params], t_grid))[0]
+    n = params.n_sites
+    t_grid = _check_time_grid(t_grid)
     v0, _ = as_amplitudes(rho0, n)
-
     gamma = params.homogeneous_gamma()
-    if gamma is not None:
-        t_phys = t_grid / gamma
-        unit = "1/gamma"
-    else:
-        t_phys = t_grid
-        unit = "absolute"
+    t_phys, unit = (t_grid, "absolute") if gamma is None else (t_grid / gamma, "1/gamma")
+    values = _eigen_evolve(build_liouvillian_direct(params).matrix, v0, t_phys)
+    return EvolutionResult(n, t_grid.copy(), _index_range(2 * n), values, "eigen-expansion", unit)
 
-    if method == "eigen":
-        values = _eigen_evolve(build_liouvillian_direct(params).matrix, v0, t_phys)
-        indices = _index_range(2 * n)
-        return EvolutionResult(n, t_grid.copy(), indices, values, "eigen-expansion", unit)
 
-    if params.conserves_degree():
-        sectors = params.preserves_sectors()
-        indices = _occupied_indices(v0, n, sectors)
-        tag = "taylor-sector" if sectors else "taylor-degree"
-    else:
-        indices = _index_range(2 * n)
-        tag = "taylor"
+def _block_key(params: ModelParams) -> tuple:
+    """(degree, sectors, gamma): the cells a run is cut into and the unit of
+    its times; runs with equal keys share their block and physical times."""
+    degree = params.conserves_degree()
+    return degree, degree and params.preserves_sectors(), params.homogeneous_gamma()
+
+
+def evolve_batches(rho0, models, t_grid) -> Iterator[list[EvolutionResult]]:
+    """`evolve` of one initial state under each of `models` by "expm",
+    yielded in order as lists of results, one batch at a time.
+
+    Consecutive models whose runs share the block and the physical times
+    (`_block_key`) form batches of at most `fock.row_chunks(count, T x
+    block)` runs. The generators of a batch are propagated together as one
+    block-diagonal matrix (`_propagate`): a physical state has ||f||_inf =
+    2^-N, its trace amplitude, so the shared stop test passes only when
+    each run's own would, and a batch of one takes exactly the steps of a
+    run alone. The results of a batch are rows of one (runs, T, block)
+    array, and each result's `matvecs` counts the products of its whole
+    batch. A batch beyond the memory budget raises `MemoryBudgetError`
+    before anything of it is built.
+    """
+    t_grid = _check_time_grid(t_grid)
+    models = list(models)
+    if not models:
+        return
+    n = models[0].n_sites
+    if any(p.n_sites != n for p in models):
+        raise ValueError("evolve_batches needs models of one site count")
+    v0, _ = as_amplitudes(rho0, n)
+    for (degree, sectors, gamma), group in groupby(models, key=_block_key):
+        group = list(group)
+        indices = _occupied_indices(v0, n, degree, sectors)
+        tag = "taylor-sector" if sectors else "taylor-degree" if degree else "taylor"
+        for rows in row_chunks(len(group), t_grid.size * indices.size):
+            yield _evolve_batch(v0, group[rows], t_grid, gamma, indices, tag)
+
+
+def _evolve_batch(v0, models, t_grid, gamma, indices, tag) -> list[EvolutionResult]:
+    """One batch of `evolve_batches`: the runs of v0 under `models` on the
+    sorted basis indices `indices`."""
+    n = models[0].n_sites
+    t_phys, unit = (t_grid, "absolute") if gamma is None else (t_grid / gamma, "1/gamma")
+    _check_budget(models, t_phys.size, indices.size)
     # coordinates on the Hermitian basis: c_a = i^{p_a} x_a
     anti = hermitian_powers(indices) == 1
     c0 = v0[indices]
     x_re = np.where(anti, c0.imag, c0.real)
     x_im = np.where(anti, -c0.real, c0.imag)
     x0 = np.stack([x_re, x_im], axis=-1) if x_im.any() else x_re
-    if tag == "taylor":
-        _check_full_space_budget(params, t_phys.size)
-    # the complex build is dropped once converted, before the trajectory is allocated
-    generator = _hermitian_basis_generator(
-        build_liouvillian_direct(params, cols=None if tag == "taylor" else indices).matrix, indices
-    )
+    # each complex build is dropped once converted, before the trajectories are allocated
+    generators = [
+        _hermitian_basis_generator(build_liouvillian_direct(p, cols=indices).matrix, indices) for p in models
+    ]
     # the coordinates are written into the (real, imaginary) parts of the
-    # amplitudes, so the trajectory is allocated once
-    values = np.zeros((t_phys.size, indices.size), dtype=complex)
+    # amplitudes, so the trajectories are allocated once; out[k] is sample k of every run
+    values = np.zeros((len(models), t_phys.size, indices.size), dtype=complex)
     parts = values.view(np.float64).reshape(values.shape + (2,))
-    matvecs = _propagate(generator, x0, t_phys, parts if x0.ndim == 2 else parts[..., 0])
+    out = parts.swapaxes(0, 1)
+    x0 = np.concatenate([x0] * len(models))
+    matvecs = _propagate(generators, x0, t_phys, out if x0.ndim == 2 else out[..., 0])
     # c_a = i (x_re + i x_im) = -x_im + i x_re where w^a is anti-Hermitian
-    turned = parts[:, anti]
-    parts[:, anti, 0] = 0.0 - turned[..., 1]
-    parts[:, anti, 1] = turned[..., 0]
-    return EvolutionResult(n, t_grid.copy(), indices, values, tag, unit, matvecs)
+    turned = parts[..., anti, :]
+    parts[..., anti, 0] = 0.0 - turned[..., 1]
+    parts[..., anti, 1] = turned[..., 0]
+    return [EvolutionResult(n, t_grid.copy(), indices, run, tag, unit, matvecs) for run in values]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ from .pauli import OperatorSum, PauliString, parity_word
 
 
 def _as_float_array(value, length: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of {length} numbers, got {name}={value!r}") from None
     if arr.shape != (length,):
         raise ValueError(f"{name} must have length {length}, got shape {arr.shape}")
     return arr
@@ -43,6 +46,8 @@ class ModelParams:
 
     def __post_init__(self):
         n = self.n_sites
+        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n_sites must be an integer, got n_sites={n!r}")
         if n < 2:
             raise ValueError(f"n_sites must be >= 2, got n_sites={n}")
         self.couplings = (
@@ -61,8 +66,12 @@ class ModelParams:
             np.zeros(n - 1) if self.bond_dissipation is None
             else _as_float_array(self.bond_dissipation, n - 1, "bond_dissipation")
         )
-        self.transverse_u = float(self.transverse_u)
-        self.rng_seed = int(self.rng_seed)
+        for name, kind in (("transverse_u", float), ("rng_seed", int)):
+            try:
+                setattr(self, name, kind(getattr(self, name)))
+            except (TypeError, ValueError):
+                value = getattr(self, name)
+                raise ValueError(f"{name} must be a {kind.__name__}, got {name}={value!r}") from None
         for name in ("couplings", "dephasing_rates", "field_b", "transverse_u", "bond_dissipation"):
             value = np.asarray(getattr(self, name))
             if not np.isfinite(value).all():
@@ -116,6 +125,8 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelParams":
+        if not isinstance(data, dict):
+            raise ValueError(f"model config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(cls._FIELDS)
         if unknown:
             raise ValueError(f"unknown model fields: {sorted(unknown)}")

@@ -3,20 +3,24 @@ real generator on the Hermitian basis, and compact trajectories, each
 against the full-space construction or a dense oracle."""
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from lmem.cli import edge_occupied_state, product_initial_state, ratio_observables
 from lmem.dynamics import (
     _UNIT_ROUNDOFF,
     MemoryBudgetError,
+    _edge_labels,
     _hermitian_basis_generator,
     _occupied_indices,
     _propagate,
     _taylor_plan,
     evolve,
+    evolve_batches,
     expectation_series,
     physicality_report,
 )
@@ -27,10 +31,12 @@ from lmem.fock import (
     hermitian_powers,
     liouville_inner,
     reversal_signs,
+    row_chunks,
     vectorize_operator,
 )
 from lmem.liouvillian import build_liouvillian_direct
-from lmem.model import ModelParams, random_perturbed_params
+from lmem.model import ModelParams, _symmetry_generators, random_perturbed_params
+from lmem.pauli import MajoranaMonomial, majorana_to_spin
 from lmem.sectors import sector_eigenvalues
 
 
@@ -47,9 +53,23 @@ def uniform(n, J=1.0, gamma=0.7):
     return ModelParams(n, [J] * (n - 1), [gamma] * n)
 
 
-def cells(n, sectors):
+@lru_cache(maxsize=None)
+def edge_signs(n):
+    """(s_1, s_N) of every basis index: 1 where the Pauli word of its monomial
+    anticommutes with sx_1, resp. sx_N, so that conjugation negates it."""
+    gens = _symmetry_generators(n)
+    out = []
+    for a in range(4 ** n):
+        ((_, word),) = majorana_to_spin(MajoranaMonomial(2 * n, a)).terms()
+        out.append([word.commutation_sign(gens["sx_1"]) < 0, word.commutation_sign(gens["sx_N"]) < 0])
+    return np.array(out, dtype=np.int64)
+
+
+def cells(n, degree, sectors):
     """Cell code of every basis index, as `_occupied_indices` groups them."""
-    codes = degrees(n)
+    codes = edge_signs(n) @ [1, 2]
+    if degree:
+        codes = codes + 4 * degrees(n)
     if sectors:
         pattern = (1 - sector_eigenvalues(_index_range(2 * n), n)) // 2
         codes = codes * 2 ** (n - 1) + pattern @ (1 << np.arange(n - 1))
@@ -57,8 +77,8 @@ def cells(n, sectors):
 
 
 def random_closed_set(rng, n, sectors):
-    """A random union of cells, sorted."""
-    codes = cells(n, sectors)
+    """A random union of degree cells, sorted."""
+    codes = cells(n, True, sectors)
     chosen = rng.choice(np.unique(codes), size=rng.integers(1, 5), replace=False)
     return np.flatnonzero(np.isin(codes, chosen))
 
@@ -86,11 +106,37 @@ class TestDegreeConservation:
         rng = np.random.default_rng(3)
         v = np.zeros(4 ** n, dtype=complex)
         v[rng.choice(4 ** n, size=5, replace=False)] = rng.normal(size=5)
-        for sectors in (False, True):
-            idx = _occupied_indices(v, n, sectors)
-            codes = cells(n, sectors)
+        for degree, sectors in ((False, False), (True, False), (True, True)):
+            idx = _occupied_indices(v, n, degree, sectors)
+            codes = cells(n, degree, sectors)
             assert np.array_equal(idx, np.flatnonzero(np.isin(codes, codes[np.flatnonzero(v)])))
-        assert _occupied_indices(np.zeros(4 ** n), n, True).tolist() == [0]
+        assert _occupied_indices(np.zeros(4 ** n), n, True, True).tolist() == [0]
+
+
+class TestEdgeLabels:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_labels_are_the_commutation_signs_with_the_edge_spins(self, n):
+        np.testing.assert_array_equal(_edge_labels(_index_range(2 * n), n), edge_signs(n) @ [1, 2])
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("u", [0.0, 2.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_stored_entry_joins_two_labels(self, n, u, seed):
+        # conjugation by sx_1 and by sx_N commutes with every model's generator
+        rows, cols, _ = stored_entries(build_liouvillian_direct(random_perturbed_params(n, u=u, rng_seed=seed)).matrix)
+        labels = edge_signs(n) @ [1, 2]
+        assert rows.size and np.array_equal(labels[rows], labels[cols])
+
+    def test_the_edge_labels_halve_the_transverse_block(self):
+        # the product state occupies two of the four label pairs
+        n = 4
+        rho = vectorize_operator(product_initial_state(n, 0.5, 0.1))
+        p = random_perturbed_params(n, u=2.0, rng_seed=0)
+        res = evolve(rho, p, [0.0, 1.0])
+        assert res.method_tag == "taylor" and res.indices.size == 4 ** n // 2
+        full = evolve(rho, p, [0.0, 1.0], method="eigen")
+        off = np.setdiff1d(_index_range(2 * n), res.indices)
+        assert np.abs(full.amplitudes[:, off]).max() < 1e-12
 
 
 class TestRestrictedAssembly:
@@ -179,7 +225,7 @@ class TestBlockPropagation:
         """The 4^N complex Taylor path: the same stepper on -i L, unrestricted."""
         t_phys = t / (p.homogeneous_gamma() or 1.0)
         out = np.empty((t.size, v0.size), dtype=complex)
-        _propagate(-1j * build_liouvillian_direct(p).matrix, v0, t_phys, out)
+        _propagate([-1j * build_liouvillian_direct(p).matrix], v0, t_phys, out)
         return out
 
     @pytest.mark.parametrize("name,p,v0", cases(), ids=[c[0] for c in cases()])
@@ -273,7 +319,7 @@ def test_cheap_stop_test_takes_the_same_decisions(name, p, v0):
     real = _hermitian_basis_generator(L, _index_range(2 * p.n_sites))
     for generator, v in ((-1j * L, v0), (real, v0.real + v0.imag)):
         got, want = (np.empty((t_phys.size, v.size), dtype=generator.dtype) for _ in range(2))
-        got_matvecs = _propagate(generator, v, t_phys, got)
+        got_matvecs = _propagate([generator], v, t_phys, got)
         want_matvecs = plain_stop_propagate(generator, v, t_phys, want)
         assert got_matvecs == want_matvecs > 0
         np.testing.assert_array_equal(got, want)
@@ -283,8 +329,9 @@ def test_cheap_stop_test_takes_the_same_decisions(name, p, v0):
     "limit,samples,setting", [(10 ** 5, 3, "n_sites"), (2 ** 20, 301, "time_grid.n_samples")]
 )
 def test_full_space_budget_raises_before_building(monkeypatch, limit, samples, setting):
-    # at N=4 the estimate is ~0.2 MB for the generator and 16 bytes per
-    # basis index and sample for the trajectory
+    # at N=5 the u=2 product state lives on a block of 512 basis states: the
+    # estimate is ~0.4 MB for the generator (13 Hamiltonian words) and 16
+    # bytes per basis index and sample for the trajectory
     import lmem.dynamics
 
     def refuse(*args, **kwargs):
@@ -292,9 +339,9 @@ def test_full_space_budget_raises_before_building(monkeypatch, limit, samples, s
 
     monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: limit)
     monkeypatch.setattr(lmem.dynamics, "build_liouvillian_direct", refuse)
-    p = random_perturbed_params(4, u=2.0, rng_seed=1)
-    rho0 = vectorize_operator(product_initial_state(4, 0.5, 0.1))
-    with pytest.raises(MemoryBudgetError, match=f"n_sites=4 over {samples} samples") as info:
+    p = random_perturbed_params(5, u=2.0, rng_seed=1)
+    rho0 = vectorize_operator(product_initial_state(5, 0.5, 0.1))
+    with pytest.raises(MemoryBudgetError, match=f"block of 512 basis states at n_sites=5 over {samples} samples") as info:
         evolve(rho0, p, np.linspace(0.0, 1.0, samples))
     assert info.value.setting == setting
 
@@ -307,3 +354,55 @@ def test_memory_limit_reads_the_address_space_limit():
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     assert _memory_limit() == soft or soft == resource.RLIM_INFINITY
     assert _memory_limit() > 2 ** 20
+
+
+class TestBatches:
+    T = np.linspace(0.0, 3.0, 7)
+
+    @pytest.mark.parametrize("n,u", [(4, 0.0), (4, 2.0), (5, 0.0), (5, 2.0)])
+    def test_batched_draws_match_solo_draws(self, n, u):
+        # on fig3b's time grid; on coarser grids (steps of 0.5 at u=2) a solo
+        # run's own rounding reaches ~2e-14 of x2's maximum, against the
+        # eigen expansion, and the batch is no further from it
+        t = np.linspace(0.0, 5.0, 21)
+        rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1))
+        models = [random_perturbed_params(n, u=u, rng_seed=s) for s in range(3)]
+        batches = list(evolve_batches(rho0, models, t))
+        assert [len(b) for b in batches] == [3]
+        x1, x2 = ratio_observables(n)
+        for model, res in zip(models, batches[0]):
+            solo = evolve(rho0, model, t)
+            assert np.array_equal(res.indices, solo.indices) and res.method_tag == solo.method_tag
+            # matvecs counts the products of the whole batch
+            assert res.matvecs == batches[0][0].matvecs > 0
+            for X in (None, x1, x2):
+                got, want = (r.values if X is None else expectation_series(X, r) for r in (res, solo))
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_batches_split_by_block_and_chunk(self):
+        # runs that share the block and the time unit are batched in order,
+        # at most row_chunks(count, T x block) at a time
+        n = 4
+        rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1))
+        models = [random_perturbed_params(n, u=u, rng_seed=s) for u, s in ((0.0, 1), (0.0, 2), (2.0, 1), (0.0, 3))]
+        models.append(uniform(n))
+        got = [[(r.method_tag, r.indices.size) for r in b] for b in evolve_batches(rho0, models, self.T)]
+        assert got == [[("taylor-degree", 32)] * 2, [("taylor", 128)], [("taylor-degree", 32)], [("taylor-sector", 24)]]
+        t_long = np.linspace(0.0, 1.0, 301)  # 301 x 128 amplitudes exceed one chunk
+        sizes = [len(b) for b in evolve_batches(rho0, [models[2]] * 3, t_long)]
+        assert sizes == [len(range(3)[rows]) for rows in row_chunks(3, t_long.size * 128)] == [1, 1, 1]
+
+    def test_two_blocks_propagate_as_each_alone(self):
+        # distinct blocks with distinct mean diagonals, stacked as one vector
+        rng = np.random.default_rng(5)
+        t = np.array([0.0, 0.4, 0.4, 2.0])
+        blocks, vs = [], []
+        for dim, shift in ((6, -1.0), (9, -3.0)):
+            A = sp.random(dim, dim, density=0.4, random_state=rng, format="csr") + shift * sp.identity(dim, format="csr")
+            blocks.append(A.tocsr())
+            vs.append(rng.normal(size=dim))
+        out = np.empty((t.size, 15))
+        _propagate(blocks, np.concatenate(vs), t, out)
+        for A, v, cols in zip(blocks, vs, (slice(0, 6), slice(6, 15))):
+            want = np.array([expm_multiply(tk * A.toarray(), v) for tk in t])
+            np.testing.assert_allclose(out[:, cols], want, rtol=0, atol=1e-14 * np.abs(want).max())

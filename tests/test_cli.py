@@ -329,6 +329,41 @@ def _assert_usage_error(capsys, pattern):
     assert re.search(pattern, err), err
 
 
+def test_fig3b_checks_the_dense_cap_before_writing(tmp_path, monkeypatch, capsys):
+    # the u=2 draws need the dense positivity check; the u=0 draws used to
+    # be written before the u=2 ones failed
+    monkeypatch.setenv("LMEM_DENSE_LIMIT", "3")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, experiment="fig3b", n_draws=2, transverse_values=[0.0, 2.0])))
+    assert main(["run", str(cfg_path)]) == 2
+    _assert_usage_error(capsys, r"physicality check of the u=2 trajectory at n_sites=4: .*; reduce n_sites$")
+    assert list((tmp_path / "out").glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "samples,expected",
+    [(5, [[32] * 3, [128] * 3]), (301, [[32] * 3, [128], [128], [128]])],
+    ids=["one-batch-per-u", "one-draw-per-batch"],
+)
+def test_fig3b_propagates_one_batch_per_call(tmp_path, monkeypatch, samples, expected):
+    # at N=4 a u=0 draw runs on 32 basis states and a u=2 draw on 128; a
+    # batch holds at most CHUNK_ELEMENTS // (samples x block) draws
+    import lmem.dynamics
+
+    calls = []
+    propagate = lmem.dynamics._propagate
+
+    def spy(blocks, *args):
+        calls.append([b.shape[0] for b in blocks])
+        return propagate(blocks, *args)
+
+    monkeypatch.setattr(lmem.dynamics, "_propagate", spy)
+    overrides = {"experiment": "fig3b", "n_draws": 3, "time_grid": {"t_max": 1.0, "n_samples": samples}}
+    _run(tmp_path, overrides)
+    assert calls == expected
+    assert len(list((tmp_path / "out").glob("fig3b_u*_draw*.csv"))) == 6
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_bad_config_exits_with_usage_status(tmp_path, capsys, command):
     # a ConfigError used to escape main as a traceback with exit status 1,
@@ -359,14 +394,17 @@ def test_bad_config_exits_with_usage_status(tmp_path, capsys, command):
             {"experiment": "fig3b", "n_draws": 1, "transverse_values": [0.0, float("inf")]},
             r"transverse_values must be finite, got transverse_values=inf",
         ),
+        ({"model": {**base_model(4), "n_sites": "4"}}, r"model: n_sites must be an integer, got n_sites='4'$"),
+        ({"seed": "x"}, r"seed must be an integer, got seed='x'$"),
     ],
-    ids=["gamma_min<0", "n_sites=1", "zeta=nan", "zeta=0", "couplings=nan", "transverse=inf"],
+    ids=["gamma_min<0", "n_sites=1", "zeta=nan", "zeta=0", "couplings=nan", "transverse=inf", "n_sites=str", "seed=str"],
 )
 def test_bad_setting_is_a_usage_error(tmp_path, capsys, overrides, pattern):
     # each used to end in a traceback with exit status 1: a negative
     # gamma_min partway through the scan naming dephasing_rates, n_sites=1
-    # from ModelParams, zeta=nan in edge.validate, zeta=0 dividing by zero
-    # and the non-finite values inside the generator or the eigensolver
+    # from ModelParams, zeta=nan in edge.validate, zeta=0 dividing by zero,
+    # the non-finite values inside the generator or the eigensolver, a
+    # string n_sites in a comparison (TypeError) and a string seed in int()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
     assert main(["run", str(cfg_path)]) == 2
@@ -521,6 +559,21 @@ def _env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_src_dir(), os.environ.get("PYTHONPATH")]))}
 
 
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "user,expected",
+    [({}, ["1", None, None]), ({"OMP_NUM_THREADS": "2"}, [None, "2", None])],
+    ids=["default", "user-set"],
+)
+def test_import_sets_one_blas_thread_unless_the_user_chose(user, expected):
+    env = {k: v for k, v in _env().items() if k not in _THREAD_VARIABLES}
+    code = f"import os, lmem; print([os.environ.get(v) for v in {_THREAD_VARIABLES!r}])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env={**env, **user})
+    assert out.stdout.strip() == repr(expected)
+
+
 # modules no experiment uses: scipy.integrate would add ~0.3 s of imports,
 # scipy.sparse.csgraph ~3 MB of peak RSS, and scipy.spatial, with the
 # scipy.linalg and scipy.special it loads, ~0.2 s and ~16 MB
@@ -643,12 +696,17 @@ def test_run_path_builds_no_kronecker_matrix(tmp_path, monkeypatch, overrides):
 
 @pytest.mark.parametrize(
     "overrides",
-    [{}, {"experiment": "fig3b", "n_draws": 2, "transverse_values": [0.0]}, PURITY_N4],
-    ids=["fig3a", "fig3b-u0", "fig4-purity"],
+    [
+        {},
+        {"experiment": "fig3b", "n_draws": 2, "transverse_values": [0.0]},
+        PURITY_N4,
+        {"experiment": "fig3b", "n_draws": 2, "transverse_values": [2.0]},
+    ],
+    ids=["fig3a", "fig3b-u0", "fig4-purity", "fig3b-u2"],
 )
 def test_run_path_keeps_to_the_occupied_block(tmp_path, monkeypatch, overrides):
-    # without a transverse field every evolution is assembled on its block,
-    # and no reader of the result rebuilds the 4^N amplitude array
+    # every evolution, with a transverse field too, is assembled on its
+    # block, and no reader of the result rebuilds the 4^N amplitude array
     import lmem.dynamics
     import lmem.liouvillian
 
@@ -671,13 +729,15 @@ def test_run_path_keeps_to_the_occupied_block(tmp_path, monkeypatch, overrides):
     [(10 ** 5, r"n_sites=4 over 5 samples.*; reduce n_sites$"), (2 ** 20, r"; reduce time_grid\.n_samples$")],
 )
 def test_full_space_budget_names_setting(tmp_path, monkeypatch, capsys, limit, pattern):
-    # at N=4 the generator estimate is ~0.2 MB; 301 samples push the
+    # at N=4 a u=2 draw runs on a block of 128 basis states, with a generator
+    # estimate of ~82 kB. Over 5 samples two draws form one batch, whose
+    # estimate of ~164 kB exceeds 10^5 bytes; 601 samples push one draw's
     # trajectory past 1 MiB
     import lmem.dynamics
 
     monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: limit)
-    samples = 5 if limit < 2 ** 20 else 301
-    overrides = {"experiment": "fig3b", "n_draws": 1, "transverse_values": [2.0],
+    samples, draws = (5, 2) if limit < 2 ** 20 else (601, 1)
+    overrides = {"experiment": "fig3b", "n_draws": draws, "transverse_values": [2.0],
                  "time_grid": {"t_max": 1.0, "n_samples": samples}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
