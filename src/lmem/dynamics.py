@@ -59,13 +59,13 @@ from the stored basis indices:
   eigenvalues of a 2N x 2N matrix and the sign of its Pfaffian
   (`_quadratic_lowest`), batched over samples and both blocks. No 2^N
   matrix is built, so the dense cap does not apply.
-* dense: every other trajectory is rebuilt in chunks of samples by the
-  Walsh-Hadamard kernel `fock.dense_blocks`: when every odd-degree
-  amplitude of a chunk vanishes, rho commutes with the parity M and splits
-  into two 2^{N-1} blocks, otherwise the full matrices are built. Each
-  stack first goes to Cholesky; only a stack it rejects goes to
-  `eigvalsh`, so a sample that is not positive definite still reports its
-  least eigenvalue, while one Cholesky accepts reports 0.
+* dense: every other trajectory is rebuilt in chunks of samples from its
+  stored words by `fock.dense_blocks`, with no 4^N array: when every
+  odd-degree amplitude of a chunk vanishes, rho commutes with the parity M
+  and splits into two 2^{N-1} blocks, otherwise the full matrices are
+  built. Each stack first goes to Cholesky; only a stack it rejects goes
+  to `eigvalsh`, so a sample that is not positive definite still reports
+  its least eigenvalue, while one Cholesky accepts reports 0.
 
 `check_physical_initial_state` runs the same routine on one state, held
 as a one-sample trajectory on its nonzero amplitudes, so no run path
@@ -95,7 +95,6 @@ from .fock import (
     _index_range,
     as_amplitudes,
     dense_blocks,
-    devectorize,
     gather_columns,
     hermitian_part,
     hermitian_powers,
@@ -141,7 +140,7 @@ class EvolutionResult:
         return LiouvilleVector(self.n_sites, scatter_columns(self.values[k], self.indices, self.n_sites))
 
     def density_matrix(self, k: int) -> np.ndarray:
-        return devectorize(scatter_columns(self.values[k], self.indices, self.n_sites), self.n_sites)
+        return dense_blocks(self.values[k][None], self.indices, self.n_sites)[0, 0]
 
     def __len__(self):
         return len(self.times)
@@ -614,9 +613,9 @@ def _quadratic_lowest(part: np.ndarray, indices: np.ndarray, n_sites: int) -> np
 def _dense_positivity(values: np.ndarray, indices: np.ndarray, n_sites: int) -> tuple[float, float]:
     """(Hermiticity defect, max(0, -lambda_min)) over the samples values[k],
     walked in chunks (`fock.row_chunks`). The Hermitian part of each chunk is
-    scattered into 4^N amplitude vectors and rebuilt by `fock.dense_blocks`:
-    a chunk whose odd-degree amplitudes all vanish commutes with the parity
-    M and is checked on its two 2^{N-1} parity blocks, otherwise on the full
+    rebuilt by `fock.dense_blocks` from the stored words alone: a chunk
+    whose odd-degree amplitudes all vanish commutes with the parity M and
+    is checked on its two 2^{N-1} parity blocks, otherwise on the full
     matrices. A sample Cholesky accepts counts as 0."""
     n = n_sites
     odd = (_bitcount(indices) & 1).astype(bool)
@@ -626,7 +625,7 @@ def _dense_positivity(values: np.ndarray, indices: np.ndarray, n_sites: int) -> 
         chunk = values[rows]
         part = hermitian_part(chunk, n, indices)
         worst_herm = max(worst_herm, _hermiticity_defect(chunk, part))
-        blocks = dense_blocks(scatter_columns(part, indices, n), n, parity_blocks=not part[:, odd].any())
+        blocks = dense_blocks(part, indices, n, parity_blocks=not part[:, odd].any())
         lam = _lowest_eigenvalue(blocks)
         if lam is not None:
             worst_neg = max(worst_neg, -lam)

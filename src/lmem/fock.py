@@ -25,12 +25,13 @@ additions or products. `left_mult_operator` and `right_mult_operator`,
 and their single-monomial forms, are its one-sided cases.
 
 The dense matrix of an amplitude vector comes from one kernel,
-`dense_blocks`, which rebuilds a whole stack of samples at once: in the
-Pauli basis each band A[i, i ^ x] of fixed X-mask x is a Walsh-Hadamard
-transform over the Z-masks, so the kernel is one gather, N in-place
-butterfly passes and one more gather. `devectorize` is its one-sample
-case; `vectorize` and `pauli_coefficients` go the other way and serve as
-its independent oracle.
+`dense_blocks`, which rebuilds a whole stack of samples at once from the
+words they store: each word w^{a} is i^q X^x Z^z, so the band
+A[i, i ^ x] of fixed X-mask x is a sum over the stored Z-masks z of
+(-1)^{|i & z|}, one matmul for the whole stack, and one index table places
+the bands. No 4^N array is built. `devectorize` is its one-sample case on
+the nonzero amplitudes; `vectorize` and `pauli_coefficients` go the other
+way and serve as its independent oracle.
 
 The inner product is <<A|B>> = tr(A^dag B), under which the basis monomials
 are orthogonal with squared norm 2^N; the factor is carried explicitly in
@@ -433,102 +434,82 @@ def row_chunks(n_rows: int, row_elements: int) -> list[slice]:
     return [slice(k, min(k + step, n_rows)) for k in range(0, n_rows, step)]
 
 
-_PAULI_OF_BITS = np.array([0, 3, 1, 2])  # (x bit, z bit) = 00, 01, 10, 11 -> I, Z, X, Y
+def _pauli_bits(indices: np.ndarray, n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, z, q) of each monomial w^{a}, a in indices, with w^{a} = i^q X^x Z^z.
 
-
-@lru_cache(maxsize=8)
-def _band_tables(n_sites: int, parity_blocks: bool):
-    """Gather-and-phase tables of `dense_blocks`: (source, power, target).
-
-    source and power have one row per Z-mask z and one column per X-mask x
-    in use: every x, or the even-popcount ones for parity blocks. Bit b of
-    a mask is site N - b, as in the matrix index. The Pauli word
-    i^{|x & z|} X^x Z^z (I, X, Y, Z per site) is phase_W w^{mask_W}, so its
-    coefficient is t_{x,z} = conj(phase_W) c_{mask_W}: source holds mask_W
-    and power the int8 q with i^q = conj(phase_W) (-i)^{|x & z|}, a
-    sixteenth of a complex phase table's memory; no 4^N table is built.
-    target[b, r, c] is the flat band index i * (number of x) + slot(x) of
-    the entry (i, j) of block b, i and j its r-th and c-th index and
-    x = i ^ j.
+    Bit b of the masks x and z is site N - b, as in the matrix index. Site
+    j holds the modes 2j - 1 and 2j, and w_{2j-1} ~ Z_1 ... Z_{j-1} X_j,
+    w_{2j} ~ Z_1 ... Z_{j-1} Y_j, so x_j = a_{2j-1} ^ a_{2j} and z_j is
+    a_{2j} plus the parity of the modes above 2j, which is that of the x_k
+    with k > j. With the word index W of these symbols, `_word_monomials`
+    gives P_W = i^p w^{a}, and P_W = i^{|x & z|} X^x Z^z since Y = i X Z:
+    q = |x & z| - p.
     """
-    dim = 1 << n_sites
-    idx = _index_range(n_sites)
-    even = (_bitcount(idx) & 1) == 0
-    x = idx[even] if parity_blocks else idx
-    index_dtype = np.int32 if dim * dim <= np.iinfo(np.int32).max else np.int64
-    source = np.empty((dim, x.size), dtype=index_dtype)
-    power = np.empty((dim, x.size), dtype=np.int8)
-    # chunks of Z-masks bound the int64 temporaries of the word arithmetic
-    for rows in row_chunks(dim, x.size):
-        z = idx[rows, None]
-        words = np.zeros((z.size, x.size), dtype=np.int64)
-        for b in range(n_sites):
-            bits = 2 * ((x >> b) & 1) + ((z >> b) & 1)
-            words += _PAULI_OF_BITS[bits] << (2 * b)
-        masks, p = _word_monomials(words, n_sites)
-        source[rows] = masks
-        # conj(i^p) (-i)^{|x & z|} = i^{3 |x & z| - p}
-        power[rows] = (3 * _bitcount(x & z) - p) & 3
-    rows = (np.stack([idx[even], idx[~even]]) if parity_blocks else idx[None]).astype(index_dtype)
-    slot = np.zeros(dim, dtype=index_dtype)
-    slot[x] = np.arange(x.size)
-    i, j = rows[:, :, None], rows[:, None, :]
-    target = i * x.size + slot[i ^ j]
-    return source, power, target
+    sites = np.arange(n_sites)  # column j - 1 is site j
+    pairs = (indices[:, None] >> (2 * sites)) & 3
+    xb = (pairs ^ (pairs >> 1)) & 1
+    above = np.bitwise_xor.accumulate(xb[:, ::-1], axis=1)[:, ::-1] ^ xb
+    zb = (pairs >> 1) ^ above
+    weights = 1 << (n_sites - 1 - sites)
+    x, z = xb @ weights, zb @ weights
+    words = np.where(xb == 1, 1 + zb, 3 * zb) @ (weights * weights)  # I, X, Y, Z = 0..3
+    _, p = _word_monomials(words, n_sites)
+    return x, z, (_bitcount(x & z) - p) & 3
 
 
-def _walsh_hadamard(a: np.ndarray) -> None:
-    """a[i, ...] <- sum_z a[z, ...] (-1)^{|i & z|} in place, over a first
-    axis of length 2^N.
+def dense_blocks(values, indices, n_sites: int, parity_blocks: bool = False) -> np.ndarray:
+    """Dense matrices of a stack of samples values (T, len(indices)), held on
+    the sorted basis indices `indices` (all 4^N when None), as (T, B, D, D).
 
-    Each pass pairs two contiguous runs of h * a[0].size elements. The
-    pair views are reshapes of a, which copy a non-contiguous array, and
-    the butterflies would then act on the copy; such an array is refused.
-    """
-    if not a.flags.c_contiguous:
-        raise ValueError("the Walsh-Hadamard butterflies need a C-contiguous array")
-    size = a.shape[0]
-    scratch = np.empty(a.size // 2, dtype=a.dtype)
-    h = 1
-    while h < size:
-        pairs = a.reshape(-1, 2, h * (a.size // size))
-        low, high = pairs[:, 0], pairs[:, 1]
-        diff = scratch.reshape(low.shape)
-        np.subtract(low, high, out=diff)
-        low += high
-        high[...] = diff
-        h *= 2
-
-
-def dense_blocks(amplitudes, n_sites: int, parity_blocks: bool = False) -> np.ndarray:
-    """Dense matrices of a stack of amplitude vectors (T, 4^N), as (T, B, D, D).
-
-    Each band A[i, i ^ x] = sum_z t_{x,z} (-i)^{|x & z|} (-1)^{|i & z|} of
-    A = sum_W t_W P_W is a Walsh-Hadamard transform over the Z-mask z: one
-    gather of the amplitudes into bands, N butterfly passes, and one gather
-    of the bands into the stack. B = 1 and D = 2^N gives the full matrices.
+    Each stored word is w^{a} = i^q X^x Z^z (`_pauli_bits`), whose entry
+    (i, i ^ x) is i^q (-1)^{|x & z|} (-1)^{|i & z|}. So the band of X-mask x
+    is A[i, i ^ x] = sum_z S[x, z] (-1)^{|i & z|} with
+    S[x, z] = c_a i^q (-1)^{|x & z|}: one matmul of S, over the distinct
+    stored x and z, against the +-1 rows of the stored z's, and one index
+    table that places the bands. B = 1 and D = 2^N gives the full matrices.
     parity_blocks gives B = 2 and D = 2^{N-1}, the blocks of the even- and
     odd-popcount indices, which is exact for operators that commute with
-    the parity M, i.e. whose odd-degree amplitudes all vanish: only the
-    even-popcount x contribute to them. The bands are held z-major, sample
-    axis last, so that every butterfly pass runs over long contiguous
-    stretches; the returned stack is a view with the sample axis moved to
-    the front. n_sites beyond the dense cap (`pauli.dense_site_limit`,
-    set by LMEM_DENSE_LIMIT) raises SizeLimitError.
+    the parity M, i.e. whose odd-degree amplitudes all vanish: those are
+    the words of odd popcount x, which would land across the blocks, so
+    they are dropped. Index i has rank i >> 1 in its block. The returned
+    stack is a view with the sample axis moved to the front. n_sites
+    beyond the dense cap (`pauli.dense_site_limit`, set by
+    LMEM_DENSE_LIMIT) raises SizeLimitError.
     """
     _check_dense(n_sites)
-    source, power, target = _band_tables(n_sites, parity_blocks)
-    amps = np.asarray(amplitudes, dtype=complex)
-    bands = np.take(amps.T, source, axis=0)  # (2^N, number of x, T), a new C-contiguous array
-    bands *= np.take(_PHASE_OF_POWER, power)[:, :, None]
-    _walsh_hadamard(bands)
-    return np.moveaxis(np.take(bands.reshape(-1, len(amps)), target, axis=0), -1, 0)
+    values = np.asarray(values, dtype=complex)
+    indices = _index_range(2 * n_sites) if indices is None else np.asarray(indices, dtype=np.int64)
+    x, z, q = _pauli_bits(indices, n_sites)
+    if parity_blocks:
+        even = (_bitcount(x) & 1) == 0
+        values, x, z, q = values[:, even], x[even], z[even], q[even]
+    xs, x_slot = np.unique(x, return_inverse=True)
+    zs, z_slot = np.unique(z, return_inverse=True)
+    count = len(values)
+    # S z-major with the sample axis last, so the matmul is one real product
+    # on interleaved real and imaginary parts and the placement copies rows
+    s = np.zeros((zs.size, xs.size, count), dtype=complex)
+    s[z_slot, x_slot] = (values * _PHASE_OF_POWER[(q + 2 * _bitcount(x & z)) & 3]).T
+    rows = _index_range(n_sites)
+    signs = 1.0 - 2 * (_bitcount(rows[:, None] & zs) & 1)
+    bands = (signs @ s.reshape(zs.size, xs.size * count).view(float)).view(complex)  # (i, x, sample)
+    del s  # released before the stack is allocated
+    # flat position of (i, i ^ x) in the stack of B blocks of side D
+    shift = int(parity_blocks)
+    side = 1 << (n_sites - shift)
+    block = _bitcount(rows) & 1 if parity_blocks else 0
+    target = ((block * side + (rows >> shift)) * side)[:, None] + ((rows[:, None] ^ xs) >> shift)
+    out = np.zeros(((1 + shift) * side * side, count), dtype=complex)
+    out[target.ravel()] = bands.reshape(target.size, count)
+    return np.moveaxis(out.reshape(1 + shift, side, side, count), -1, 0)
 
 
 def devectorize(state, n_sites: int | None = None) -> np.ndarray:
-    """Rebuild the dense matrix from Majorana amplitudes."""
+    """Rebuild the dense matrix from Majorana amplitudes: the one-sample
+    case of `dense_blocks` on the nonzero amplitudes."""
     v, n = as_amplitudes(state, n_sites)
-    return dense_blocks(v[None], n)[0, 0]
+    support = np.flatnonzero(v)
+    return dense_blocks(v[None, support], support, n)[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from lmem.fock import (
     parity_values,
     reversal_signs,
     row_chunks,
-    scatter_columns,
     vector_purity,
     vectorize,
     vectorize_operator,
@@ -408,9 +407,9 @@ class TestInitialStateCheck:
         paths = []
         kernel = lmem.dynamics.dense_blocks
 
-        def spy(amplitudes, n_sites, parity_blocks=False):
+        def spy(values, indices, n_sites, parity_blocks=False):
             paths.append(parity_blocks)
-            return kernel(amplitudes, n_sites, parity_blocks)
+            return kernel(values, indices, n_sites, parity_blocks)
 
         monkeypatch.setattr(lmem.dynamics, "dense_blocks", spy)
         with pytest.raises(ValueError, match=f"minimum eigenvalue {lam:.3e}"):
@@ -435,7 +434,7 @@ def random_quadratic_states(n, count, seed):
 
 def dense_block_minima(values, indices, n):
     """Least eigenvalue of each sample on each parity block, (T, 2), by eigvalsh."""
-    blocks = dense_blocks(scatter_columns(values, indices, n), n, parity_blocks=True)
+    blocks = dense_blocks(values, indices, n, parity_blocks=True)
     return np.linalg.eigvalsh(blocks).min(axis=-1)
 
 
@@ -544,6 +543,38 @@ def test_dense_kernels_honour_the_cap(monkeypatch):
         physicality_report(res)
     with pytest.raises(SizeLimitError, match="LMEM_DENSE_LIMIT"):
         devectorize(res.state(1))
+
+
+@pytest.mark.parametrize("kind", ["fig4-purity", "fig3b-u2"])
+def test_dense_checks_build_no_4n_vector(kind, monkeypatch):
+    # the dense positivity path and density_matrix rebuild the matrices
+    # from the stored words; no trajectory sample is scattered into 4^N
+    import lmem.fock
+    from lmem.cli import edge_occupied_state, product_initial_state
+
+    if kind == "fig4-purity":
+        n = 5
+        rho0 = edge_occupied_state(n, 0.4, 0.3)
+        p = params(n, J=2.0, gamma=3.0)
+    else:
+        n = 4
+        rho0 = product_initial_state(n, 0.5, 0.1)
+        p = random_perturbed_params(n, u=2.0, rng_seed=3)
+    res = evolve(rho0, p, np.linspace(0, 4, 9))
+    assert not dynamics._is_quadratic(res.indices, n) and res.indices.size < 4 ** n
+    expected = [devectorize(v, n) for v in res.amplitudes]
+    report = physicality_report(res)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scattered a sample into a 4^N vector")
+
+    for module in (lmem.dynamics, lmem.fock):
+        monkeypatch.setattr(module, "scatter_columns", forbidden)
+    assert physicality_report(res) == report
+    assert report["max_negative_eigenvalue"] == 0.0
+    check_physical_initial_state(rho0)
+    for k, rho in enumerate(expected):
+        np.testing.assert_allclose(res.density_matrix(k), rho, rtol=0, atol=1e-15)
 
 
 class TestExpectation:

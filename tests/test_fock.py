@@ -340,13 +340,32 @@ def pauli_oracle(amplitudes, n):
     return out
 
 
+def random_support(rng, n, even=False):
+    """A random sorted subset of the basis indices, of even degree only if asked."""
+    idx = np.arange(4 ** n)
+    if even:
+        idx = idx[parity_values(n) > 0]
+    return np.sort(rng.choice(idx, size=max(1, idx.size // 3), replace=False))
+
+
+def scattered(values, indices, n):
+    """The (T, 4^N) amplitudes of values held on indices, for the oracle."""
+    out = np.zeros((len(values), 4 ** n), dtype=complex)
+    out[:, indices] = values
+    return out
+
+
+def random_values(rng, shape):
+    # complex amplitudes, so the matrices are not Hermitian
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 class TestDenseBlocks:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_full_matrices_match_pauli_sum(self, n):
-        # random complex amplitudes, so the matrices are not Hermitian
         rng = np.random.default_rng(100 + n)
-        amps = rng.normal(size=(7, 4 ** n)) + 1j * rng.normal(size=(7, 4 ** n))
-        got = dense_blocks(amps, n)
+        amps = random_values(rng, (7, 4 ** n))
+        got = dense_blocks(amps, None, n)
         assert got.shape == (7, 1, 2 ** n, 2 ** n)
         np.testing.assert_allclose(got[:, 0], pauli_oracle(amps, n), rtol=0, atol=1e-13)
         for k in range(len(amps)):
@@ -354,20 +373,35 @@ class TestDenseBlocks:
             np.testing.assert_allclose(
                 vectorize(got[k, 0], n).amplitudes, amps[k], rtol=0, atol=1e-13
             )
+        # the same on a random subset of the words, stored on its indices
+        indices = random_support(rng, n)
+        values = random_values(rng, (7, indices.size))
+        amps = scattered(values, indices, n)
+        got = dense_blocks(values, indices, n)
+        np.testing.assert_allclose(got[:, 0], pauli_oracle(amps, n), rtol=0, atol=1e-13)
+        for k in range(len(amps)):
+            np.testing.assert_allclose(devectorize(amps[k], n), got[k, 0], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_parity_blocks_match_pauli_sum(self, n):
         rng = np.random.default_rng(200 + n)
-        amps = rng.normal(size=(5, 4 ** n)) + 1j * rng.normal(size=(5, 4 ** n))
-        amps[:, parity_values(n) < 0] = 0.0  # commutes with the parity M
-        dense = pauli_oracle(amps, n)
         even = np.bitwise_count(np.arange(2 ** n)) % 2 == 0
-        # the oracle is block diagonal in the popcount parity of the index
-        assert np.abs(dense[:, even][:, :, ~even]).max() == 0
-        got = dense_blocks(amps, n, parity_blocks=True)
-        assert got.shape == (5, 2, 2 ** (n - 1), 2 ** (n - 1))
-        np.testing.assert_allclose(got[:, 0], dense[:, even][:, :, even], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(got[:, 1], dense[:, ~even][:, :, ~even], rtol=0, atol=1e-13)
+        # all 4^N indices with zeros on the odd-degree words, and a random
+        # subset of the even-degree words: both commute with the parity M
+        amps = random_values(rng, (5, 4 ** n))
+        amps[:, parity_values(n) < 0] = 0.0
+        indices = random_support(rng, n, even=True)
+        values = random_values(rng, (5, indices.size))
+        for got, full in (
+            (dense_blocks(amps, np.arange(4 ** n), n, parity_blocks=True), amps),
+            (dense_blocks(values, indices, n, parity_blocks=True), scattered(values, indices, n)),
+        ):
+            dense = pauli_oracle(full, n)
+            # the oracle is block diagonal in the popcount parity of the index
+            assert np.abs(dense[:, even][:, :, ~even]).max() == 0
+            assert got.shape == (5, 2, 2 ** (n - 1), 2 ** (n - 1))
+            np.testing.assert_allclose(got[:, 0], dense[:, even][:, :, even], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got[:, 1], dense[:, ~even][:, :, ~even], rtol=0, atol=1e-13)
 
     def test_chunked_stack_matches_whole_stack(self):
         # a stack cut into row chunks, the last one short, rebuilds the same matrices
@@ -375,18 +409,11 @@ class TestDenseBlocks:
         rng = np.random.default_rng(7)
         chunks = row_chunks(21, 4 ** n)
         assert len(chunks) > 2 and chunks[-1].stop - chunks[-1].start < chunks[0].stop
-        amps = rng.normal(size=(21, 4 ** n)) + 1j * rng.normal(size=(21, 4 ** n))
-        whole = dense_blocks(amps, n)
+        indices = random_support(rng, n)
+        values = random_values(rng, (21, indices.size))
+        whole = dense_blocks(values, indices, n)
         for rows in chunks:
-            np.testing.assert_array_equal(dense_blocks(amps[rows], n), whole[rows])
-
-    def test_butterflies_refuse_a_non_contiguous_array(self):
-        from lmem.fock import _walsh_hadamard
-
-        # reshaping a strided array copies it; the transform would be lost
-        a = np.ones((8, 6), dtype=complex)[:, ::2]
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _walsh_hadamard(a)
+            np.testing.assert_array_equal(dense_blocks(values[rows], indices, n), whole[rows])
 
     def test_hermitian_part(self):
         rng = np.random.default_rng(21)
