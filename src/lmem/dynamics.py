@@ -10,7 +10,20 @@ third-quantized form is its oracle). Two methods are cross-validated:
   for each interval the degree m and the substep count s are chosen from
   the exact 1-norm and the double-precision theta_m table, and each
   substep stops its series once two terms fall below the unit roundoff.
-  The steps hold three working vectors, and no random numbers are drawn.
+  No random numbers are drawn. The same stepper serves two paths, chosen
+  per batch by `_step_intervals` from the distinct intervals D, the block
+  size n, the stored entries nnz and the K intervals to step:
+  - step matrices, for small blocks: the Taylor terms of each distinct
+    interval dt run once on the stacked n x n identities of the batch's
+    blocks, which gives exp(A_b dt) for every block b (Moler & Van Loan,
+    SIAM Rev. 45, 3 (2003), on applying a fixed-step propagator), and the
+    state moves from sample to sample by one batched matmul. fig3a and
+    fig4-purity step this way: a uniform grid has one or a few distinct
+    intervals, and on a block of ~50 states a scipy product costs mostly
+    its fixed dispatch, not its arithmetic.
+  - vectors, for large blocks: the Taylor terms of each interval act on
+    the state itself, one scipy CSR product per term, holding three
+    working vectors. fig3b's u=2 block takes this path.
 
   The state is propagated on the smallest block, closed under all of the
   model's symmetries, that it occupies. Every model commutes with the
@@ -35,11 +48,12 @@ third-quantized form is its oracle). Two methods are cross-validated:
 
   `evolve_batches` runs one initial state under many models, as fig3b's
   seeded draws: the runs that share a block are stacked as one
-  block-diagonal generator (`sp.block_diag`) and stepped as one vector,
-  each block shifted by its own mean diagonal, in batches bounded by
+  block-diagonal generator (`sp.block_diag`) and stepped together, each
+  block shifted by its own mean diagonal, in batches bounded by
   `fock.row_chunks`; `evolve` is its batch of one. A batch whose
   generators and trajectories would not fit in the memory the process may
-  allocate raises `MemoryBudgetError` before any of them is built.
+  allocate raises `MemoryBudgetError` before any of them is built, and one
+  whose step matrices would not fit raises before those are built.
 
 * "eigen": dense eigendecomposition with biorthogonal left/right pairs,
   |rho(t)> = R exp(-i diag(lambda) t) R^{-1} |rho(0)>, on the whole
@@ -89,6 +103,7 @@ from numpy.linalg import LinAlgError, cholesky, eigvalsh
 
 from .fock import (
     _PHASE_OF_POWER,
+    _DenseLayout,
     LiouvilleVector,
     _bitcount,
     _hermiticity_defect,
@@ -130,7 +145,10 @@ class EvolutionResult:
     values: np.ndarray  # shape (len(times), len(indices))
     method_tag: str
     time_unit: str  # "1/gamma" or "absolute"
-    matvecs: int = 0  # sparse matrix-vector products of the batch the run was stepped in
+    # sparse products A @ b of the batch the run was stepped in, one per
+    # Taylor term: on the step path b is the stacked identity, and the
+    # matmuls that apply the step matrices are not counted
+    matvecs: int = 0
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -213,59 +231,140 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     return int(_DEGREES[k]), int(steps[k])
 
 
-def _propagate(blocks, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
-    """Write exp(A t) v0 to out[k] for each t_phys[k], A the block-diagonal
-    matrix of the square sparse `blocks`; return the matvecs.
+# fixed cost of one Taylor term, the scipy `A @ b` dispatch and the loop
+# around it, in units of the cost of one stored entry times one column:
+# ~8 us against ~0.8 ns, fitted over single-vector terms on blocks of 26 to
+# 1536 states (2-core VM, numpy's OpenBLAS on one thread)
+_TERM_OVERHEAD = 10000
 
-    The blocks and v0 may be real or complex, and v0 one vector or a stack
-    of columns, with the blocks' rows stacked along its first axis; out[k]
-    receives v reshaped to out's sample shape. Each block is shifted by its
-    own mean diagonal mu_b, restored by eta = e^{mu_b h} on its rows, and
-    the plan (m, s) comes from the 1-norm of the shifted block-diagonal
-    matrix, so one block takes the steps it would take alone. t_phys is
-    nondecreasing with t_phys[0] >= 0. Each interval is stepped from the
-    previous sample, so a repeated time costs nothing.
 
-    A series stops once two terms fall below the unit roundoff times
-    ||f||_inf, taken over the whole stacked vector. bound = sum_j
-    ||b_j||_inf is at least ||f||_inf, so ||f||_inf is only computed once
-    the two terms fall below twice the unit roundoff times bound (the
-    factor 2 covers the rounding of bound); the decisions are those of the
-    plain test.
-    """
+def _shifted(blocks):
+    """(A, mus, sizes, norm): the block-diagonal CSR matrix of the square
+    sparse `blocks`, each shifted by its own mean diagonal mu_b, and the
+    exact 1-norm of the shifted matrix."""
     sizes = [b.shape[0] for b in blocks]
     mus = np.array([b.diagonal().sum() / size for b, size in zip(blocks, sizes)])
     # a batch of one is shifted as it is, without the block_diag copy
     A = blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
     A = (A - sp.diags(np.repeat(mus, sizes), format="csr")).tocsr()
-    norm = float(abs(A).sum(axis=0).max())
-    v = v0.astype(np.result_type(A.dtype, v0.dtype))
-    eta_shape = (-1,) + (1,) * (v.ndim - 1)  # one factor per row of v
+    return A, mus, sizes, float(abs(A).sum(axis=0).max())
+
+
+def _taylor_interval(A, mus, sizes, norm, v: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
+    """(exp((A + mu) dt) v, matvecs) for the shifted matrix of `_shifted` and
+    dt > 0, mu restored as eta = e^{mu_b h} on block b's rows after each
+    substep. v is one vector or a stack of columns.
+
+    A series stops once two terms fall below the unit roundoff times
+    ||f||_inf, taken over the whole stack. bound = sum_j ||b_j||_inf is at
+    least ||f||_inf, so ||f||_inf is only computed once the two terms fall
+    below twice the unit roundoff times bound (the factor 2 covers the
+    rounding of bound); the decisions are those of the plain test.
+    """
+    m, s = _taylor_plan(dt * norm)
+    h = dt / s
+    eta = np.repeat(np.exp(mus * h), sizes).reshape((-1,) + (1,) * (v.ndim - 1))
     matvecs = 0
-    t_prev = 0.0
-    for k, t in enumerate(t_phys):
-        dt, t_prev = t - t_prev, t
+    for _ in range(s):
+        f = v.copy()
+        b = v
+        c1 = bound = np.abs(b).max()
+        for j in range(1, m + 1):
+            b = A @ b
+            b *= h / j
+            f += b
+            matvecs += 1
+            c2 = np.abs(b).max()
+            bound += c2
+            tail = c1 + c2
+            if tail <= 2 * _UNIT_ROUNDOFF * bound and tail <= _UNIT_ROUNDOFF * np.abs(f).max():
+                break
+            c1 = c2
+        f *= eta
+        v = f
+    return v, matvecs
+
+
+def _step_intervals(blocks, t_phys: np.ndarray) -> np.ndarray | None:
+    """The distinct positive intervals of t_phys when stepping by one
+    precomputed matrix per interval costs less than stepping the state
+    through each interval's Taylor terms, else None.
+
+    A Taylor term costs c + nnz x columns, c = `_TERM_OVERHEAD` and nnz the
+    stored entries of the blocks, and both ways take about the same terms
+    per interval: D intervals on the n stacked identity columns against K
+    intervals on the state, so the matrices pay when
+    D (c + nnz n) < K (c + nnz). Blocks of unequal sizes, which no batch
+    of `evolve_batches` holds, always take the vectors.
+    """
+    dts = np.diff(t_phys, prepend=0.0)
+    positive = dts[dts > 0]
+    sizes = {b.shape[0] for b in blocks}
+    if len(sizes) != 1:
+        return None
+    distinct = np.unique(positive)
+    n = sizes.pop()
+    nnz = sum(b.nnz for b in blocks)
+    if distinct.size * (_TERM_OVERHEAD + nnz * n) < positive.size * (_TERM_OVERHEAD + nnz):
+        return distinct
+    return None
+
+
+def _propagate(blocks, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
+    """Write exp(A t) v0 to out[k] for each t_phys[k], A the block-diagonal
+    matrix of the square sparse `blocks`; return the sparse products A @ b.
+
+    The blocks and v0 may be real or complex, and v0 one vector or a stack
+    of columns, with the blocks' rows stacked along its first axis; out[k]
+    receives v reshaped to out's sample shape. t_phys is nondecreasing with
+    t_phys[0] >= 0, and each interval is stepped from the previous sample,
+    so a repeated time costs nothing. Each block is shifted by its own mean
+    diagonal, and the plan (m, s) of an interval comes from the 1-norm of
+    the shifted block-diagonal matrix, so one block takes the steps it
+    would take alone. Small blocks step by one matrix per distinct interval
+    (`_propagate_by_steps`), large ones by Taylor terms on the state
+    (`_propagate_by_vectors`); `_step_intervals` chooses.
+    """
+    intervals = _step_intervals(blocks, t_phys)
+    if intervals is None:
+        return _propagate_by_vectors(blocks, v0, t_phys, out)
+    return _propagate_by_steps(blocks, v0, t_phys, out, intervals)
+
+
+def _propagate_by_vectors(blocks, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
+    """`_propagate` by the Taylor terms of each interval on the state."""
+    A, mus, sizes, norm = _shifted(blocks)
+    v = v0.astype(np.result_type(A.dtype, v0.dtype))
+    matvecs = 0
+    for k, dt in enumerate(np.diff(t_phys, prepend=0.0)):
         if dt > 0:
-            m, s = _taylor_plan(dt * norm)
-            h = dt / s
-            eta = np.repeat(np.exp(mus * h), sizes).reshape(eta_shape)
-            for _ in range(s):
-                f = v.copy()
-                b = v
-                c1 = bound = np.abs(b).max()
-                for j in range(1, m + 1):
-                    b = A @ b
-                    b *= h / j
-                    f += b
-                    matvecs += 1
-                    c2 = np.abs(b).max()
-                    bound += c2
-                    tail = c1 + c2
-                    if tail <= 2 * _UNIT_ROUNDOFF * bound and tail <= _UNIT_ROUNDOFF * np.abs(f).max():
-                        break
-                    c1 = c2
-                f *= eta
-                v = f
+            v, count = _taylor_interval(A, mus, sizes, norm, v, dt)
+            matvecs += count
+        out[k] = v.reshape(out.shape[1:])
+    return matvecs
+
+
+def _propagate_by_steps(blocks, v0, t_phys, out, intervals: np.ndarray) -> int:
+    """`_propagate` by one step matrix per distinct interval dt, the blocks
+    of equal size n: the Taylor terms of dt run once on the stacked n x n
+    identities of the blocks, giving exp(A_b dt) for every block b as one
+    (blocks, n, n) array, and the state then moves from sample to sample by
+    one batched matmul. Returns the sparse products of those Taylor terms;
+    the matmuls are not counted."""
+    A, mus, sizes, norm = _shifted(blocks)
+    dtype = np.result_type(A.dtype, v0.dtype)
+    n = sizes[0]
+    eye = np.tile(np.eye(n, dtype=dtype), (len(sizes), 1))
+    steps = {}
+    matvecs = 0
+    for dt in intervals:
+        step, count = _taylor_interval(A, mus, sizes, norm, eye, dt)
+        steps[dt] = step.reshape(len(sizes), n, n)
+        matvecs += count
+    v = v0.astype(dtype).reshape(len(sizes), n, -1)
+    for k, dt in enumerate(np.diff(t_phys, prepend=0.0)):
+        if dt > 0:
+            v = np.matmul(steps[dt], v)
         out[k] = v.reshape(out.shape[1:])
     return matvecs
 
@@ -341,27 +440,33 @@ def _memory_limit() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_budget(models: list[ModelParams], n_samples: int, block: int) -> None:
-    """Raise MemoryBudgetError when the generator builds and trajectories of
-    a batch of runs on a block of `block` basis indices are estimated to
-    exceed `_memory_limit`.
+def _check_budget(models: list[ModelParams], n_samples: int, block: int, step_intervals: int = 0) -> None:
+    """Raise MemoryBudgetError when the generator builds, trajectories and
+    step matrices of a batch of runs on a block of `block` basis indices
+    are estimated to exceed `_memory_limit`.
 
     A build holds about 64 bytes per (combined mask, basis index): one mask
     per Hamiltonian word and one for the diagonal. A trajectory holds 16
-    bytes of complex amplitude per basis index and sample.
+    bytes of complex amplitude per basis index and sample. A batch that
+    steps by matrices (`_propagate_by_steps`) holds one real block x block
+    matrix per run and distinct interval, 8 bytes an entry.
     """
     n = models[0].n_sites
     generator = 64 * sum(len(build_hamiltonian(p)) + 1 for p in models) * block
     trajectory = 16 * n_samples * block * len(models)
+    steps = 8 * step_intervals * len(models) * block * block
     limit = _memory_limit()
-    if generator + trajectory > limit:
+    if generator + trajectory + steps > limit:
         mib = 2 ** 20
+        held = f"{generator // mib} MiB for the generator"
+        if steps:
+            held += f", {steps // mib} MiB for the step matrices"
         raise MemoryBudgetError(
             f"evolving {len(models)} run(s) on a block of {block} basis states at n_sites={n} "
-            f"over {n_samples} samples needs about {generator // mib} MiB for the generator and "
+            f"over {n_samples} samples needs about {held} and "
             f"{trajectory // mib} MiB for the trajectory, more than the {limit // mib} MiB "
             "this process may allocate",
-            "n_sites" if generator > limit else "time_grid.n_samples",
+            "n_sites" if generator + steps > limit else "time_grid.n_samples",
         )
 
 
@@ -429,13 +534,15 @@ def evolve_batches(rho0, models, t_grid) -> Iterator[list[EvolutionResult]]:
     Consecutive models whose runs share the block and the physical times
     (`_block_key`) form batches of at most `fock.row_chunks(count, T x
     block)` runs. The generators of a batch are propagated together as one
-    block-diagonal matrix (`_propagate`): a physical state has ||f||_inf =
-    2^-N, its trace amplitude, so the shared stop test passes only when
-    each run's own would, and a batch of one takes exactly the steps of a
-    run alone. The results of a batch are rows of one (runs, T, block)
-    array, and each result's `matvecs` counts the products of its whole
-    batch. A batch beyond the memory budget raises `MemoryBudgetError`
-    before anything of it is built.
+    block-diagonal matrix (`_propagate`). On the vector path a physical
+    state has ||f||_inf = 2^-N, its trace amplitude, so the shared stop
+    test passes only when each run's own would; on the step path every
+    block's identity has ||f||_inf near 1. A batch of one takes exactly
+    the steps of a run alone. The results of a batch are rows of one
+    (runs, T, block) array, and each result's `matvecs` counts the
+    products of its whole batch. A batch beyond the memory budget raises
+    `MemoryBudgetError` before anything of it is built, or, when its step
+    matrices tip it over, before those are built.
     """
     t_grid = _check_time_grid(t_grid)
     models = list(models)
@@ -469,6 +576,10 @@ def _evolve_batch(v0, models, t_grid, gamma, indices, tag) -> list[EvolutionResu
     generators = [
         _hermitian_basis_generator(build_liouvillian_direct(p, cols=indices).matrix, indices) for p in models
     ]
+    intervals = _step_intervals(generators, t_phys)
+    if intervals is not None:
+        # the step matrices are counted once the generators decide that they are taken
+        _check_budget(models, t_phys.size, indices.size, intervals.size)
     # the coordinates are written into the (real, imaginary) parts of the
     # amplitudes, so the trajectories are allocated once; out[k] is sample k of every run
     values = np.zeros((len(models), t_phys.size, indices.size), dtype=complex)
@@ -613,20 +724,21 @@ def _quadratic_lowest(part: np.ndarray, indices: np.ndarray, n_sites: int) -> np
 def _dense_positivity(values: np.ndarray, indices: np.ndarray, n_sites: int) -> tuple[float, float]:
     """(Hermiticity defect, max(0, -lambda_min)) over the samples values[k],
     walked in chunks (`fock.row_chunks`). The Hermitian part of each chunk is
-    rebuilt by `fock.dense_blocks` from the stored words alone: a chunk
-    whose odd-degree amplitudes all vanish commutes with the parity M and
-    is checked on its two 2^{N-1} parity blocks, otherwise on the full
+    rebuilt by the `fock.dense_blocks` kernel from the stored words alone,
+    its index tables built once for the whole trajectory: a chunk whose
+    odd-degree amplitudes all vanish commutes with the parity M and is
+    checked on its two 2^{N-1} parity blocks, otherwise on the full
     matrices. A sample Cholesky accepts counts as 0."""
     n = n_sites
     odd = (_bitcount(indices) & 1).astype(bool)
+    layout = _DenseLayout(indices, n)
     worst_herm = 0.0
     worst_neg = 0.0
     for rows in row_chunks(len(values), 4 ** n):
         chunk = values[rows]
         part = hermitian_part(chunk, n, indices)
         worst_herm = max(worst_herm, _hermiticity_defect(chunk, part))
-        blocks = dense_blocks(part, indices, n, parity_blocks=not part[:, odd].any())
-        lam = _lowest_eigenvalue(blocks)
+        lam = _lowest_eigenvalue(layout.blocks(part, parity_blocks=not part[:, odd].any()))
         if lam is not None:
             worst_neg = max(worst_neg, -lam)
     return worst_herm, worst_neg

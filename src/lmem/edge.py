@@ -36,6 +36,7 @@ import numpy as np
 from .dynamics import EvolutionResult, check_physical_initial_state, expectation_series
 from .dynamics import PositivityError  # noqa: F401 -- build_product_state raises it through the check
 from .fock import (
+    _index_range,
     as_amplitudes,
     devectorize,
     gather_columns,
@@ -45,7 +46,7 @@ from .fock import (
     site_count,
     vector_purity,
 )
-from .kappa import edge_annihilator, edge_correlator
+from .kappa import edge_annihilator, edge_correlator_signs
 from .pauli import OperatorSum, PauliString, parity_word, spin_to_majorana
 
 
@@ -256,15 +257,22 @@ def edge_factorization_test(
 
 def _kappa_correlation_rows(amplitudes: np.ndarray, n_sites: int, indices=None) -> np.ndarray:
     """<<rho| i kappa_1 kappa_4N |rho>> of each row of amplitudes on the
-    sorted basis indices `indices` (all 4^N when None), one sparse product
-    per chunk of rows."""
-    corr = edge_correlator(n_sites)
-    if indices is not None and indices.size < corr.shape[0]:
-        corr = corr[indices][:, indices]
+    sorted basis indices `indices` (all 4^N when None).
+
+    i kappa_1 kappa_4N sends w^{a} to s_a w^{a ^ F}, F = 4^N - 1
+    (`kappa.edge_correlator_signs`), so the form is
+    2^N sum_a conj(c_{a ^ F}) s_a c_a over the stored a: each amplitude
+    meets its flip partner, gathered from the same rows, and a partner
+    that is not stored reads 0.
+    """
+    if indices is None:
+        indices = _index_range(2 * n_sites)
+    signs = edge_correlator_signs(n_sites, indices)
+    partners = indices ^ ((1 << 2 * n_sites) - 1)
     out = np.empty(len(amplitudes))
     for rows in row_chunks(len(amplitudes), amplitudes.shape[1]):
         chunk = amplitudes[rows]
-        out[rows] = 2 ** n_sites * np.vecdot(chunk, (corr @ chunk.T).T).real
+        out[rows] = 2 ** n_sites * np.vecdot(gather_columns(chunk, indices, partners), chunk * signs).real
     return out
 
 

@@ -29,9 +29,11 @@ The dense matrix of an amplitude vector comes from one kernel,
 words they store: each word w^{a} is i^q X^x Z^z, so the band
 A[i, i ^ x] of fixed X-mask x is a sum over the stored Z-masks z of
 (-1)^{|i & z|}, one matmul for the whole stack, and one index table places
-the bands. No 4^N array is built. `devectorize` is its one-sample case on
-the nonzero amplitudes; `vectorize` and `pauli_coefficients` go the other
-way and serve as its independent oracle.
+the bands. No 4^N array is built. The masks, rows and table depend on
+the stored indices alone (`_DenseLayout`), so a trajectory checked in
+chunks of samples builds them once. `devectorize` is its one-sample case
+on the nonzero amplitudes; `vectorize` and `pauli_coefficients` go the
+other way and serve as its independent oracle.
 
 The inner product is <<A|B>> = tr(A^dag B), under which the basis monomials
 are orthogonal with squared norm 2^N; the factor is carried explicitly in
@@ -248,6 +250,31 @@ def right_mult_monomial(mono: MajoranaMonomial, n_sites: int) -> sp.csr_matrix:
     return _product_superoperator([(None, _monomial_operator(mono, n_sites), 1.0)], n_sites)
 
 
+def _mask_columns(terms, n_sites: int, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, by_column) of the superoperator of `_product_superoperator`:
+    the sorted combined masks m, and by_column[i, j] the entry that w^{basis[j]}
+    sends to w^{basis[j] ^ masks[i]}."""
+    n_modes = 2 * n_sites
+    identity = {0: 1.0}
+    pairs = []  # (combined mask, crossing mask, coefficient) per monomial pair
+    for left, right, scale in terms:
+        left_terms = identity if left is None else operator_to_majorana_terms(left)
+        right_terms = identity if right is None else operator_to_majorana_terms(right)
+        for b, cb in right_terms.items():
+            right_cross = _crossings(b, n_modes, right=True)
+            for a, ca in left_terms.items():
+                left_cross = _crossings(a, n_modes, right=False)
+                # the left sign at col ^ b is the left sign at col times
+                # (-1)^{popcount(b & left_cross)}
+                coeff = scale * ca * cb * (1 - 2 * ((b & left_cross).bit_count() & 1))
+                pairs.append((a ^ b, right_cross ^ left_cross, coeff))
+    masks = np.array(sorted({m for m, _, _ in pairs}), dtype=np.int64)
+    by_column = np.zeros((masks.size, basis.size), dtype=complex)
+    for m, cross, coeff in pairs:
+        by_column[np.searchsorted(masks, m)] += coeff * _crossing_signs(basis, cross)
+    return masks, by_column
+
+
 def _product_superoperator(terms, n_sites: int, cols=None) -> sp.csr_matrix:
     """Superoperator of A -> sum_k s_k L_k A R_k on amplitude vectors.
 
@@ -265,30 +292,13 @@ def _product_superoperator(terms, n_sites: int, cols=None) -> sp.csr_matrix:
     entry whose row falls outside the set must have summed to zero, and a
     nonzero one raises ValueError. None builds the whole 4^N space.
     """
-    n_modes = 2 * n_sites
     dim = 4 ** n_sites
-    basis = _index_range(n_modes) if cols is None else np.asarray(cols, dtype=np.int64)
+    basis = _index_range(2 * n_sites) if cols is None else np.asarray(cols, dtype=np.int64)
     size = basis.size
-    identity = {0: 1.0}
-    pairs = []  # (combined mask, crossing mask, coefficient) per monomial pair
-    for left, right, scale in terms:
-        left_terms = identity if left is None else operator_to_majorana_terms(left)
-        right_terms = identity if right is None else operator_to_majorana_terms(right)
-        for b, cb in right_terms.items():
-            right_cross = _crossings(b, n_modes, right=True)
-            for a, ca in left_terms.items():
-                left_cross = _crossings(a, n_modes, right=False)
-                # the left sign at col ^ b is the left sign at col times
-                # (-1)^{popcount(b & left_cross)}
-                coeff = scale * ca * cb * (1 - 2 * ((b & left_cross).bit_count() & 1))
-                pairs.append((a ^ b, right_cross ^ left_cross, coeff))
-    masks = np.array(sorted({m for m, _, _ in pairs}), dtype=np.int64)
+    masks, by_column = _mask_columns(terms, n_sites, basis)
     if not masks.size:
         return sp.csr_matrix((size, size), dtype=complex)
     index_dtype = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
-    by_column = np.zeros((masks.size, size), dtype=complex)  # value of each mask at each column
-    for m, cross, coeff in pairs:
-        by_column[np.searchsorted(masks, m)] += coeff * _crossing_signs(basis, cross)
     # row r holds the partner r ^ m for each combined mask m; sorted, the
     # mask of an entry is recovered as r ^ partner
     partners = basis.astype(index_dtype)[:, None] ^ masks.astype(index_dtype)
@@ -476,32 +486,55 @@ def dense_blocks(values, indices, n_sites: int, parity_blocks: bool = False) -> 
     beyond the dense cap (`pauli.dense_site_limit`, set by
     LMEM_DENSE_LIMIT) raises SizeLimitError.
     """
-    _check_dense(n_sites)
-    values = np.asarray(values, dtype=complex)
-    indices = _index_range(2 * n_sites) if indices is None else np.asarray(indices, dtype=np.int64)
-    x, z, q = _pauli_bits(indices, n_sites)
-    if parity_blocks:
-        even = (_bitcount(x) & 1) == 0
-        values, x, z, q = values[:, even], x[even], z[even], q[even]
-    xs, x_slot = np.unique(x, return_inverse=True)
-    zs, z_slot = np.unique(z, return_inverse=True)
-    count = len(values)
-    # S z-major with the sample axis last, so the matmul is one real product
-    # on interleaved real and imaginary parts and the placement copies rows
-    s = np.zeros((zs.size, xs.size, count), dtype=complex)
-    s[z_slot, x_slot] = (values * _PHASE_OF_POWER[(q + 2 * _bitcount(x & z)) & 3]).T
-    rows = _index_range(n_sites)
-    signs = 1.0 - 2 * (_bitcount(rows[:, None] & zs) & 1)
-    bands = (signs @ s.reshape(zs.size, xs.size * count).view(float)).view(complex)  # (i, x, sample)
-    del s  # released before the stack is allocated
-    # flat position of (i, i ^ x) in the stack of B blocks of side D
-    shift = int(parity_blocks)
-    side = 1 << (n_sites - shift)
-    block = _bitcount(rows) & 1 if parity_blocks else 0
-    target = ((block * side + (rows >> shift)) * side)[:, None] + ((rows[:, None] ^ xs) >> shift)
-    out = np.zeros(((1 + shift) * side * side, count), dtype=complex)
-    out[target.ravel()] = bands.reshape(target.size, count)
-    return np.moveaxis(out.reshape(1 + shift, side, side, count), -1, 0)
+    indices = _index_range(2 * n_sites) if indices is None else indices
+    return _DenseLayout(indices, n_sites).blocks(values, parity_blocks)
+
+
+class _DenseLayout:
+    """The index tables of `dense_blocks` for one set of stored words: the
+    Pauli bits, the distinct X- and Z-masks, the +-1 rows and the placement
+    table. They depend on the indices alone, so a trajectory walked in
+    chunks of samples builds them once, for each parity flag it meets."""
+
+    def __init__(self, indices, n_sites: int):
+        _check_dense(n_sites)
+        self.n_sites = n_sites
+        self.bits = _pauli_bits(np.asarray(indices, dtype=np.int64), n_sites)
+        self._tables = {}
+
+    def _build(self, parity_blocks: bool):
+        n_sites = self.n_sites
+        x, z, q = self.bits
+        keep = (_bitcount(x) & 1) == 0 if parity_blocks else slice(None)
+        x, z, q = x[keep], z[keep], q[keep]
+        xs, x_slot = np.unique(x, return_inverse=True)
+        zs, z_slot = np.unique(z, return_inverse=True)
+        phases = _PHASE_OF_POWER[(q + 2 * _bitcount(x & z)) & 3]
+        rows = _index_range(n_sites)
+        signs = 1.0 - 2 * (_bitcount(rows[:, None] & zs) & 1)
+        # flat position of (i, i ^ x) in the stack of B blocks of side D
+        shift = int(parity_blocks)
+        side = 1 << (n_sites - shift)
+        block = _bitcount(rows) & 1 if parity_blocks else 0
+        target = ((block * side + (rows >> shift)) * side)[:, None] + ((rows[:, None] ^ xs) >> shift)
+        return keep, x_slot, z_slot, phases, signs, target, (1 + shift, side)
+
+    def blocks(self, values, parity_blocks: bool = False) -> np.ndarray:
+        """`dense_blocks` of the samples values (T, len(indices))."""
+        if parity_blocks not in self._tables:
+            self._tables[parity_blocks] = self._build(parity_blocks)
+        keep, x_slot, z_slot, phases, signs, target, (count_blocks, side) = self._tables[parity_blocks]
+        values = np.asarray(values, dtype=complex)[:, keep]
+        count = len(values)
+        # S z-major with the sample axis last, so the matmul is one real product
+        # on interleaved real and imaginary parts and the placement copies rows
+        s = np.zeros((signs.shape[1], target.shape[1], count), dtype=complex)
+        s[z_slot, x_slot] = (values * phases).T
+        bands = (signs @ s.reshape(s.shape[0], -1).view(float)).view(complex)  # (i, x, sample)
+        del s  # released before the stack is allocated
+        out = np.zeros((count_blocks * side * side, count), dtype=complex)
+        out[target.ravel()] = bands.reshape(target.size, count)
+        return np.moveaxis(out.reshape(count_blocks, side, side, count), -1, 0)
 
 
 def devectorize(state, n_sites: int | None = None) -> np.ndarray:

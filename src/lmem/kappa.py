@@ -23,11 +23,13 @@ pull back to the spin picture as
 
 with M the total parity (-1)^N sz_1 ... sz_N. In the monomial basis this
 makes kappa_1 = diag(2 n_1 - 1), and kappa_4N the all-bit flip
-a -> a XOR (4^N - 1). The edge operators used by experiments
-(`edge_annihilator`, `edge_correlator`) are built from these two
-spin-picture forms, each one `fock._product_superoperator` call; the full
-cascade `kappa_all` and its spin layers are the independent construction
-the tests and `lmem.verify` check them against.
+a -> a XOR (4^N - 1). The edge operators (`edge_annihilator`,
+`edge_correlator`) are built from these two spin-picture forms, each one
+`fock._product_superoperator` call; the full cascade `kappa_all` and its
+spin layers are the independent construction the tests and `lmem.verify`
+check them against. Experiments need the correlator only as the signs of
+its all-bit flip (`edge_correlator_signs`), on the indices they store, so
+no run path builds a 4^N x 4^N matrix.
 
 All operators are signed-permutation sparse matrices; the compositions are
 derived programmatically and pinned by the Clifford-algebra and sector
@@ -43,6 +45,7 @@ import scipy.sparse as sp
 
 from .fock import (
     _index_range,
+    _mask_columns,
     _product_superoperator,
     c_dagger_matrix,
     c_matrix,
@@ -126,11 +129,17 @@ def parity_pair_via_kappa(j: int, n_sites: int) -> sp.csr_matrix:
     return (1j * kap[4 * j] @ kap[4 * j + 1]).tocsr()
 
 
-def _edge_pair(n_sites: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """kappa_1 rho = -sx_1 M rho M sx_1 and kappa_4N rho = i sx_N rho M sx_N (no cascade)."""
+def _edge_words(n_sites: int) -> tuple[OperatorSum, OperatorSum, OperatorSum]:
+    """(M, sx_1, sx_N) as operators."""
     m = OperatorSum.from_pauli(parity_word(n_sites))
     sx_1 = OperatorSum.from_pauli(PauliString.single(n_sites, 1, "X"))
     sx_n = OperatorSum.from_pauli(PauliString.single(n_sites, n_sites, "X"))
+    return m, sx_1, sx_n
+
+
+def _edge_pair(n_sites: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """kappa_1 rho = -sx_1 M rho M sx_1 and kappa_4N rho = i sx_N rho M sx_N (no cascade)."""
+    m, sx_1, sx_n = _edge_words(n_sites)
     kappa_first = _product_superoperator([(sx_1 @ m, m @ sx_1, -1.0)], n_sites)
     kappa_last = _product_superoperator([(sx_n, m @ sx_n, 1j)], n_sites)
     return kappa_first, kappa_last
@@ -148,3 +157,16 @@ def edge_correlator(n_sites: int) -> sp.csr_matrix:
     """i kappa_1 kappa_{4N} = 2 d_e^dag d_e - 1."""
     kappa_first, kappa_last = _edge_pair(n_sites)
     return (1j * kappa_first @ kappa_last).tocsr()
+
+
+def edge_correlator_signs(n_sites: int, indices: np.ndarray) -> np.ndarray:
+    """s_a with i kappa_1 kappa_{4N} w^{a} = s_a w^{a ^ (4^N - 1)} for each a
+    in indices, without the 4^N x 4^N matrix of `edge_correlator`.
+
+    From the spin forms of kappa_1 and kappa_4N the correlator is the one
+    product rho -> (sx_1 M sx_N) rho (M sx_N M sx_1), whose single combined
+    mask is the all-bit flip.
+    """
+    m, sx_1, sx_n = _edge_words(n_sites)
+    _, values = _mask_columns([(sx_1 @ m @ sx_n, m @ sx_n @ m @ sx_1, 1.0)], n_sites, indices)
+    return values[0]

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from lmem.cli import edge_occupied_state, product_initial_state, ratio_observables
+from lmem.cli import edge_occupied_state, nonproduct_initial_state, product_initial_state, ratio_observables
 from lmem.dynamics import (
     _UNIT_ROUNDOFF,
     MemoryBudgetError,
@@ -18,6 +18,8 @@ from lmem.dynamics import (
     _hermitian_basis_generator,
     _occupied_indices,
     _propagate,
+    _propagate_by_vectors,
+    _step_intervals,
     _taylor_plan,
     evolve,
     evolve_batches,
@@ -222,10 +224,10 @@ class TestBlockPropagation:
 
     @staticmethod
     def full_taylor(p, v0, t):
-        """The 4^N complex Taylor path: the same stepper on -i L, unrestricted."""
+        """The 4^N complex Taylor path: the same vector stepper on -i L, unrestricted."""
         t_phys = t / (p.homogeneous_gamma() or 1.0)
         out = np.empty((t.size, v0.size), dtype=complex)
-        _propagate([-1j * build_liouvillian_direct(p).matrix], v0, t_phys, out)
+        _propagate_by_vectors([-1j * build_liouvillian_direct(p).matrix], v0, t_phys, out)
         return out
 
     @pytest.mark.parametrize("name,p,v0", cases(), ids=[c[0] for c in cases()])
@@ -319,10 +321,106 @@ def test_cheap_stop_test_takes_the_same_decisions(name, p, v0):
     real = _hermitian_basis_generator(L, _index_range(2 * p.n_sites))
     for generator, v in ((-1j * L, v0), (real, v0.real + v0.imag)):
         got, want = (np.empty((t_phys.size, v.size), dtype=generator.dtype) for _ in range(2))
-        got_matvecs = _propagate([generator], v, t_phys, got)
+        got_matvecs = _propagate_by_vectors([generator], v, t_phys, got)
         want_matvecs = plain_stop_propagate(generator, v, t_phys, want)
         assert got_matvecs == want_matvecs > 0
         np.testing.assert_array_equal(got, want)
+
+
+def propagate_both_ways(monkeypatch, run):
+    """`run()` as it is and with `_step_intervals` forced to the vectors, and
+    the path each `_propagate` call took as it is: (as is, vectors, paths)."""
+    import lmem.dynamics
+
+    paths = []
+    for path in ("steps", "vectors"):
+        kernel = getattr(lmem.dynamics, f"_propagate_by_{path}")
+        monkeypatch.setattr(
+            lmem.dynamics, f"_propagate_by_{path}", lambda *args, path=path, kernel=kernel: paths.append(path) or kernel(*args)
+        )
+    got = run()
+    taken = list(paths)
+    monkeypatch.setattr(lmem.dynamics, "_step_intervals", lambda blocks, t_phys: None)
+    return got, run(), taken
+
+
+def assert_columns_agree(got, want):
+    """Each column of got within 1e-14 of that column's maximum in want."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.abs(want).max(axis=0)
+    assert (np.abs(got - want) <= 1e-14 * scale).all()
+
+
+def step_cases():
+    """(name, params, initial amplitudes, grid) that take the step path."""
+    t = np.linspace(0.0, 3.0, 13)
+    # repeated samples and intervals of 0.5 and 0.25: two distinct intervals over 11 steps
+    uneven = np.array([0.0, 0.5, 0.5, 1.0, 1.5, 1.75, 2.0, 2.5, 2.5, 3.0, 3.25, 3.5, 4.0, 4.5, 5.0])
+    out = []
+    for n in (4, 5, 6):
+        p = uniform(n, 1.0, 1.0)
+        product = vectorize_operator(product_initial_state(n, 0.5, 0.1)).amplitudes
+        nonproduct = vectorize_operator(nonproduct_initial_state(n, 0.5, 0.1, (0.05, 0.05))).amplitudes
+        edge = vectorize_operator(edge_occupied_state(n, 0.4, 0.3)).amplitudes
+        out += [
+            (f"fig3a-product-{n}", p, product, t),
+            (f"fig3a-nonproduct-{n}", p, nonproduct, t),
+            (f"fig4-purity-{n}", uniform(n, 2.0, 3.0), edge, np.linspace(0.0, 4.0, 17)),
+        ]
+    _, p, skew = cases()[3]  # two real columns
+    out += [("nonhermitian", p, skew, t), ("uneven-grid", uniform(4, 1.0, 0.7), out[0][2], uneven)]
+    return out
+
+
+class TestStepMatrices:
+    """The step path of `_propagate` against the vector stepper."""
+
+    @pytest.mark.parametrize("name,p,v0,t", step_cases(), ids=[c[0] for c in step_cases()])
+    def test_steps_match_the_vector_stepper(self, monkeypatch, name, p, v0, t):
+        n = p.n_sites
+        steps, vectors, paths = propagate_both_ways(monkeypatch, lambda: evolve(v0, p, t))
+        assert paths == ["steps"] and 0 < steps.matvecs < vectors.matvecs
+        assert_columns_agree(steps.values, vectors.values)
+        observables = ratio_observables(n) if name.startswith("fig3a") else ()
+        for X in observables:
+            assert_columns_agree(expectation_series(X, steps), expectation_series(X, vectors))
+        if name.startswith("fig4-purity"):
+            assert_columns_agree(np.stack(purity_series(steps), 1), np.stack(purity_series(vectors), 1))
+
+    def test_fig3b_batch_steps_match_the_vector_stepper(self, monkeypatch):
+        # a u=0 batch of several draws steps each draw by its own matrices
+        n = 5
+        t = np.linspace(0.0, 5.0, 21)
+        rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1))
+        models = [random_perturbed_params(n, u=0.0, rng_seed=s) for s in range(6)]
+        steps, vectors, paths = propagate_both_ways(monkeypatch, lambda: next(evolve_batches(rho0, models, t)))
+        assert paths == ["steps"] and len(steps) == len(models)
+        for got, want in zip(steps, vectors):
+            assert_columns_agree(got.values, want.values)
+
+    def test_repeated_times_cost_nothing(self):
+        p = uniform(4, 1.0, 0.7)
+        v0 = vectorize_operator(product_initial_state(4, 0.5, 0.1)).amplitudes
+        t = np.linspace(0.0, 3.0, 7)
+        once = evolve(v0, p, t)
+        twice = evolve(v0, p, np.repeat(t, 2))
+        assert twice.matvecs == once.matvecs > 0
+        np.testing.assert_array_equal(twice.values[::2], once.values)
+        np.testing.assert_array_equal(twice.values[1::2], once.values)
+
+    def test_rule_weighs_intervals_against_products(self):
+        # 40 equal intervals on a block of 44 states pay for one step matrix;
+        # every interval distinct, or a block of 512 states with a few
+        # thousand entries, does not
+        t = np.linspace(0.0, 10.0, 41)
+        small = sp.random(44, 44, density=0.05, random_state=1, format="csr")
+        large = sp.random(512, 512, density=0.014, random_state=1, format="csr")
+        assert np.array_equal(_step_intervals([small], t), np.unique(np.diff(t)))
+        assert _step_intervals([small], np.cumsum(np.arange(41.0))) is None
+        assert _step_intervals([large], t) is None
+        assert _step_intervals([small, large[:44, :44]], t) is not None
+        assert _step_intervals([small, sp.identity(45, format="csr")], t) is None  # unequal sizes
+        assert _step_intervals([small], np.zeros(5)) is None  # nothing to step
 
 
 @pytest.mark.parametrize(
@@ -344,6 +442,31 @@ def test_full_space_budget_raises_before_building(monkeypatch, limit, samples, s
     with pytest.raises(MemoryBudgetError, match=f"block of 512 basis states at n_sites=5 over {samples} samples") as info:
         evolve(rho0, p, np.linspace(0.0, 1.0, samples))
     assert info.value.setting == setting
+
+
+def test_budget_counts_the_step_matrices(monkeypatch):
+    # fig3a's product state at N=6 steps on a block of 44 states by one
+    # 44 x 44 matrix: the budget refuses when those 15 kB tip it over
+    import lmem.dynamics
+    from lmem.model import build_hamiltonian
+
+    n = 6
+    p = uniform(n, 1.0, 1.0)
+    rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1))
+    t = np.linspace(0.0, 10.0, 41)
+    block = evolve(rho0, p, t).indices.size
+    held = 64 * (len(build_hamiltonian(p)) + 1) * block + 16 * t.size * block
+    steps = 8 * block * block
+    monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: held + steps - 1)
+    with pytest.raises(MemoryBudgetError, match="MiB for the step matrices") as info:
+        evolve(rho0, p, t)
+    assert info.value.setting == "time_grid.n_samples"
+    monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: held + steps)
+    evolve(rho0, p, t)
+    # the vector path holds no step matrix
+    monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: held)
+    monkeypatch.setattr(lmem.dynamics, "_step_intervals", lambda blocks, t_phys: None)
+    evolve(rho0, p, t)
 
 
 def test_memory_limit_reads_the_address_space_limit():

@@ -364,6 +364,33 @@ def test_fig3b_propagates_one_batch_per_call(tmp_path, monkeypatch, samples, exp
     assert len(list((tmp_path / "out").glob("fig3b_u*_draw*.csv"))) == 6
 
 
+@pytest.mark.parametrize(
+    "overrides,expected",
+    [
+        ({}, [("steps", 1, 24), ("steps", 1, 28)]),
+        (PURITY_N4, [("steps", 1, 14)]),
+        ({"experiment": "fig3b", "n_draws": 2, "transverse_values": [0.0, 2.0]}, [("steps", 2, 32), ("vectors", 2, 128)]),
+    ],
+    ids=["fig3a", "fig4-purity", "fig3b"],
+)
+def test_small_blocks_step_by_matrices(tmp_path, monkeypatch, overrides, expected):
+    # (path, runs, block) of each batch: fig3a, fig4-purity and fig3b's u=0
+    # draws step by one matrix per interval, fig3b's u=2 draws by vectors
+    import lmem.dynamics
+
+    calls = []
+    for path in ("steps", "vectors"):
+        kernel = getattr(lmem.dynamics, f"_propagate_by_{path}")
+
+        def spy(blocks, *args, path=path, kernel=kernel):
+            calls.append((path, len(blocks), blocks[0].shape[0]))
+            return kernel(blocks, *args)
+
+        monkeypatch.setattr(lmem.dynamics, f"_propagate_by_{path}", spy)
+    _run(tmp_path, overrides)
+    assert calls == expected
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_bad_config_exits_with_usage_status(tmp_path, capsys, command):
     # a ConfigError used to escape main as a traceback with exit status 1,

@@ -23,6 +23,7 @@ from lmem.dynamics import (
 from lmem.fock import (
     dense_blocks,
     devectorize,
+    hermitian_part,
     hermitian_powers,
     parity_values,
     reversal_signs,
@@ -405,13 +406,13 @@ class TestInitialStateCheck:
         lam = np.linalg.eigvalsh(op.to_matrix()).min()
         assert lam == pytest.approx(-0.075)
         paths = []
-        kernel = lmem.dynamics.dense_blocks
+        kernel = lmem.dynamics._DenseLayout.blocks
 
-        def spy(values, indices, n_sites, parity_blocks=False):
+        def spy(layout, values, parity_blocks=False):
             paths.append(parity_blocks)
-            return kernel(values, indices, n_sites, parity_blocks)
+            return kernel(layout, values, parity_blocks)
 
-        monkeypatch.setattr(lmem.dynamics, "dense_blocks", spy)
+        monkeypatch.setattr(lmem.dynamics._DenseLayout, "blocks", spy)
         with pytest.raises(ValueError, match=f"minimum eigenvalue {lam:.3e}"):
             check_physical_initial_state(op)
         assert paths == [False]
@@ -779,3 +780,53 @@ def test_scan_min_gap_and_flags_match_kdtree():
         assert pt.min_gap == gap == 0.0
         assert pt.exceptional == (gap < EP_GAP_TOL and pt.condition_number > EP_COND_THRESHOLD)
     assert [pt.gamma for pt in points if pt.exceptional] == [2.0]
+
+
+def chunked_dense_positivity(values, indices, n):
+    """`_dense_positivity` as it was: the kernel rebuilds its index tables in every chunk."""
+    odd = (np.bitwise_count(indices) & 1).astype(bool)
+    worst_herm = worst_neg = 0.0
+    for rows in row_chunks(len(values), 4 ** n):
+        chunk = values[rows]
+        part = hermitian_part(chunk, n, indices)
+        worst_herm = max(worst_herm, 2 * float(np.abs(chunk - part).max()))
+        blocks = dense_blocks(part, indices, n, parity_blocks=not part[:, odd].any())
+        try:
+            np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            worst_neg = max(worst_neg, -float(np.linalg.eigvalsh(blocks).min()))
+    return worst_herm, worst_neg
+
+
+def dense_path_trajectories():
+    """(name, values, indices, n) on the dense positivity path, each walked in several chunks."""
+    from lmem.cli import edge_occupied_state, product_initial_state
+
+    t = np.linspace(0.0, 4.0, 49)
+    purity = evolve(edge_occupied_state(5, 0.4, 0.3), params(5, J=2.0, gamma=3.0), t)
+    full = evolve(product_initial_state(5, 0.5, 0.1), random_perturbed_params(5, u=2.0, rng_seed=3), t)
+    rng = np.random.default_rng(9)
+    indices = np.sort(rng.choice(4 ** 5, size=300, replace=False))
+    indices[0] = 0
+    noise = 1e-3 * (rng.normal(size=(70, indices.size)) + 1j * rng.normal(size=(70, indices.size)))
+    noise[:, 0] = 2.0 ** -5  # mixed states, some with negative eigenvalues
+    return [
+        ("fig4-purity", purity.values, purity.indices, 5),
+        ("fig3b-u2", full.values, full.indices, 5),
+        ("random", noise, indices, 5),
+    ]
+
+
+@pytest.mark.parametrize("name,values,indices,n", dense_path_trajectories(), ids=["fig4-purity", "fig3b-u2", "random"])
+def test_dense_positivity_builds_its_tables_once(monkeypatch, name, values, indices, n):
+    import lmem.fock
+
+    assert len(row_chunks(len(values), 4 ** n)) > 1 and not dynamics._is_quadratic(indices, n)
+    want = chunked_dense_positivity(values, indices, n)
+    calls = []
+    bits = lmem.fock._pauli_bits
+    monkeypatch.setattr(lmem.fock, "_pauli_bits", lambda *args: calls.append(1) or bits(*args))
+    assert dynamics._dense_positivity(values, indices, n) == want  # bit for bit
+    assert len(calls) == 1
+    if name == "random":
+        assert want[1] > 0

@@ -476,3 +476,51 @@ def test_readme_library_example(capsys):
     ratio_line, category_line = capsys.readouterr().out.splitlines()
     assert float(ratio_line.split()[0]) == pytest.approx(2.0, abs=1e-12)
     assert category_line == "A"
+
+
+def sliced_correlator_rows(values, indices, n):
+    """<<rho| i kappa_1 kappa_4N |rho>> from the 4^N x 4^N correlator, sliced to the indices."""
+    from lmem.kappa import edge_correlator
+
+    corr = edge_correlator(n)[indices][:, indices]
+    return 2 ** n * np.vecdot(values, (corr @ values.T).T).real
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_edge_correlation_gathers_flip_partners(n):
+    # against the sliced correlator, on fig4-purity trajectories and on
+    # random states over random index subsets, where most partners are absent
+    from lmem.cli import edge_occupied_state
+    from lmem.edge import _kappa_correlation_rows
+    from lmem.kappa import edge_correlator, edge_correlator_signs
+
+    res = evolve(edge_occupied_state(n, 0.4, 0.3), params(n, J=2.0, gamma=3.0), np.linspace(0.0, 4.0, 9))
+    rng = np.random.default_rng(n)
+    subsets = [np.sort(rng.choice(4 ** n, size=size, replace=False)) for size in (1, 4 ** n // 3, 4 ** n)]
+    cases = [(res.values, res.indices)] + [
+        (rng.normal(size=(5, s.size)) + 1j * rng.normal(size=(5, s.size)), s) for s in subsets
+    ]
+    for values, indices in cases:
+        want = sliced_correlator_rows(values, indices, n)
+        got = _kappa_correlation_rows(values, n, indices)
+        assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+    # the signs are the one stored entry of each correlator column, at its all-bit flip
+    coo = edge_correlator(n).tocoo()
+    assert np.array_equal(coo.row, coo.col ^ (4 ** n - 1))
+    signs = np.zeros(4 ** n, dtype=complex)
+    signs[coo.col] = coo.data
+    assert np.array_equal(edge_correlator_signs(n, np.arange(4 ** n)), signs)
+
+
+def test_purity_series_builds_no_correlator(monkeypatch):
+    # the edge operators are built by `_product_superoperator` calls in kappa
+    import lmem.kappa
+    from lmem.cli import edge_occupied_state
+
+    def forbidden(*args):
+        raise AssertionError("built a 4^N x 4^N edge operator")
+
+    monkeypatch.setattr(lmem.kappa, "_product_superoperator", forbidden)
+    res = evolve(edge_occupied_state(4, 0.4, 0.3), params(4, J=2.0, gamma=3.0), np.linspace(0.0, 2.0, 5))
+    _, _, corr = purity_series(res)
+    assert np.isfinite(corr).all()
