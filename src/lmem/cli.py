@@ -394,11 +394,19 @@ def edge_occupied_state(n: int, zeta: float, amplitude: float) -> OperatorSum:
     return ((ident + bulk) @ (ident + m.scaled(zeta))).scaled(2.0 ** -n)
 
 
+def _vectorized(op: OperatorSum) -> LiouvilleVector:
+    """`vectorize_operator` within `_memory_budget`: 4^N amplitudes beyond
+    the memory the process may allocate raise a ConfigError naming n_sites."""
+    with _memory_budget():
+        return vectorize_operator(op)
+
+
 def _initial_amplitudes(op: OperatorSum, setting: str) -> LiouvilleVector:
     """Vectorize op once, symbolically, and check that vector as a density
     matrix on its nonzero support (`check_physical_initial_state`); a failure
-    raises a ConfigError naming `setting`, or n_sites beyond the dense cap."""
-    rho = vectorize_operator(op)
+    raises a ConfigError naming `setting`, or n_sites beyond the dense cap or
+    the memory budget."""
+    rho = _vectorized(op)
     try:
         check_physical_initial_state(rho)
     except SizeLimitError as exc:
@@ -410,8 +418,8 @@ def _initial_amplitudes(op: OperatorSum, setting: str) -> LiouvilleVector:
 
 @contextmanager
 def _memory_budget():
-    """Turn a `MemoryBudgetError` of an evolution into a ConfigError naming
-    the setting to reduce."""
+    """Turn a `MemoryBudgetError` of an evolution or a 4^N vector into a
+    ConfigError naming the setting to reduce."""
     try:
         yield
     except MemoryBudgetError as exc:
@@ -436,7 +444,7 @@ def run_fig3a(config: ExperimentConfig, outdir: Path) -> dict:
     if n % 2:
         raise ConfigError("fig3a uses an even number of sites")
     zeta = config.zeta
-    x1, x2 = ratio_observables(n)
+    x1, x2 = (_vectorized(x) for x in ratio_observables(n))  # once for the whole run
     t_grid = config.time_grid()
 
     rho_prod = _initial_amplitudes(
@@ -503,7 +511,7 @@ def run_fig3b(config: ExperimentConfig, outdir: Path) -> dict:
     rho0 = _initial_amplitudes(
         product_initial_state(n, zeta, config.bulk_amplitude), "bulk_amplitude or |zeta|"
     )
-    x1, x2 = ratio_observables(n)
+    x1, x2 = (_vectorized(x) for x in ratio_observables(n))  # once for the whole run
 
     summary_rows = []
     per_draw = {}

@@ -1,8 +1,10 @@
 """Time evolution, expectation values, and spectral analysis.
 
 States are carried as Liouville amplitude vectors and evolve under
-i d|rho>/dt = L |rho>, L being the direct build for every model (the
-third-quantized form is its oracle). Two methods are cross-validated:
+i d|rho>/dt = L |rho>, L being, for every model, its word weights times
+the generator table of its block (`liouvillian.generator_table`; the
+direct build and the third-quantized form are its oracles). Two methods
+are cross-validated:
 
 * "expm" (default): the exact action of exp(-i L t) on the state by
   truncated Taylor steps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
@@ -36,24 +38,27 @@ third-quantized form is its oracle). Two methods are cross-validated:
   monomial too; when the model also commutes with every parity pair, it
   keeps the sector as well. The block is the union of the cells, (degree,
   sector, edge labels) or (degree, edge labels) or edge labels alone, that
-  the initial amplitudes occupy, and L is assembled on it directly; the
-  leak check of `fock._product_superoperator` guards that it is closed. On
-  the Hermitian basis h_a = i^{p_a} w^a (`fock.hermitian_powers`) the
-  generator -i L is a real matrix, since L maps Hermitian operators to
-  Hermitian ones: a Hermitian rho(0) propagates as one real vector and any
-  other as two real columns. The result keeps the block's amplitudes only
+  the initial amplitudes occupy, and the table is built on it alone; its
+  leak check guards that the block is closed. On the Hermitian basis
+  h_a = i^{p_a} w^a (`fock.hermitian_powers`) the generator -i L is a real
+  matrix, since L maps Hermitian operators to Hermitian ones, and the
+  table holds it so: a Hermitian rho(0) propagates as one real vector and
+  any other as two real columns. The result keeps the block's amplitudes only
   (`EvolutionResult.values`); the observables gather the columns they
   need, and `EvolutionResult.amplitudes` rebuilds the 4^N array for
   oracles and tests.
 
   `evolve_batches` runs one initial state under many models, as fig3b's
-  seeded draws: the runs that share a block are stacked as one
-  block-diagonal generator (`sp.block_diag`) and stepped together, each
-  block shifted by its own mean diagonal, in batches bounded by
-  `fock.row_chunks`; `evolve` is its batch of one. A batch whose
-  generators and trajectories would not fit in the memory the process may
-  allocate raises `MemoryBudgetError` before any of them is built, and one
-  whose step matrices would not fit raises before those are built.
+  seeded draws: the runs that share a block share one table, built once
+  on the words some run holds, and are stepped together in batches
+  bounded by `fock.row_chunks`. A batch's block-diagonal generator is one
+  product of its runs' weights (runs x words) with the table, whose
+  entries are laid out on the table's pattern with row and column offsets,
+  each block shifted by its own mean diagonal (`_batch_generator`);
+  `evolve` is its batch of one. A batch whose generators and trajectories
+  would not fit in the memory the process may allocate raises
+  `MemoryBudgetError` before any of them is built, and one whose step
+  matrices would not fit raises before those are built.
 
 * "eigen": dense eigendecomposition with biorthogonal left/right pairs,
   |rho(t)> = R exp(-i diag(lambda) t) R^{-1} |rho(0)>, on the whole
@@ -96,6 +101,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,9 +111,11 @@ from .fock import (
     _PHASE_OF_POWER,
     _DenseLayout,
     LiouvilleVector,
+    MemoryBudgetError,
     _bitcount,
     _hermiticity_defect,
     _index_range,
+    _memory_limit,
     as_amplitudes,
     dense_blocks,
     gather_columns,
@@ -119,8 +127,8 @@ from .fock import (
     site_count,
     vector_trace,
 )
-from .liouvillian import build_liouvillian_direct
-from .model import ModelParams, build_hamiltonian
+from .liouvillian import GeneratorTable, build_liouvillian_direct, generator_table
+from .model import ModelParams, model_weights, model_words
 from .sectors import (
     SectorLabel,
     compose_segment_spectra,
@@ -236,24 +244,50 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
 # ~8 us against ~0.8 ns, fitted over single-vector terms on blocks of 26 to
 # 1536 states (2-core VM, numpy's OpenBLAS on one thread)
 _TERM_OVERHEAD = 10000
+# cost of one multiply-add of the batched matmul that applies a step
+# matrix, in the same units: 0.12-0.35 ns on (B, n, n) stacks of
+# B n^2 = 3e4 to 8e5 entries, past a ~1.5 us call, on the same machine
+_MATMUL_COST = 1 / 3
 
 
-def _shifted(blocks):
-    """(A, mus, sizes, norm): the block-diagonal CSR matrix of the square
-    sparse `blocks`, each shifted by its own mean diagonal mu_b, and the
-    exact 1-norm of the shifted matrix."""
-    sizes = [b.shape[0] for b in blocks]
-    mus = np.array([b.diagonal().sum() / size for b, size in zip(blocks, sizes)])
-    # a batch of one is shifted as it is, without the block_diag copy
-    A = blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
-    A = (A - sp.diags(np.repeat(mus, sizes), format="csr")).tocsr()
-    return A, mus, sizes, float(abs(A).sum(axis=0).max())
+class _Shifted(NamedTuple):
+    """A batch's block-diagonal real generator, each block b shifted by its
+    own mean diagonal mu_b: the CSR matrix, the mus, the block sizes and
+    the exact 1-norm of the matrix."""
+
+    matrix: sp.csr_matrix
+    mus: np.ndarray
+    sizes: list
+    norm: float
 
 
-def _taylor_interval(A, mus, sizes, norm, v: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
-    """(exp((A + mu) dt) v, matvecs) for the shifted matrix of `_shifted` and
-    dt > 0, mu restored as eta = e^{mu_b h} on block b's rows after each
-    substep. v is one vector or a stack of columns.
+def _batch_generator(table: GeneratorTable, theta: np.ndarray) -> _Shifted:
+    """The `_Shifted` generator of the runs with word weights theta (runs,
+    words) on the block of `table`: one weight product gives every run's
+    entries, the shift and the column sums of |A| are read from them, and
+    the runs' copies of the table's pattern are tiled with row and column
+    offsets into one CSR matrix."""
+    size = table.indices.size
+    runs = len(theta)
+    values = table.values(theta)  # (entries, runs)
+    mus = values[table.diagonal].sum(axis=0) / size
+    values[table.diagonal] -= mus
+    offsets = np.arange(runs)
+    sums = np.bincount(
+        (table.columns[:, None] * runs + offsets).ravel(), weights=np.abs(values).ravel(), minlength=size * runs
+    )
+    entries = len(values)
+    indptr = np.append((table.indptr[:-1] + entries * offsets[:, None]).ravel(), runs * entries)
+    matrix = sp.csr_matrix(
+        (values.T.ravel(), (table.columns + size * offsets[:, None]).ravel(), indptr), shape=(runs * size,) * 2
+    )
+    return _Shifted(matrix, mus, [size] * runs, float(sums.max()))
+
+
+def _taylor_interval(gen: _Shifted, v: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
+    """(exp((A + mu) dt) v, matvecs) for the shifted generator A of `gen`
+    and dt > 0, mu restored as eta = e^{mu_b h} on block b's rows after
+    each substep. v is one vector or a stack of columns.
 
     A series stops once two terms fall below the unit roundoff times
     ||f||_inf, taken over the whole stack. bound = sum_j ||b_j||_inf is at
@@ -261,9 +295,10 @@ def _taylor_interval(A, mus, sizes, norm, v: np.ndarray, dt: float) -> tuple[np.
     below twice the unit roundoff times bound (the factor 2 covers the
     rounding of bound); the decisions are those of the plain test.
     """
-    m, s = _taylor_plan(dt * norm)
+    A = gen.matrix
+    m, s = _taylor_plan(dt * gen.norm)
     h = dt / s
-    eta = np.repeat(np.exp(mus * h), sizes).reshape((-1,) + (1,) * (v.ndim - 1))
+    eta = np.repeat(np.exp(gen.mus * h), gen.sizes).reshape((-1,) + (1,) * (v.ndim - 1))
     matvecs = 0
     for _ in range(s):
         f = v.copy()
@@ -285,83 +320,89 @@ def _taylor_interval(A, mus, sizes, norm, v: np.ndarray, dt: float) -> tuple[np.
     return v, matvecs
 
 
-def _step_intervals(blocks, t_phys: np.ndarray) -> np.ndarray | None:
+def _step_intervals(gen: _Shifted, t_phys: np.ndarray) -> np.ndarray | None:
     """The distinct positive intervals of t_phys when stepping by one
     precomputed matrix per interval costs less than stepping the state
     through each interval's Taylor terms, else None.
 
     A Taylor term costs c + nnz x columns, c = `_TERM_OVERHEAD` and nnz the
-    stored entries of the blocks, and both ways take about the same terms
-    per interval: D intervals on the n stacked identity columns against K
-    intervals on the state, so the matrices pay when
-    D (c + nnz n) < K (c + nnz). Blocks of unequal sizes, which no batch
-    of `evolve_batches` holds, always take the vectors.
+    stored entries of the generator, and an interval dt takes about m s
+    terms, the plan of `_taylor_plan` for dt ||A||_1, either way. The
+    matrices run the terms of the D distinct intervals on the n stacked
+    identity columns of the B blocks and then apply one step per sample, a
+    matmul of B n^2 multiply-adds at `_MATMUL_COST` each; the vectors run
+    the terms of all K intervals on the state, one column. So the matrices
+    pay when
+    sum_D m s (c + nnz n) + K B n^2 `_MATMUL_COST` < sum_K m s (c + nnz).
+    Blocks of unequal sizes, which no batch of `evolve_batches` holds,
+    always take the vectors.
     """
     dts = np.diff(t_phys, prepend=0.0)
     positive = dts[dts > 0]
-    sizes = {b.shape[0] for b in blocks}
+    sizes = set(gen.sizes)
     if len(sizes) != 1:
         return None
-    distinct = np.unique(positive)
+    distinct, repeats = np.unique(positive, return_counts=True)
+    terms = np.array([m * s for m, s in map(_taylor_plan, distinct * gen.norm)], dtype=np.int64)
     n = sizes.pop()
-    nnz = sum(b.nnz for b in blocks)
-    if distinct.size * (_TERM_OVERHEAD + nnz * n) < positive.size * (_TERM_OVERHEAD + nnz):
+    nnz = gen.matrix.nnz
+    steps = terms.sum() * (_TERM_OVERHEAD + nnz * n) + positive.size * len(gen.sizes) * n * n * _MATMUL_COST
+    if steps < terms @ repeats * (_TERM_OVERHEAD + nnz):
         return distinct
     return None
 
 
-def _propagate(blocks, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
+def _propagate(gen: _Shifted, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
     """Write exp(A t) v0 to out[k] for each t_phys[k], A the block-diagonal
-    matrix of the square sparse `blocks`; return the sparse products A @ b.
+    generator of `gen`, restored by its shifts; return the sparse products
+    A @ b.
 
-    The blocks and v0 may be real or complex, and v0 one vector or a stack
-    of columns, with the blocks' rows stacked along its first axis; out[k]
-    receives v reshaped to out's sample shape. t_phys is nondecreasing with
-    t_phys[0] >= 0, and each interval is stepped from the previous sample,
-    so a repeated time costs nothing. Each block is shifted by its own mean
-    diagonal, and the plan (m, s) of an interval comes from the 1-norm of
-    the shifted block-diagonal matrix, so one block takes the steps it
-    would take alone. Small blocks step by one matrix per distinct interval
-    (`_propagate_by_steps`), large ones by Taylor terms on the state
-    (`_propagate_by_vectors`); `_step_intervals` chooses.
+    The generator and v0 may be real or complex, and v0 one vector or a
+    stack of columns, with the blocks' rows stacked along its first axis;
+    out[k] receives v reshaped to out's sample shape. t_phys is
+    nondecreasing with t_phys[0] >= 0, and each interval is stepped from the
+    previous sample, so a repeated time costs nothing. Each block is shifted
+    by its own mean diagonal, and the plan (m, s) of an interval comes from
+    the 1-norm of the shifted block-diagonal matrix, so one block takes the
+    steps it would take alone. Small blocks step by one matrix per distinct
+    interval (`_propagate_by_steps`), large ones by Taylor terms on the
+    state (`_propagate_by_vectors`); `_step_intervals` chooses.
     """
-    intervals = _step_intervals(blocks, t_phys)
+    intervals = _step_intervals(gen, t_phys)
     if intervals is None:
-        return _propagate_by_vectors(blocks, v0, t_phys, out)
-    return _propagate_by_steps(blocks, v0, t_phys, out, intervals)
+        return _propagate_by_vectors(gen, v0, t_phys, out)
+    return _propagate_by_steps(gen, v0, t_phys, out, intervals)
 
 
-def _propagate_by_vectors(blocks, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
+def _propagate_by_vectors(gen: _Shifted, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
     """`_propagate` by the Taylor terms of each interval on the state."""
-    A, mus, sizes, norm = _shifted(blocks)
-    v = v0.astype(np.result_type(A.dtype, v0.dtype))
+    v = v0.astype(np.result_type(gen.matrix.dtype, v0.dtype))
     matvecs = 0
     for k, dt in enumerate(np.diff(t_phys, prepend=0.0)):
         if dt > 0:
-            v, count = _taylor_interval(A, mus, sizes, norm, v, dt)
+            v, count = _taylor_interval(gen, v, dt)
             matvecs += count
         out[k] = v.reshape(out.shape[1:])
     return matvecs
 
 
-def _propagate_by_steps(blocks, v0, t_phys, out, intervals: np.ndarray) -> int:
+def _propagate_by_steps(gen: _Shifted, v0, t_phys, out, intervals: np.ndarray) -> int:
     """`_propagate` by one step matrix per distinct interval dt, the blocks
     of equal size n: the Taylor terms of dt run once on the stacked n x n
     identities of the blocks, giving exp(A_b dt) for every block b as one
     (blocks, n, n) array, and the state then moves from sample to sample by
     one batched matmul. Returns the sparse products of those Taylor terms;
     the matmuls are not counted."""
-    A, mus, sizes, norm = _shifted(blocks)
-    dtype = np.result_type(A.dtype, v0.dtype)
-    n = sizes[0]
-    eye = np.tile(np.eye(n, dtype=dtype), (len(sizes), 1))
+    dtype = np.result_type(gen.matrix.dtype, v0.dtype)
+    count_blocks, n = len(gen.sizes), gen.sizes[0]
+    eye = np.tile(np.eye(n, dtype=dtype), (count_blocks, 1))
     steps = {}
     matvecs = 0
     for dt in intervals:
-        step, count = _taylor_interval(A, mus, sizes, norm, eye, dt)
-        steps[dt] = step.reshape(len(sizes), n, n)
+        step, count = _taylor_interval(gen, eye, dt)
+        steps[dt] = step.reshape(count_blocks, n, n)
         matvecs += count
-    v = v0.astype(dtype).reshape(len(sizes), n, -1)
+    v = v0.astype(dtype).reshape(count_blocks, n, -1)
     for k, dt in enumerate(np.diff(t_phys, prepend=0.0)):
         if dt > 0:
             v = np.matmul(steps[dt], v)
@@ -405,7 +446,9 @@ def _occupied_indices(v0: np.ndarray, n_sites: int, degree: bool, sectors: bool)
 
 
 def _hermitian_basis_generator(matrix: sp.csr_matrix, indices: np.ndarray) -> sp.csr_matrix:
-    """The real matrix of -i L on the Hermitian basis h_a = i^{p_a} w^a.
+    """The real matrix of -i L on the Hermitian basis h_a = i^{p_a} w^a,
+    from a complex matrix L of the direct build: the oracle of the
+    generator table (`liouvillian.generator_table`) in the tests.
 
     L maps Hermitian operators to Hermitian ones, so -i L h_c = sum_r B_rc h_r
     with real B_rc = i^{3 + p_c - p_r} L_rc. A power of i multiplies
@@ -420,41 +463,22 @@ def _hermitian_basis_generator(matrix: sp.csr_matrix, indices: np.ndarray) -> sp
     return sp.csr_matrix((data.real, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
-class MemoryBudgetError(MemoryError):
-    """An evolution would not fit in the memory the process may allocate."""
+def _check_budget(n_sites: int, runs: int, masks: int, n_samples: int, block: int, step_intervals: int = 0) -> None:
+    """Raise MemoryBudgetError when the generators, trajectories and step
+    matrices of a batch of `runs` runs on a block of `block` basis indices
+    are estimated to exceed `fock._memory_limit`.
 
-    def __init__(self, message: str, setting: str):
-        super().__init__(message)
-        self.setting = setting  # the config setting to reduce
-
-
-def _memory_limit() -> int:
-    """Bytes the process may allocate: the RLIMIT_AS soft limit when it is
-    finite, else the physical memory."""
-    import os
-    import resource
-
-    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if soft != resource.RLIM_INFINITY:
-        return soft
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _check_budget(models: list[ModelParams], n_samples: int, block: int, step_intervals: int = 0) -> None:
-    """Raise MemoryBudgetError when the generator builds, trajectories and
-    step matrices of a batch of runs on a block of `block` basis indices
-    are estimated to exceed `_memory_limit`.
-
-    A build holds about 64 bytes per (combined mask, basis index): one mask
-    per Hamiltonian word and one for the diagonal. A trajectory holds 16
-    bytes of complex amplitude per basis index and sample. A batch that
-    steps by matrices (`_propagate_by_steps`) holds one real block x block
-    matrix per run and distinct interval, 8 bytes an entry.
+    The generators hold about 64 bytes per (combined mask, basis index) and
+    run, `masks` being one per Hamiltonian word of the generator table and
+    one for the diagonal: the table's build, shared by the runs, and each
+    run's weighted entries and their CSR copy. A trajectory holds 16 bytes
+    of complex amplitude per basis index and sample. A batch that steps by
+    matrices (`_propagate_by_steps`) holds one real block x block matrix per
+    run and distinct interval, 8 bytes an entry.
     """
-    n = models[0].n_sites
-    generator = 64 * sum(len(build_hamiltonian(p)) + 1 for p in models) * block
-    trajectory = 16 * n_samples * block * len(models)
-    steps = 8 * step_intervals * len(models) * block * block
+    generator = 64 * masks * block * runs
+    trajectory = 16 * n_samples * block * runs
+    steps = 8 * step_intervals * runs * block * block
     limit = _memory_limit()
     if generator + trajectory + steps > limit:
         mib = 2 ** 20
@@ -462,7 +486,7 @@ def _check_budget(models: list[ModelParams], n_samples: int, block: int, step_in
         if steps:
             held += f", {steps // mib} MiB for the step matrices"
         raise MemoryBudgetError(
-            f"evolving {len(models)} run(s) on a block of {block} basis states at n_sites={n} "
+            f"evolving {runs} run(s) on a block of {block} basis states at n_sites={n_sites} "
             f"over {n_samples} samples needs about {held} and "
             f"{trajectory // mib} MiB for the trajectory, more than the {limit // mib} MiB "
             "this process may allocate",
@@ -493,7 +517,7 @@ def evolve(
     t_grid,
     method: str = "expm",
 ) -> EvolutionResult:
-    """Evolve an initial state over t_grid under the direct generator.
+    """Evolve an initial state over t_grid under the model's Lindblad generator.
 
     t_grid is a nondecreasing grid of finite times >= 0, repeats allowed,
     in units of 1/gamma when the dephasing rates are homogeneous and
@@ -532,15 +556,19 @@ def evolve_batches(rho0, models, t_grid) -> Iterator[list[EvolutionResult]]:
     yielded in order as lists of results, one batch at a time.
 
     Consecutive models whose runs share the block and the physical times
-    (`_block_key`) form batches of at most `fock.row_chunks(count, T x
-    block)` runs. The generators of a batch are propagated together as one
-    block-diagonal matrix (`_propagate`). On the vector path a physical
-    state has ||f||_inf = 2^-N, its trace amplitude, so the shared stop
-    test passes only when each run's own would; on the step path every
-    block's identity has ||f||_inf near 1. A batch of one takes exactly
-    the steps of a run alone. The results of a batch are rows of one
-    (runs, T, block) array, and each result's `matvecs` counts the
-    products of its whole batch. A batch beyond the memory budget raises
+    (`_block_key`) form a group. The group's generator table
+    (`liouvillian.generator_table`) is built once, on the words of
+    `model.model_words` that some run of the group holds, and every run's
+    generator is its word weights times that table. The group is cut into
+    batches of at most `fock.row_chunks(count, T x block)` runs, and the
+    generators of a batch are propagated together as one block-diagonal
+    matrix (`_batch_generator`, `_propagate`). On the vector path a
+    physical state has ||f||_inf = 2^-N, its trace amplitude, so the shared
+    stop test passes only when each run's own would; on the step path every
+    block's identity has ||f||_inf near 1. A batch of one takes exactly the
+    steps of a run alone. The results of a batch are rows of one
+    (runs, T, block) array, and each result's `matvecs` counts the products
+    of its whole batch. A batch beyond the memory budget raises
     `MemoryBudgetError` before anything of it is built, or, when its step
     matrices tip it over, before those are built.
     """
@@ -553,40 +581,54 @@ def evolve_batches(rho0, models, t_grid) -> Iterator[list[EvolutionResult]]:
         raise ValueError("evolve_batches needs models of one site count")
     v0, _ = as_amplitudes(rho0, n)
     for (degree, sectors, gamma), group in groupby(models, key=_block_key):
-        group = list(group)
         indices = _occupied_indices(v0, n, degree, sectors)
         tag = "taylor-sector" if sectors else "taylor-degree" if degree else "taylor"
-        for rows in row_chunks(len(group), t_grid.size * indices.size):
-            yield _evolve_batch(v0, group[rows], t_grid, gamma, indices, tag)
+        weights, hamiltonian, jumps = _group_words(list(group))
+        masks = 1 + len(hamiltonian)
+        table = None
+        for rows in row_chunks(len(weights), t_grid.size * indices.size):
+            theta = weights[rows]
+            _check_budget(n, len(theta), masks, t_grid.size, indices.size)
+            if table is None:
+                table = generator_table(hamiltonian, jumps, n, indices)
+            yield _evolve_batch(v0, table, theta, masks, t_grid, gamma, tag)
 
 
-def _evolve_batch(v0, models, t_grid, gamma, indices, tag) -> list[EvolutionResult]:
-    """One batch of `evolve_batches`: the runs of v0 under `models` on the
-    sorted basis indices `indices`."""
-    n = models[0].n_sites
+def _group_words(group: list[ModelParams]) -> tuple[np.ndarray, list, list]:
+    """(weights, hamiltonian, jumps): the Hamiltonian and jump words of
+    `model.model_words` that some model of `group` holds, and each model's
+    weights on them, shape (models, words), the Hamiltonian words first."""
+    hamiltonian, jumps = model_words(group[0].n_sites)
+    weights = np.array([np.concatenate(model_weights(p)) for p in group])
+    held = weights.any(axis=0)
+    words = [w for w, on in zip(hamiltonian + jumps, held) if on]
+    count = int(held[: len(hamiltonian)].sum())
+    return weights[:, held], words[:count], words[count:]
+
+
+def _evolve_batch(v0, table: GeneratorTable, theta, masks: int, t_grid, gamma, tag) -> list[EvolutionResult]:
+    """One batch of `evolve_batches`: the runs of v0 under the word weights
+    theta (runs, words) of `table`, on its block."""
+    n, indices = table.n_sites, table.indices
     t_phys, unit = (t_grid, "absolute") if gamma is None else (t_grid / gamma, "1/gamma")
-    _check_budget(models, t_phys.size, indices.size)
     # coordinates on the Hermitian basis: c_a = i^{p_a} x_a
     anti = hermitian_powers(indices) == 1
     c0 = v0[indices]
     x_re = np.where(anti, c0.imag, c0.real)
     x_im = np.where(anti, -c0.real, c0.imag)
     x0 = np.stack([x_re, x_im], axis=-1) if x_im.any() else x_re
-    # each complex build is dropped once converted, before the trajectories are allocated
-    generators = [
-        _hermitian_basis_generator(build_liouvillian_direct(p, cols=indices).matrix, indices) for p in models
-    ]
-    intervals = _step_intervals(generators, t_phys)
+    gen = _batch_generator(table, theta)
+    intervals = _step_intervals(gen, t_phys)
     if intervals is not None:
         # the step matrices are counted once the generators decide that they are taken
-        _check_budget(models, t_phys.size, indices.size, intervals.size)
+        _check_budget(n, len(theta), masks, t_phys.size, indices.size, intervals.size)
     # the coordinates are written into the (real, imaginary) parts of the
     # amplitudes, so the trajectories are allocated once; out[k] is sample k of every run
-    values = np.zeros((len(models), t_phys.size, indices.size), dtype=complex)
+    values = np.zeros((len(theta), t_phys.size, indices.size), dtype=complex)
     parts = values.view(np.float64).reshape(values.shape + (2,))
     out = parts.swapaxes(0, 1)
-    x0 = np.concatenate([x0] * len(models))
-    matvecs = _propagate(generators, x0, t_phys, out if x0.ndim == 2 else out[..., 0])
+    x0 = np.concatenate([x0] * len(theta))
+    matvecs = _propagate(gen, x0, t_phys, out if x0.ndim == 2 else out[..., 0])
     # c_a = i (x_re + i x_im) = -x_im + i x_re where w^a is anti-Hermitian
     turned = parts[..., anti, :]
     parts[..., anti, 0] = 0.0 - turned[..., 1]

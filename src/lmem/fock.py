@@ -22,7 +22,12 @@ rho -> sum_k s_k L_k rho R_k in one CSR construction: each monomial pair
 of L_k and R_k is one permutation, the value vectors are summed per
 combined mask, and the CSR arrays are written directly, with no sparse
 additions or products. `left_mult_operator` and `right_mult_operator`,
-and their single-monomial forms, are its one-sided cases.
+and their single-monomial forms, are its one-sided cases. It is the
+general construction, and the oracle of the experiments' generators:
+those come from the word table of `liouvillian.generator_table`, which
+reads each Pauli word's monomial from `pauli_monomials`, the closed form
+of `spin_to_majorana` vectorized over the words, and the signs of these
+permutations from `_crossings`.
 
 The dense matrix of an amplitude vector comes from one kernel,
 `dense_blocks`, which rebuilds a whole stack of samples at once from the
@@ -370,6 +375,23 @@ def _word_monomials(words: np.ndarray, n_sites: int) -> tuple[np.ndarray, np.nda
     return masks, power
 
 
+def pauli_monomials(words, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, power) of each signed PauliString of `words`, word =
+    i^power w^{mask}: `spin_to_majorana` vectorized over the words.
+
+    A word is i^q X^x Z^z and its bare tensor word, with Y = i X Z, is
+    i^{|x & z|} X^x Z^z, whose index W = sum mu_j 4^{N-j} goes to
+    `_word_monomials`.
+    """
+    x, z, q = (np.array([getattr(w, k) for w in words], dtype=np.int64) for k in "xzq")
+    sites = np.arange(n_sites)  # bit j - 1 of x and z is site j
+    xb = (x[:, None] >> sites) & 1
+    zb = (z[:, None] >> sites) & 1
+    mu = np.where(xb == 1, 1 + zb, 3 * zb)  # I, X, Y, Z = 0..3
+    masks, power = _word_monomials(mu @ (4 ** (n_sites - 1 - sites)), n_sites)
+    return masks, (power + q - _bitcount(x & z)) & 3
+
+
 @lru_cache(maxsize=8)
 def pauli_word_table(n_sites: int):
     """For each Pauli word index W = sum mu_j 4^{N-j}: its monomial mask and
@@ -419,9 +441,39 @@ def vectorize(rho: np.ndarray, n_sites: int | None = None) -> LiouvilleVector:
     return LiouvilleVector(n_sites, amps)
 
 
+class MemoryBudgetError(MemoryError):
+    """A construction would not fit in the memory the process may allocate."""
+
+    def __init__(self, message: str, setting: str):
+        super().__init__(message)
+        self.setting = setting  # the config setting to reduce
+
+
+def _memory_limit() -> int:
+    """Bytes the process may allocate: the RLIMIT_AS soft limit when it is
+    finite, else the physical memory."""
+    import os
+    import resource
+
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        return soft
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def vectorize_operator(op: OperatorSum) -> LiouvilleVector:
-    """Symbolic expansion of an OperatorSum, no dense matrix required."""
+    """Symbolic expansion of an OperatorSum, no dense matrix required.
+
+    The 4^N complex amplitudes, 16 bytes each, beyond `_memory_limit`
+    raise MemoryBudgetError naming n_sites before they are allocated."""
     n = op.n_sites
+    limit = _memory_limit()
+    if 16 * 4 ** n > limit:
+        raise MemoryBudgetError(
+            f"the 4^{n} amplitudes of an operator at n_sites={n} need {16 * 4 ** n // 2 ** 20} MiB, "
+            f"more than the {limit // 2 ** 20} MiB this process may allocate",
+            "n_sites",
+        )
     amps = np.zeros(4 ** n, dtype=complex)
     for mask, coeff in operator_to_majorana_terms(op).items():
         amps[mask] += coeff

@@ -6,14 +6,24 @@ The master equation is taken in the form
 
 so that i d|rho>/dt = L |rho> and stationary states solve L |rho> = 0.
 
-Two independent constructions are provided and must agree entrywise:
+The experiments evolve under `generator_table`, which holds -i L of a
+whole family of models on one block as a linear map of the word weights:
+each Hamiltonian word is nonzero only at its own combined mask, on the
+monomials it anticommutes with, and each jump word only on the diagonal.
+A model's generator is then its weights times the table (`model.model_words`
+and `model.model_weights` give the chain's words and weights). It is
+checked in the tests against the direct build.
+
+Three independent constructions of L itself are provided and must agree
+entrywise:
 
 * `build_liouvillian_direct` lists the right-hand side as products
   L_k rho R_k (H rho, rho H, L rho L^dag, L^dag L rho, rho L^dag L) and
   hands them to `fock._product_superoperator`, which writes the whole
   generator as one CSR matrix from signed permutations of the basis. It
-  accepts arbitrary Pauli-word Hamiltonians and dissipators, and it is the
-  one generator the experiments evolve under, perturbed or not.
+  accepts arbitrary Pauli-word Hamiltonians and dissipators; it is the
+  oracle of the table, of `lmem.verify` and of the eigen-expansion
+  propagator `dynamics.evolve(method="eigen")`.
 
 * `build_liouvillian_thirdq` assembles the closed third-quantized form of
   the unperturbed chain (an oracle for the tests and `lmem.verify`),
@@ -23,7 +33,7 @@ Two independent constructions are provided and must agree entrywise:
 
   from the fermionic ladder matrices.
 
-A third, deliberately pedestrian route (`colstack_superoperator` plus the
+The third, deliberately pedestrian route (`colstack_superoperator` plus the
 basis change `majorana_basis_matrix`) builds the superoperator by Kronecker
 products in the column-stacking convention and conjugates it into the
 Majorana basis; it is the brute-force oracle the tests compare against.
@@ -36,7 +46,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import _product_superoperator, c_dagger_matrix, c_matrix, number_values
+from .fock import (
+    _PHASE_OF_POWER,
+    _bitcount,
+    _crossings,
+    _product_superoperator,
+    c_dagger_matrix,
+    c_matrix,
+    hermitian_powers,
+    number_values,
+    pauli_monomials,
+)
 from .model import ModelParams, build_dissipators, build_hamiltonian
 from .pauli import _check_dense, majorana_to_spin, MajoranaMonomial
 
@@ -88,6 +108,97 @@ def build_liouvillian_direct(
         ldl = Ld @ L_op
         terms += [(L_op, Ld, 1j), (ldl, None, -0.5j), (None, ldl, -0.5j)]
     return Superoperator(n_sites, _product_superoperator(terms, n_sites, cols), "direct-vectorized")
+
+
+@dataclass
+class GeneratorTable:
+    """The real generator -i L on the Hermitian basis h_a = i^{p_a} w^a of
+    one block, as a linear map of the word weights (`generator_table`).
+
+    Row r of the block holds the columns columns[indptr[r]:indptr[r + 1]],
+    in ascending order, its diagonal always among them at entry
+    diagonal[r]. Entry e of a model with weights theta (one per word, the
+    Hamiltonian words first, then the jump words) is
+    sum_k weights[e, k] theta_k.
+    """
+
+    n_sites: int
+    indices: np.ndarray  # sorted basis indices of the block
+    indptr: np.ndarray
+    columns: np.ndarray
+    diagonal: np.ndarray
+    weights: sp.csr_matrix  # (entries, words)
+
+    def values(self, theta: np.ndarray) -> np.ndarray:
+        """The entries, shape (entries, runs), of each row of weights theta (runs, words)."""
+        return self.weights @ theta.T
+
+
+def generator_table(hamiltonian, jumps, n_sites: int, cols) -> GeneratorTable:
+    """`GeneratorTable` of H = sum_k theta_k h_k and the jump operators
+    sqrt(theta_l) l for Hermitian PauliStrings h_k (hamiltonian, none the
+    identity) and l (jumps), on the sorted basis indices cols whose span L
+    maps into itself; the words are vectorized by `fock.pauli_monomials`.
+
+    Each word is Hermitian and squares to 1, so it commutes or anticommutes
+    with each monomial, w^m w^a = (-1)^{|m||a| - |m & a|} w^a w^m. A
+    Hamiltonian word h = i^p w^m therefore sends w^a to
+    [h, w^a] = 2 i^p w^m w^a only where it anticommutes, an entry at the
+    combined mask m alone, and a jump word adds
+    l w^a l - w^a = -2 w^a there, on the diagonal. On the Hermitian basis,
+    as in `dynamics._hermitian_basis_generator`, the entry of h at row
+    r = c ^ m is 2 s i^{3 + p + p_c - p_r} with s the sign of w^m w^c, and
+    that of l is -2. The powers of i are exact, so an odd one is a bug, not
+    rounding, and raises RuntimeError. A word that sends a monomial of the
+    block outside it raises ValueError: the column set is not closed.
+    """
+    hamiltonian = list(hamiltonian)
+    basis = np.asarray(cols, dtype=np.int64)
+    size = basis.size
+    degree = _bitcount(basis)
+
+    def anticommuting(words):
+        masks, powers = pauli_monomials(words, n_sites)
+        anti = ((_bitcount(masks)[:, None] * degree + _bitcount(masks[:, None] & basis)) & 1) == 1
+        return masks, powers, anti
+
+    h_masks, h_powers, h_anti = anticommuting(hamiltonian)
+    _, _, j_anti = anticommuting(list(jumps))
+    # row r holds the partner r ^ m for the diagonal (m = 0) and each
+    # Hamiltonian mask m that anticommutes with it, in ascending order
+    partners = basis[:, None] ^ np.concatenate([[0], h_masks])
+    order = np.argsort(partners, axis=1)
+    partners = np.take_along_axis(partners, order, axis=1)
+    held = np.take_along_axis(np.vstack([np.ones(size, bool), h_anti]).T, order, axis=1)
+    pos = np.searchsorted(basis, partners).clip(max=size - 1)
+    leaks = held & (basis[pos] != partners)
+    if leaks.any():
+        word = hamiltonian[order[leaks][0] - 1]
+        raise ValueError(f"the column set is not closed: the word {word.to_label()} leaves its span")
+    rows, slots = np.nonzero(held)
+    word = order[rows, slots] - 1  # -1 on the diagonal
+    columns = pos[rows, slots]
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(held.sum(axis=1), out=indptr[1:])
+    diagonal = np.flatnonzero(word < 0)
+    off = np.flatnonzero(word >= 0)
+    k = word[off]
+    c = basis[columns[off]]
+    cross = np.array([_crossings(int(m), 2 * n_sites, right=False) for m in h_masks], dtype=np.int64)
+    powers = hermitian_powers(basis)
+    phase = _PHASE_OF_POWER[(3 + h_powers[k] + powers[columns[off]] - powers[rows[off]]) & 3]
+    if phase.imag.any():
+        raise RuntimeError("the generator is not real on the Hermitian basis")
+    values = 2.0 * (1 - 2 * (_bitcount(c & cross[k]) & 1)) * phase.real
+    jump_rows, jump_words = np.nonzero(j_anti.T)
+    weights = sp.csr_matrix(
+        (
+            np.concatenate([values, np.full(jump_rows.size, -2.0)]),
+            (np.concatenate([off, diagonal[jump_rows]]), np.concatenate([k, h_masks.size + jump_words])),
+        ),
+        shape=(rows.size, h_masks.size + j_anti.shape[0]),
+    )
+    return GeneratorTable(n_sites, basis, indptr, columns, diagonal, weights)
 
 
 def build_liouvillian_thirdq(params: ModelParams) -> Superoperator:

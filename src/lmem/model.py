@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,20 +151,56 @@ class ModelParams:
         }
 
 
+@lru_cache(maxsize=None)
+def model_words(n_sites: int) -> tuple[tuple[PauliString, ...], tuple[PauliString, ...]]:
+    """(hamiltonian, jumps): every Pauli word a model on n_sites can hold.
+
+    The Hamiltonian words are sx_j sx_{j+1} for j = 1..N-1, sz_j for the
+    interior j = 2..N-1 and sx_j for j = 1..N; the jump words are sz_j for
+    j = 1..N and sx_j sx_{j+1} for j = 1..N-1. `model_weights` gives a
+    model's weight on each, and `build_hamiltonian`, `build_dissipators`
+    and the generator table of `liouvillian.generator_table` all read the
+    model from this one list.
+    """
+    n = n_sites
+
+    def bond(j):
+        return PauliString.single(n, j, "X").mul(PauliString.single(n, j + 1, "X"))
+
+    hamiltonian = (
+        [bond(j) for j in range(1, n)]
+        + [PauliString.single(n, j, "Z") for j in range(2, n)]  # b_1 and b_N never enter
+        + [PauliString.single(n, j, "X") for j in range(1, n + 1)]
+    )
+    jumps = [PauliString.single(n, j, "Z") for j in range(1, n + 1)] + [bond(j) for j in range(1, n)]
+    return tuple(hamiltonian), tuple(jumps)
+
+
+def model_weights(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, rates) of the words of `model_words`: H = sum_k weights[k]
+    h_k, and jump word l_k enters with rate rates[k], as the jump operator
+    sqrt(rates[k]) l_k. The weights are J_j, b_j (interior j) and u; the
+    rates are gamma_j and gamma'_j^2, the bond prefactor being the
+    amplitude (sqrt(gamma'^2) = gamma' exactly in floating point for
+    gamma' > 1e-154). A rate is 0 where its prefactor is not positive; a
+    zero weight or rate leaves its word out of the model."""
+    n = params.n_sites
+    weights = np.concatenate(
+        [params.couplings, params.field_b[1 : n - 1], np.full(n, params.transverse_u)]
+    )
+    g, gp = params.dephasing_rates, params.bond_dissipation
+    rates = np.concatenate([np.where(g > 0, g, 0.0), np.where(gp > 0, gp * gp, 0.0)])
+    return weights, rates
+
+
 def build_hamiltonian(params: ModelParams) -> OperatorSum:
     """Hermitian sum: XX bonds, interior sz fields, transverse sx field."""
-    n = params.n_sites
-    out = OperatorSum(n)
-    for j in range(1, n):
-        if params.couplings[j - 1] != 0:
-            word = PauliString.single(n, j, "X").mul(PauliString.single(n, j + 1, "X"))
-            out.add_term(params.couplings[j - 1], word)
-    for j in range(2, n):  # b_1 and b_N never enter
-        if params.field_b[j - 1] != 0:
-            out.add_term(params.field_b[j - 1], PauliString.single(n, j, "Z"))
-    if params.transverse_u != 0:
-        for j in range(1, n + 1):
-            out.add_term(params.transverse_u, PauliString.single(n, j, "X"))
+    words, _ = model_words(params.n_sites)
+    weights, _ = model_weights(params)
+    out = OperatorSum(params.n_sites)
+    for weight, word in zip(weights, words):
+        if weight != 0:
+            out.add_term(weight, word)
     return out
 
 
@@ -171,20 +208,13 @@ def build_dissipators(params: ModelParams) -> list[OperatorSum]:
     """Jump operators: sqrt(gamma_j) sz_j per site, plus bond sx sx terms
     gamma'_j sx_j sx_{j+1}: the bond prefactor gamma'_j is the amplitude as
     printed in the paper, not a rate."""
-    n = params.n_sites
-    out = []
-    for j in range(1, n + 1):
-        g = params.dephasing_rates[j - 1]
-        if g > 0:
-            out.append(
-                OperatorSum(n, [(np.sqrt(g), PauliString.single(n, j, "Z"))])
-            )
-    for j in range(1, n):
-        gp = params.bond_dissipation[j - 1]
-        if gp > 0:
-            word = PauliString.single(n, j, "X").mul(PauliString.single(n, j + 1, "X"))
-            out.append(OperatorSum(n, [(gp, word)]))
-    return out
+    _, words = model_words(params.n_sites)
+    _, rates = model_weights(params)
+    return [
+        OperatorSum(params.n_sites, [(np.sqrt(rate), word)])
+        for rate, word in zip(rates, words)
+        if rate > 0
+    ]
 
 
 def _symmetry_generators(n: int) -> dict[str, PauliString]:

@@ -15,6 +15,9 @@ from lmem.dynamics import (
     _UNIT_ROUNDOFF,
     MemoryBudgetError,
     _edge_labels,
+    _Shifted,
+    _batch_generator,
+    _group_words,
     _hermitian_basis_generator,
     _occupied_indices,
     _propagate,
@@ -36,9 +39,9 @@ from lmem.fock import (
     row_chunks,
     vectorize_operator,
 )
-from lmem.liouvillian import build_liouvillian_direct
-from lmem.model import ModelParams, _symmetry_generators, random_perturbed_params
-from lmem.pauli import MajoranaMonomial, majorana_to_spin
+from lmem.liouvillian import build_liouvillian_direct, generator_table
+from lmem.model import ModelParams, _symmetry_generators, build_dissipators, build_hamiltonian, random_perturbed_params
+from lmem.pauli import MajoranaMonomial, OperatorSum, PauliString, majorana_to_spin
 from lmem.sectors import sector_eigenvalues
 
 
@@ -53,6 +56,16 @@ def stored_entries(matrix):
 
 def uniform(n, J=1.0, gamma=0.7):
     return ModelParams(n, [J] * (n - 1), [gamma] * n)
+
+
+def shifted(*blocks):
+    """The `_Shifted` generator of any square sparse blocks, each shifted by
+    its own mean diagonal, as `dynamics._batch_generator` shifts a batch."""
+    sizes = [b.shape[0] for b in blocks]
+    mus = np.array([b.diagonal().sum() / size for b, size in zip(blocks, sizes)])
+    A = blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr")
+    A = (A - sp.diags(np.repeat(mus, sizes), format="csr")).tocsr()
+    return _Shifted(A, mus, sizes, float(abs(A).sum(axis=0).max()))
 
 
 @lru_cache(maxsize=None)
@@ -199,6 +212,89 @@ class TestHermitianBasis:
             _hermitian_basis_generator((1j * L).tocsr(), _index_range(6))
 
 
+def printed_model(p):
+    """(H, jump operators, N) of p term by term, as the model is printed:
+    J_j sx_j sx_{j+1}, b_j sz_j for interior j, u sx_j, sqrt(gamma_j) sz_j
+    and gamma'_j sx_j sx_{j+1}, each left out where its prefactor is zero,
+    and a jump also where it is negative. Independent of the word list of
+    `model.model_words` and `model.model_weights`."""
+    n = p.n_sites
+    x, z = (lambda j: PauliString.single(n, j, "X")), (lambda j: PauliString.single(n, j, "Z"))
+    h = OperatorSum(n)
+    for j in range(1, n):
+        if p.couplings[j - 1] != 0:
+            h.add_term(p.couplings[j - 1], x(j).mul(x(j + 1)))
+    for j in range(2, n):
+        if p.field_b[j - 1] != 0:
+            h.add_term(p.field_b[j - 1], z(j))
+    for j in range(1, n + 1):
+        if p.transverse_u != 0:
+            h.add_term(p.transverse_u, x(j))
+    jumps = [OperatorSum(n, [(np.sqrt(g), z(j))]) for j, g in enumerate(p.dephasing_rates, 1) if g > 0]
+    jumps += [OperatorSum(n, [(g, x(j).mul(x(j + 1)))]) for j, g in enumerate(p.bond_dissipation, 1) if g > 0]
+    return h, jumps, n
+
+
+def table_group(n, u):
+    """A fig3b group at transverse field u: three seeded draws, one with a
+    zero coupling, and one without bond dissipation, its last bond's
+    amplitude set negative past validation, which both builds skip."""
+    draws = [random_perturbed_params(n, u=u, rng_seed=s) for s in range(3)]
+    zero_coupling = random_perturbed_params(n, u=u, rng_seed=3)
+    zero_coupling.couplings[-1] = 0.0
+    no_bonds = replace(random_perturbed_params(n, u=u, rng_seed=4), bond_dissipation=np.zeros(n - 1))
+    no_bonds.bond_dissipation[-1] = -0.5
+    return draws + [zero_coupling, no_bonds]
+
+
+class TestGeneratorTable:
+    """The run path's generators, a weight product on one table per block,
+    against the direct build on the Hermitian basis."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("u", [0.0, 2.0])
+    def test_table_generators_match_the_direct_build(self, n, u):
+        rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1)).amplitudes
+        indices = _occupied_indices(rho0, n, u == 0.0, False)
+        group = table_group(n, u)
+        # the zero-coupling draw alone holds one Hamiltonian word fewer
+        for models in (group, group[3:4]):
+            weights, hamiltonian, jumps = _group_words(models)
+            table = generator_table(hamiltonian, jumps, n, indices)
+            values = table.values(weights)
+            oracles = [
+                _hermitian_basis_generator(build_liouvillian_direct(*printed_model(p), cols=indices).matrix, indices)
+                for p in models
+            ]
+            for run, want in zip(values.T, oracles):
+                got = sp.csr_matrix((run, table.columns, table.indptr), shape=want.shape)
+                assert abs(got - want).max() <= 1e-14 * abs(want).max()
+            gen, ref = _batch_generator(table, weights), shifted(*oracles)
+            assert gen.sizes == ref.sizes and gen.matrix.has_sorted_indices
+            assert abs(gen.matrix - ref.matrix).max() <= 1e-14 * abs(ref.matrix).max()
+            assert np.abs(gen.mus - ref.mus).max() <= 1e-14 * np.abs(ref.mus).max()
+            assert abs(gen.norm - ref.norm) <= 1e-14 * ref.norm
+        assert len(_group_words(group[3:4])[1]) == len(_group_words(group)[1]) - 1
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_builders_follow_the_printed_model(self, n):
+        # build_hamiltonian and build_dissipators read the one word list
+        for p in table_group(n, 2.0) + table_group(n, 0.0):
+            h, jumps, _ = printed_model(p)
+            assert dict(build_hamiltonian(p)) == dict(h)
+            assert [dict(d) for d in build_dissipators(p)] == [dict(d) for d in jumps]
+
+    def test_a_set_that_is_not_closed_raises(self):
+        n = 3
+        _, hamiltonian, jumps = _group_words([random_perturbed_params(n, u=0.0, rng_seed=1)])
+        with pytest.raises(ValueError, match="not closed"):
+            generator_table(hamiltonian, jumps, n, np.flatnonzero(degrees(n) == 2)[:3])
+        # the transverse field changes the degree, so a whole degree cell leaks
+        _, hamiltonian, jumps = _group_words([random_perturbed_params(n, u=2.0, rng_seed=1)])
+        with pytest.raises(ValueError, match="not closed"):
+            generator_table(hamiltonian, jumps, n, np.flatnonzero(degrees(n) == 2))
+
+
 def cases():
     """(name, params, initial amplitudes) with every kind of block."""
     n = 4
@@ -227,7 +323,7 @@ class TestBlockPropagation:
         """The 4^N complex Taylor path: the same vector stepper on -i L, unrestricted."""
         t_phys = t / (p.homogeneous_gamma() or 1.0)
         out = np.empty((t.size, v0.size), dtype=complex)
-        _propagate_by_vectors([-1j * build_liouvillian_direct(p).matrix], v0, t_phys, out)
+        _propagate_by_vectors(shifted(-1j * build_liouvillian_direct(p).matrix), v0, t_phys, out)
         return out
 
     @pytest.mark.parametrize("name,p,v0", cases(), ids=[c[0] for c in cases()])
@@ -321,7 +417,7 @@ def test_cheap_stop_test_takes_the_same_decisions(name, p, v0):
     real = _hermitian_basis_generator(L, _index_range(2 * p.n_sites))
     for generator, v in ((-1j * L, v0), (real, v0.real + v0.imag)):
         got, want = (np.empty((t_phys.size, v.size), dtype=generator.dtype) for _ in range(2))
-        got_matvecs = _propagate_by_vectors([generator], v, t_phys, got)
+        got_matvecs = _propagate_by_vectors(shifted(generator), v, t_phys, got)
         want_matvecs = plain_stop_propagate(generator, v, t_phys, want)
         assert got_matvecs == want_matvecs > 0
         np.testing.assert_array_equal(got, want)
@@ -340,7 +436,7 @@ def propagate_both_ways(monkeypatch, run):
         )
     got = run()
     taken = list(paths)
-    monkeypatch.setattr(lmem.dynamics, "_step_intervals", lambda blocks, t_phys: None)
+    monkeypatch.setattr(lmem.dynamics, "_step_intervals", lambda gen, t_phys: None)
     return got, run(), taken
 
 
@@ -415,12 +511,20 @@ class TestStepMatrices:
         t = np.linspace(0.0, 10.0, 41)
         small = sp.random(44, 44, density=0.05, random_state=1, format="csr")
         large = sp.random(512, 512, density=0.014, random_state=1, format="csr")
-        assert np.array_equal(_step_intervals([small], t), np.unique(np.diff(t)))
-        assert _step_intervals([small], np.cumsum(np.arange(41.0))) is None
-        assert _step_intervals([large], t) is None
-        assert _step_intervals([small, large[:44, :44]], t) is not None
-        assert _step_intervals([small, sp.identity(45, format="csr")], t) is None  # unequal sizes
-        assert _step_intervals([small], np.zeros(5)) is None  # nothing to step
+        assert np.array_equal(_step_intervals(shifted(small), t), np.unique(np.diff(t)))
+        assert _step_intervals(shifted(small), np.cumsum(np.arange(41.0))) is None
+        assert _step_intervals(shifted(large), t) is None
+        assert _step_intervals(shifted(small, large[:44, :44]), t) is not None
+        assert _step_intervals(shifted(small, sp.identity(45, format="csr")), t) is None  # unequal sizes
+        assert _step_intervals(shifted(small), np.zeros(5)) is None  # nothing to step
+
+    def test_rule_prices_the_step_matmuls(self):
+        # a multiple of the identity takes one nearly free Taylor term per
+        # interval, so the 40 matmuls of the steps decide: on 200 states
+        # they cost more than the 40 terms, on 20 states less
+        t = np.linspace(0.0, 10.0, 41)
+        assert _step_intervals(shifted(sp.identity(200, format="csr")), t) is None
+        assert _step_intervals(shifted(sp.identity(20, format="csr")), t) is not None
 
 
 @pytest.mark.parametrize(
@@ -465,7 +569,7 @@ def test_budget_counts_the_step_matrices(monkeypatch):
     evolve(rho0, p, t)
     # the vector path holds no step matrix
     monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: held)
-    monkeypatch.setattr(lmem.dynamics, "_step_intervals", lambda blocks, t_phys: None)
+    monkeypatch.setattr(lmem.dynamics, "_step_intervals", lambda gen, t_phys: None)
     evolve(rho0, p, t)
 
 
@@ -525,7 +629,7 @@ class TestBatches:
             blocks.append(A.tocsr())
             vs.append(rng.normal(size=dim))
         out = np.empty((t.size, 15))
-        _propagate(blocks, np.concatenate(vs), t, out)
+        _propagate(shifted(*blocks), np.concatenate(vs), t, out)
         for A, v, cols in zip(blocks, vs, (slice(0, 6), slice(6, 15))):
             want = np.array([expm_multiply(tk * A.toarray(), v) for tk in t])
             np.testing.assert_allclose(out[:, cols], want, rtol=0, atol=1e-14 * np.abs(want).max())

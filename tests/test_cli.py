@@ -353,9 +353,9 @@ def test_fig3b_propagates_one_batch_per_call(tmp_path, monkeypatch, samples, exp
     calls = []
     propagate = lmem.dynamics._propagate
 
-    def spy(blocks, *args):
-        calls.append([b.shape[0] for b in blocks])
-        return propagate(blocks, *args)
+    def spy(gen, *args):
+        calls.append(list(gen.sizes))
+        return propagate(gen, *args)
 
     monkeypatch.setattr(lmem.dynamics, "_propagate", spy)
     overrides = {"experiment": "fig3b", "n_draws": 3, "time_grid": {"t_max": 1.0, "n_samples": samples}}
@@ -382,9 +382,9 @@ def test_small_blocks_step_by_matrices(tmp_path, monkeypatch, overrides, expecte
     for path in ("steps", "vectors"):
         kernel = getattr(lmem.dynamics, f"_propagate_by_{path}")
 
-        def spy(blocks, *args, path=path, kernel=kernel):
-            calls.append((path, len(blocks), blocks[0].shape[0]))
-            return kernel(blocks, *args)
+        def spy(gen, *args, path=path, kernel=kernel):
+            calls.append((path, len(gen.sizes), gen.sizes[0]))
+            return kernel(gen, *args)
 
         monkeypatch.setattr(lmem.dynamics, f"_propagate_by_{path}", spy)
     _run(tmp_path, overrides)
@@ -733,22 +733,62 @@ def test_run_path_builds_no_kronecker_matrix(tmp_path, monkeypatch, overrides):
 )
 def test_run_path_keeps_to_the_occupied_block(tmp_path, monkeypatch, overrides):
     # every evolution, with a transverse field too, is assembled on its
-    # block, and no reader of the result rebuilds the 4^N amplitude array
+    # block by the generator table, never the direct build, and no reader
+    # of the result rebuilds the 4^N amplitude array
     import lmem.dynamics
     import lmem.liouvillian
 
-    full_build = lmem.liouvillian.build_liouvillian_direct
+    table = lmem.liouvillian.generator_table
+    bases = []
 
-    def block_build_only(*args, cols=None, **kwargs):
-        assert cols is not None, "the run path built the 4^N generator"
-        return full_build(*args, cols=cols, **kwargs)
+    def block_table_only(hamiltonian, jumps, n_sites, cols):
+        assert len(cols) < 4 ** n_sites, "the run path built the 4^N generator"
+        bases.append(len(cols))
+        return table(hamiltonian, jumps, n_sites, cols)
 
     def forbidden(self):
         raise AssertionError("the run path read EvolutionResult.amplitudes")
 
-    monkeypatch.setattr(lmem.dynamics, "build_liouvillian_direct", block_build_only)
+    _forbid(monkeypatch, [lmem.liouvillian.build_liouvillian_direct], "built the direct generator")
+    monkeypatch.setattr(lmem.dynamics, "generator_table", block_table_only)
     monkeypatch.setattr(lmem.dynamics.EvolutionResult, "amplitudes", property(forbidden))
     _run(tmp_path, overrides)
+    assert bases
+
+
+def test_fig3b_converts_its_words_once_per_run(tmp_path, monkeypatch):
+    # the draws share the model's words, the observables and the initial
+    # state: no Pauli word is converted to its Majorana monomial per draw
+    import lmem.pauli
+
+    convert = lmem.pauli.spin_to_majorana
+    counts = []
+    for draws in (2, 6):
+        calls = []
+        monkeypatch.setattr(lmem.pauli, "spin_to_majorana", lambda word: calls.append(word) or convert(word))
+        run_dir = tmp_path / f"draws{draws}"
+        run_dir.mkdir()
+        _run(run_dir, {"experiment": "fig3b", "n_draws": draws})
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"experiment": "fig3b", "n_draws": 2, "transverse_values": [0.0]}, PURITY_N4],
+    ids=["fig3a", "fig3b", "fig4-purity"],
+)
+def test_operator_vector_beyond_the_budget_names_n_sites(tmp_path, monkeypatch, capsys, overrides):
+    # the 4^N amplitudes of an operator, 4 kB at N=4, are checked against
+    # the memory limit before they are allocated
+    import lmem.fock
+
+    monkeypatch.setattr(lmem.fock, "_memory_limit", lambda: 16 * 4 ** 4 - 1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+    assert main(["run", str(cfg_path)]) == 2
+    _assert_usage_error(capsys, r"amplitudes of an operator at n_sites=4 .*; reduce n_sites$")
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmem.fock import (
+    _PHASE_OF_POWER,
     LiouvilleVector,
+    MemoryBudgetError,
     _product_superoperator,
     apply_c,
     apply_c_dagger,
@@ -20,6 +22,7 @@ from lmem.fock import (
     number_values,
     parity_values,
     pauli_coefficients,
+    pauli_monomials,
     pauli_word_table,
     reversal_signs,
     right_mult_monomial,
@@ -202,6 +205,32 @@ class TestPauliWordTable:
         n = data.draw(st.integers(6, 9))
         index = data.draw(st.integers(0, 4 ** n - 1))
         assert_table_entry(pauli_word_table(n), index, n)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_signed_words_match_scalar_map(self, n):
+        rng = np.random.default_rng(n)
+        words = [
+            PauliString.from_codes(word_codes(int(index), n)).scaled(int(turns))
+            for index, turns in zip(rng.integers(0, 4 ** n, 40), rng.integers(0, 4, 40))
+        ]
+        masks, powers = pauli_monomials(words, n)
+        for word, mask, power in zip(words, masks, powers):
+            mono = spin_to_majorana(word)
+            assert mask == mono.mask and _PHASE_OF_POWER[power] == mono.coeff
+
+
+def test_vectorize_operator_checks_the_memory_limit(monkeypatch):
+    # the 16 x 4^N bytes are checked before they are allocated
+    import lmem.fock
+
+    op = OperatorSum.identity(4)
+    monkeypatch.setattr(lmem.fock, "_memory_limit", lambda: 16 * 4 ** 4 - 1)
+    with pytest.raises(MemoryBudgetError, match="n_sites=4") as info:
+        vectorize_operator(op)
+    assert info.value.setting == "n_sites"
+    monkeypatch.setattr(lmem.fock, "_memory_limit", lambda: 16 * 4 ** 4)
+    assert vectorize_operator(op).amplitudes[0] == 1.0
 
 
 class TestMultiplicationSuperoperators:
