@@ -68,8 +68,8 @@ are cross-validated:
 `physicality_report` certifies that a whole trajectory stays a density
 matrix without a per-sample loop over dense matrices. The trace and
 Hermiticity defects are reductions over the amplitude array. Positivity
-is that of the Hermitian part of each sample, by one of two paths chosen
-from the stored basis indices:
+is that of the Hermitian part of each sample, computed once, by the first
+of three exact paths that the input admits:
 
 * quadratic: when every index has Majorana degree 0, 2, 2N - 2 or 2N
   (N >= 3), as for every fig3a state and fig3b's without a transverse
@@ -78,6 +78,13 @@ from the stored basis indices:
   eigenvalues of a 2N x 2N matrix and the sign of its Pfaffian
   (`_quadratic_lowest`), batched over samples and both blocks. No 2^N
   matrix is built, so the dense cap does not apply.
+* touched modes: when every nonzero word has even degree, each word of
+  degree > N equals its complement times a phase on each parity block
+  (`_fold_powers`). If the folded words touch few modes T, each parity
+  block has the spectrum of the same words on a chain of ceil(|T| / 2)
+  sites (`_touched_positivity`): fig4-purity's states touch 5 modes at
+  any N >= 5, so its samples are checked on the 4 x 4 parity blocks of
+  3-site chains, and the dense cap binds only the chain.
 * dense: every other trajectory is rebuilt in chunks of samples from its
   stored words by `fock.dense_blocks`, with no 4^N array: when every
   odd-degree amplitude of a chunk vanishes, rho commutes with the parity M
@@ -667,19 +674,36 @@ def _is_quadratic(indices: np.ndarray, n_sites: int) -> bool:
     return n_sites >= 3 and not np.any((k % 2 == 1) | ((k > 2) & (k < 2 * n_sites - 2)))
 
 
+def _fold_powers(masks: np.ndarray, n_sites: int) -> np.ndarray:
+    """q with w^a = i^q p w^{a^F} on the parity block p, for each even mask a
+    of masks, a^F its complement among the 2N modes.
+
+    W = w_1 ... w_{2N} = i^N Z_1 ... Z_N is i^N p on block p, and sorting
+    w^a w^{a^F} into W takes c transpositions, c the pairs (j in a, i not in
+    a) with i < j: c = sum of the 0-based modes of a - |a| (|a| - 1) / 2. With
+    (w^{a^F})^2 = (-1)^{l (l - 1) / 2}, l = 2N - |a|, and W central among the
+    even words, w^a = (-1)^{c + l (l - 1) / 2} i^N p w^{a^F}.
+    """
+    modes = np.arange(2 * n_sites)
+    k = _bitcount(masks)
+    c = ((masks[..., None] >> modes) & 1) @ modes - k * (k - 1) // 2
+    lf = 2 * n_sites - k
+    return n_sites + 2 * (c + lf * (lf - 1) // 2)
+
+
 @lru_cache(maxsize=None)
 def _pair_tables(n_sites: int):
     """(rows, cols, masks, powers) of `_quadratic_lowest`, one entry per pair
     i < j of the 2N modes (0-based): the mask of w_i w_j in masks[0], that
     of its complement w^{i^ j^}, the degree-(2N - 2) word without modes i
-    and j, in masks[1], and N + 2 (i + j), the power of i in
-    w^{i^ j^} = i^N (-1)^{i + j} w_i w_j Z_1 ... Z_N.
+    and j, in masks[1], and the power of i in w^{i^ j^} = i^q p w_i w_j on
+    the parity block p (`_fold_powers`), q = N + 2 (i + j) mod 4.
     """
     m = 2 * n_sites
     rows, cols = np.triu_indices(m, 1)
     pairs = (np.int64(1) << rows) | (np.int64(1) << cols)
     masks = np.stack([pairs, ((1 << m) - 1) ^ pairs])
-    return rows, cols, masks, n_sites + 2 * (rows + cols)
+    return rows, cols, masks, _fold_powers(masks[1], n_sites)
 
 
 def _pfaffian_signs(a: np.ndarray) -> np.ndarray:
@@ -763,24 +787,69 @@ def _quadratic_lowest(part: np.ndarray, indices: np.ndarray, n_sites: int) -> np
     return lowest.T
 
 
-def _dense_positivity(values: np.ndarray, indices: np.ndarray, n_sites: int) -> tuple[float, float]:
+def _touched_positivity(part: np.ndarray, indices: np.ndarray, n_sites: int) -> float | None:
+    """max(0, -lambda_min) over the Hermitian samples part[k] from the modes
+    their words touch, or None when a word has odd degree or the chain below
+    would be no smaller than a dense parity block.
+
+    The words are those of the columns nonzero in some sample. When each has
+    even degree, a sample commutes with the parity M, and on the parity block
+    p every word w^a of degree > N equals i^q p w^{a^F} (`_fold_powers`).
+    Folded so, the words touch a set T of modes; when T misses a mode, the
+    block p holds the even Clifford algebra over T as copies of its
+    irreducible representations (Lawson & Michelsohn, Spin Geometry (1989),
+    ch. I), and so has the spectrum of the same words relabelled in order
+    onto a chain of ceil(|T| / 2) sites, one unused mode padding an odd |T|.
+    That chain's state is even too, so `fock.dense_blocks` builds its two
+    parity blocks, for both p, and `_lowest_eigenvalue` decides them. The
+    path is taken when the chain is shorter than N - 1 sites, which leaves a
+    mode untouched; a sample Cholesky accepts counts as 0.
+    """
+    n = n_sites
+    columns = np.flatnonzero(part.any(axis=0))
+    words = indices[columns]
+    degree = _bitcount(words)
+    if np.any(degree & 1):
+        return None
+    fold = degree > n
+    words = np.where(fold, words ^ ((1 << 2 * n) - 1), words)
+    touched = np.flatnonzero((np.bitwise_or.reduce(words, initial=0) >> np.arange(2 * n)) & 1)
+    sites = max(1, (touched.size + 1) // 2)
+    if sites >= n - 1:
+        return None
+    chain = ((words[:, None] >> touched) & 1) @ (1 << np.arange(touched.size))
+    small = np.union1d(0, chain)  # the empty word keeps the chain's basis nonempty
+    # the phase i^q p of each folded word on the blocks p = +1, -1, as i^{q + 1 - p}
+    shift = np.array([[0], [2]])
+    phases = np.where(fold, _PHASE_OF_POWER[(_fold_powers(words, n) + shift) & 3], 1)
+    folded = np.zeros((2, len(part), small.size), dtype=complex)
+    np.add.at(folded, (slice(None), slice(None), np.searchsorted(small, chain)), phases[:, None] * part[:, columns])
+    layout = _DenseLayout(small, sites)
+    worst_neg = 0.0
+    for rows in row_chunks(len(part), 4 ** sites):
+        lam = _lowest_eigenvalue(layout.blocks(folded[:, rows].reshape(-1, small.size), parity_blocks=True))
+        if lam is not None:
+            worst_neg = max(worst_neg, -lam)
+    return worst_neg
+
+
+def _dense_positivity(values: np.ndarray, part: np.ndarray, indices: np.ndarray, n_sites: int) -> tuple[float, float]:
     """(Hermiticity defect, max(0, -lambda_min)) over the samples values[k],
-    walked in chunks (`fock.row_chunks`). The Hermitian part of each chunk is
-    rebuilt by the `fock.dense_blocks` kernel from the stored words alone,
-    its index tables built once for the whole trajectory: a chunk whose
-    odd-degree amplitudes all vanish commutes with the parity M and is
-    checked on its two 2^{N-1} parity blocks, otherwise on the full
-    matrices. A sample Cholesky accepts counts as 0."""
+    of Hermitian part `part`, walked in chunks (`fock.row_chunks`). Each
+    chunk's part is rebuilt by the `fock.dense_blocks` kernel from the
+    stored words alone, its index tables built once for the whole
+    trajectory: a chunk whose odd-degree amplitudes all vanish commutes with
+    the parity M and is checked on its two 2^{N-1} parity blocks, otherwise
+    on the full matrices. A sample Cholesky accepts counts as 0."""
     n = n_sites
     odd = (_bitcount(indices) & 1).astype(bool)
     layout = _DenseLayout(indices, n)
     worst_herm = 0.0
     worst_neg = 0.0
     for rows in row_chunks(len(values), 4 ** n):
-        chunk = values[rows]
-        part = hermitian_part(chunk, n, indices)
-        worst_herm = max(worst_herm, _hermiticity_defect(chunk, part))
-        lam = _lowest_eigenvalue(layout.blocks(part, parity_blocks=not part[:, odd].any()))
+        chunk = part[rows]
+        worst_herm = max(worst_herm, _hermiticity_defect(values[rows], chunk))
+        lam = _lowest_eigenvalue(layout.blocks(chunk, parity_blocks=not chunk[:, odd].any()))
         if lam is not None:
             worst_neg = max(worst_neg, -lam)
     return worst_herm, worst_neg
@@ -792,19 +861,29 @@ def _physicality(values: np.ndarray, indices: np.ndarray, n_sites: int) -> dict:
 
     The trace and Hermiticity defects are array reductions over the stored
     amplitudes. Positivity is that of the Hermitian part of each sample,
-    reported as max(0, -lambda_min). Samples stored on Majorana degrees 0,
-    2, 2N - 2 and 2N only (fig3a, and fig3b without a transverse field)
-    take the exact quadratic-form spectrum `_quadratic_lowest` from 2N x 2N
-    matrices; every other trajectory, and any N < 3, the dense blocks of
-    `_dense_positivity`, within the dense cap.
+    computed once and reported as max(0, -lambda_min), by the first of three
+    exact paths that applies, each read from the input:
+    - samples stored on Majorana degrees 0, 2, 2N - 2 and 2N only (fig3a,
+      and fig3b without a transverse field) take the quadratic-form spectrum
+      `_quadratic_lowest` from 2N x 2N matrices;
+    - samples whose nonzero words are all even and, folded onto degree <= N,
+      touch few enough modes (fig4-purity at N >= 5) take the spectra of
+      2^{ceil(|T| / 2)}-dimensional matrices over the touched modes T
+      (`_touched_positivity`);
+    - every other trajectory, such as fig3b's with a transverse field, which
+      touches every mode, takes the dense parity blocks or full matrices of
+      `_dense_positivity`, within the dense cap.
     """
     n = n_sites
+    part = hermitian_part(values, n, indices)
     if _is_quadratic(indices, n):
-        part = hermitian_part(values, n, indices)
-        worst_herm = _hermiticity_defect(values, part)
         worst_neg = max(0.0, -float(_quadratic_lowest(part, indices, n).min()))
     else:
-        worst_herm, worst_neg = _dense_positivity(values, indices, n)
+        worst_neg = _touched_positivity(part, indices, n)
+    if worst_neg is None:
+        worst_herm, worst_neg = _dense_positivity(values, part, indices, n)
+    else:
+        worst_herm = _hermiticity_defect(values, part)
     # tr(rho) = 2^N c_0, as in `fock.vector_trace`
     trace = 2 ** n * gather_columns(values, indices, [0])[:, 0]
     return {

@@ -46,7 +46,7 @@ from .fock import (
     site_count,
     vector_purity,
 )
-from .kappa import edge_annihilator, edge_correlator_signs
+from .kappa import edge_correlator_signs, edge_pair_signs
 from .pauli import OperatorSum, PauliString, parity_word, spin_to_majorana
 
 
@@ -224,11 +224,29 @@ def edge_factorization_test(
     product iff psi_1 and psi_0 are parallel; the pair (a, b) of the edge
     factor a|1> + b|0> is returned up to one common complex scale, with the
     convention that a is real and nonnegative.
+
+    d_e = (kappa_1 + i kappa_4N) / 2 (`kappa.edge_annihilator`, the oracle)
+    is applied as a gather: kappa_1 is diagonal and kappa_4N the all-bit
+    flip F = 4^N - 1 with signs (`kappa.edge_pair_signs`), so both act on
+    the stored amplitudes and their flip partners, the indices closed under
+    F, with no 4^N x 4^N matrix.
     """
     v, n = as_amplitudes(state, n_sites)
-    d = edge_annihilator(n)
-    down = d @ v  # a |psi_bulk> mapped into the edge-empty component
-    kept = d @ (d.conj().T @ v)  # b times the same bulk vector
+    flip = (1 << 2 * n) - 1
+    support = np.flatnonzero(v)
+    indices = np.union1d(support, support ^ flip)
+    diagonal, signs = edge_pair_signs(n, indices)
+    partners = indices ^ flip
+
+    def annihilate(x):  # (d_e x)_a = ((kappa_1 x)_a + i s_{a ^ F} x_{a ^ F}) / 2
+        return (diagonal * x + 1j * gather_columns(signs * x, indices, partners)) / 2
+
+    def create(x):  # d_e^dag x, the conjugate transpose of `annihilate`
+        return (np.conj(diagonal) * x - 1j * np.conj(signs) * gather_columns(x, indices, partners)) / 2
+
+    x = v[indices]
+    down = annihilate(x)  # a |psi_bulk> mapped into the edge-empty component
+    kept = annihilate(create(x))  # b times the same bulk vector
     na, nb = np.linalg.norm(down), np.linalg.norm(kept)
     scale = max(na, nb)
     if scale < 1e-300:

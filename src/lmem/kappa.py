@@ -27,9 +27,11 @@ a -> a XOR (4^N - 1). The edge operators (`edge_annihilator`,
 `edge_correlator`) are built from these two spin-picture forms, each one
 `fock._product_superoperator` call; the full cascade `kappa_all` and its
 spin layers are the independent construction the tests and `lmem.verify`
-check them against. Experiments need the correlator only as the signs of
-its all-bit flip (`edge_correlator_signs`), on the indices they store, so
-no run path builds a 4^N x 4^N matrix.
+check them against. Experiments need these operators only as the signs
+of their masks on the indices they store: the correlator's all-bit flip
+(`edge_correlator_signs`), and kappa_1's diagonal and kappa_4N's flip
+(`edge_pair_signs`) for the edge factorization, so no run path builds a
+4^N x 4^N matrix.
 
 All operators are signed-permutation sparse matrices; the compositions are
 derived programmatically and pinned by the Clifford-algebra and sector
@@ -137,12 +139,26 @@ def _edge_words(n_sites: int) -> tuple[OperatorSum, OperatorSum, OperatorSum]:
     return m, sx_1, sx_n
 
 
-def _edge_pair(n_sites: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """kappa_1 rho = -sx_1 M rho M sx_1 and kappa_4N rho = i sx_N rho M sx_N (no cascade)."""
+def _edge_terms(n_sites: int) -> tuple[list, list]:
+    """The `fock._product_superoperator` terms of kappa_1 rho = -sx_1 M rho M sx_1
+    and kappa_4N rho = i sx_N rho M sx_N."""
     m, sx_1, sx_n = _edge_words(n_sites)
-    kappa_first = _product_superoperator([(sx_1 @ m, m @ sx_1, -1.0)], n_sites)
-    kappa_last = _product_superoperator([(sx_n, m @ sx_n, 1j)], n_sites)
-    return kappa_first, kappa_last
+    return [(sx_1 @ m, m @ sx_1, -1.0)], [(sx_n, m @ sx_n, 1j)]
+
+
+def _edge_pair(n_sites: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """kappa_1 and kappa_4N as matrices, from their spin forms (no cascade)."""
+    first, last = _edge_terms(n_sites)
+    return _product_superoperator(first, n_sites), _product_superoperator(last, n_sites)
+
+
+def edge_pair_signs(n_sites: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k_a, s_a) with kappa_1 w^{a} = k_a w^{a} and kappa_4N w^{a} =
+    s_a w^{a ^ (4^N - 1)} for each a in indices, without the 4^N x 4^N
+    matrices of `_edge_pair`: the one combined mask of kappa_1 is 0, that of
+    kappa_4N the all-bit flip."""
+    first, last = _edge_terms(n_sites)
+    return _mask_columns(first, n_sites, indices)[1][0], _mask_columns(last, n_sites, indices)[1][0]
 
 
 @lru_cache(maxsize=8)

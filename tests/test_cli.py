@@ -837,6 +837,29 @@ def test_degree_path_positivity_builds_no_dense_block(tmp_path, monkeypatch, ove
     _run(tmp_path, overrides)
 
 
+def _purity_model(n):
+    return {"n_sites": n, "couplings": [2.0] * (n - 1), "dephasing_rates": [3.0] * n}
+
+
+def test_fig4_purity_checks_positivity_beyond_the_dense_cap(tmp_path, monkeypatch):
+    # from N=5 on, the initial state and the trajectory touch 5 modes once
+    # folded, so positivity comes from 3-site chains: the cap of 3 sites
+    # binds no check (at N=4 every mode is touched, as the cap test shows)
+    monkeypatch.setenv("LMEM_DENSE_LIMIT", "3")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, **{**PURITY_N4, "model": _purity_model(5)})))
+    assert main(["run", str(cfg_path)]) == 0
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["results"]["physicality"]["max_negative_eigenvalue"] == 0.0
+
+
+def test_fig4_purity_positivity_builds_no_dense_parity_block(tmp_path, monkeypatch):
+    import lmem.dynamics
+
+    assert _forbid(monkeypatch, [lmem.dynamics._dense_positivity], "checked a dense parity block") > 0
+    _run(tmp_path, {**PURITY_N4, "model": _purity_model(7)})
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_fig4_purity_columns_match_per_state_observables(tmp_path, n):
     from lmem.dynamics import evolve

@@ -534,6 +534,114 @@ class TestQuadraticPositivity:
             dynamics._quadratic_lowest(values, indices, n)
 
 
+def random_touched_states(n, touched, count, seed):
+    """count random Hermitian states whose words, folded onto degree <= N,
+    touch exactly `touched` modes: the even words of degree < N on a random
+    set T of that many modes, each stored as itself or as its complement,
+    plus the identity and its complement W. (indices, values)."""
+    rng = np.random.default_rng(seed)
+    modes = np.sort(rng.choice(2 * n, size=touched, replace=False))
+    idx = np.arange(4 ** n)
+    on_t = (idx & ~sum(1 << int(j) for j in modes)) == 0
+    degree = np.bitwise_count(idx)
+    words = idx[on_t & (degree % 2 == 0) & (degree < n) & (idx > 0)]
+    words = rng.choice(words, size=min(words.size, 12), replace=False)
+    words = np.where(rng.random(words.size) < 0.5, words ^ (4 ** n - 1), words)
+    indices = np.unique(np.concatenate([[0, 4 ** n - 1], words]))
+    x = rng.normal(size=(count, indices.size)) / 2 ** n
+    values = np.where(hermitian_powers(indices) == 1, 1j, 1.0) * x
+    values[:, 0] = 2.0 ** -n
+    return indices, values
+
+
+class TestTouchedPositivity:
+    """The touched-mode path of `_physicality` against dense eigvalsh."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fold_powers_match_dense_words(self, n):
+        # w^a = i^q p w^{a^F} on the parity block p, for every even word a
+        idx = np.arange(4 ** n)
+        even = idx[np.bitwise_count(idx) % 2 == 0]
+        q = dynamics._fold_powers(even, n)
+        for a, power in zip(even, q):
+            word = dense_blocks(np.ones((1, 1)), [a], n, parity_blocks=True)[0]
+            complement = dense_blocks(np.ones((1, 1)), [a ^ (4 ** n - 1)], n, parity_blocks=True)[0]
+            phase = 1j ** power
+            np.testing.assert_array_equal(word, np.stack([phase * complement[0], -phase * complement[1]]))
+
+    @pytest.mark.parametrize(
+        "n, touched", [(3, 0), (4, 0), (4, 1), (4, 3), (4, 4), (5, 2), (5, 5), (5, 6), (6, 7), (6, 8)]
+    )
+    def test_random_states_match_dense_blocks(self, n, touched):
+        # |T| = 0 leaves the identity and W alone; an odd |T| pads the chain
+        indices, values = random_touched_states(n, touched, 20, seed=10 * n + touched)
+        part = hermitian_part(values, n, indices)
+        ref = dense_block_minima(part, indices, n)
+        assert (ref < 0).any()
+        for k in range(len(part)):
+            got = dynamics._touched_positivity(part[k : k + 1], indices, n)
+            assert got == pytest.approx(max(0.0, -ref[k].min()), rel=0, abs=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n, touched", [(4, 2), (5, 3), (5, 4), (6, 5)])
+    def test_states_negative_on_one_parity_block(self, n, touched):
+        indices, values = random_touched_states(n, touched, 20, seed=n + touched)
+        lowest = dense_block_minima(values, indices, n)
+        values[:, 0] -= lowest.mean(axis=1)  # shifts both blocks' spectra by the same amount
+        ref = dense_block_minima(values, indices, n)
+        assert ((ref < 0).sum(axis=1) == 1).all()
+        part = hermitian_part(values, n, indices)
+        for k in range(len(part)):
+            got = dynamics._touched_positivity(part[k : k + 1], indices, n)
+            assert got == pytest.approx(-ref[k].min(), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_fig4_purity_trajectories_report_as_the_dense_path(self, n, monkeypatch):
+        from lmem.cli import edge_occupied_state
+
+        res = evolve(edge_occupied_state(n, 0.4, 0.3), params(n, J=2.0, gamma=3.0), np.linspace(0, 12, 49))
+        part = hermitian_part(res.values, n, res.indices)
+        assert not dynamics._is_quadratic(res.indices, n)
+        assert dynamics._touched_positivity(part, res.indices, n) == 0.0
+        # the least eigenvalue is at most the mean 2^-N, so shifted by -2^{1-N} I
+        # every sample is negative and both paths report its least eigenvalue
+        shifted = part.copy()
+        shifted[:, np.flatnonzero(res.indices == 0)] -= 2.0 ** (1 - n)
+        ref = dense_block_minima(shifted, res.indices, n)
+        got = [dynamics._touched_positivity(shifted[k : k + 1], res.indices, n) for k in range(len(shifted))]
+        np.testing.assert_allclose(got, -ref.min(axis=1), rtol=1e-12)
+        report = physicality_report(res)
+        monkeypatch.setattr(dynamics, "_touched_positivity", lambda part, indices, n_sites: None)
+        assert report == physicality_report(res)
+        assert report["max_negative_eigenvalue"] == 0.0
+
+    def test_states_beyond_the_touched_path_go_dense(self, monkeypatch):
+        from lmem.cli import edge_occupied_state, product_initial_state
+
+        # fig4-purity at N=4 touches all 8 modes, where the rule is off; a
+        # chain of N - 1 sites is no smaller than a dense parity block; an odd
+        # word maps one parity block onto the other; fig3b's u=2 draws touch every mode
+        purity = evolve(edge_occupied_state(4, 0.4, 0.3), params(4, J=2.0, gamma=3.0), [0.0, 1.0])
+        odd = OperatorSum.identity(5, 2.0 ** -5) + OperatorSum.from_pauli(PauliString.single(5, 1, "X"), 0.01)
+        v = vectorize_operator(odd).amplitudes
+        support = np.flatnonzero(v)
+        draw = random_perturbed_params(5, u=2.0, rng_seed=3)
+        u2 = evolve(product_initial_state(5, 0.5, 0.1), draw, np.linspace(0, 2, 5))
+        cases = [
+            (4, purity.indices, purity.values),
+            (5, *random_touched_states(5, 7, 2, seed=1)),
+            (5, support, v[None, support]),
+            (5, u2.indices, u2.values),
+        ]
+        calls = []
+        dense = dynamics._dense_positivity
+        monkeypatch.setattr(dynamics, "_dense_positivity", lambda *args: calls.append(1) or dense(*args))
+        for n, indices, values in cases:
+            assert not dynamics._is_quadratic(indices, n)
+            assert dynamics._touched_positivity(hermitian_part(values, n, indices), indices, n) is None
+            dynamics._physicality(values, indices, n)
+        assert len(calls) == len(cases)
+
+
 def test_dense_kernels_honour_the_cap(monkeypatch):
     from lmem.pauli import SizeLimitError
 
@@ -826,7 +934,8 @@ def test_dense_positivity_builds_its_tables_once(monkeypatch, name, values, indi
     calls = []
     bits = lmem.fock._pauli_bits
     monkeypatch.setattr(lmem.fock, "_pauli_bits", lambda *args: calls.append(1) or bits(*args))
-    assert dynamics._dense_positivity(values, indices, n) == want  # bit for bit
+    part = hermitian_part(values, n, indices)
+    assert dynamics._dense_positivity(values, part, indices, n) == want  # bit for bit
     assert len(calls) == 1
     if name == "random":
         assert want[1] > 0

@@ -190,6 +190,62 @@ class TestFactorization:
         res = edge_factorization_test(rho)
         assert not res.factorized
 
+    @staticmethod
+    def _matrix_factorization(v, n):
+        """(factorized, amplitudes, residual) through the 4^N x 4^N matrix d_e."""
+        from lmem.kappa import edge_annihilator
+
+        d = edge_annihilator(n)
+        down, kept = d @ v, d @ (d.conj().T @ v)
+        na, nb = np.linalg.norm(down), np.linalg.norm(kept)
+        scale = max(na, nb)
+        if na >= nb:
+            ref, a = down / na, complex(na)
+            b = complex(np.vdot(ref, kept))
+            resid = np.linalg.norm(kept - b * ref) / scale
+        else:
+            ref, b = kept / nb, complex(nb)
+            a = complex(np.vdot(ref, down))
+            resid = np.linalg.norm(down - a * ref) / scale
+        phase = a / abs(a)
+        return resid < 1e-8, (a / phase, b / phase), resid
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_gather_matches_the_matrix_oracle(self, n):
+        from lmem.cli import nonproduct_initial_state, product_initial_state
+        from lmem.fock import vectorize_operator
+
+        states = []
+        if n % 2 == 0 and n >= 4:  # fig3a's two states
+            states.append(product_initial_state(n, 0.5, 0.1))
+            states.append(nonproduct_initial_state(n, 0.5, 0.1, (0.05, 0.05)))
+        states = [vectorize_operator(s).amplitudes for s in states]
+        rng = np.random.default_rng(n)
+        for size in (1, 12, 4 ** n // 3):
+            v = np.zeros(4 ** n, dtype=complex)
+            support = rng.choice(4 ** n, size=size, replace=False)
+            v[support] = rng.normal(size=size) + 1j * rng.normal(size=size)
+            states.append(v)
+        for v in states:
+            got = edge_factorization_test(v, n)
+            factorized, (a, b), resid = self._matrix_factorization(v, n)
+            # the amplitudes carry the state's scale, which the random states leave unnormalized
+            scale = max(1.0, abs(a), abs(b))
+            assert got.factorized == factorized
+            assert abs(got.amplitudes[0] - a) <= 1e-13 * scale and abs(got.amplitudes[1] - b) <= 1e-13 * scale
+            assert abs(got.residual - resid) <= 1e-13
+
+    def test_factorization_builds_no_edge_matrix(self, monkeypatch):
+        import lmem.edge
+        import lmem.kappa
+
+        def forbidden(n_sites):
+            raise AssertionError("built the 4^N x 4^N edge annihilator")
+
+        assert not hasattr(lmem.edge, "edge_annihilator")
+        monkeypatch.setattr(lmem.kappa, "edge_annihilator", forbidden)
+        assert edge_factorization_test(stationary_density(0.5, 4)).factorized
+
     def test_factorization_persists_under_evolution(self):
         n = 4
         spec = ProductStateSpec(zeta=0.4, a_terms=[(0.15, w) for w in bulk_words(n)])
