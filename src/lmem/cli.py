@@ -49,6 +49,7 @@ from .dynamics import (
     evolve_batches,
     exceptional_point_scan,
     physicality_report,
+    physicality_reports,
 )
 from .edge import (
     ProductStateSpec,
@@ -522,10 +523,9 @@ def run_fig3b(config: ExperimentConfig, outdir: Path) -> dict:
         k = 0
         with _memory_budget():
             for batch in evolve_batches(rho0, draws, t_grid):
-                for res in batch:
-                    # each run of the batch is checked alone: stacked samples would fill
-                    # the dense path's chunks beyond one trajectory and raise peak memory
-                    phys = physicality_report(res)
+                # the draws of a batch share their block, so their checks share the
+                # dense path's index tables; each draw is still checked alone
+                for res, phys in zip(batch, physicality_reports(batch)):
                     for key in worst_phys:
                         worst_phys[key] = max(worst_phys[key], phys[key])
                     tr = ratio_trace(x1, x2, res)

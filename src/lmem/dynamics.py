@@ -50,15 +50,21 @@ are cross-validated:
 
   `evolve_batches` runs one initial state under many models, as fig3b's
   seeded draws: the runs that share a block share one table, built once
-  on the words some run holds, and are stepped together in batches
-  bounded by `fock.row_chunks`. A batch's block-diagonal generator is one
-  product of its runs' weights (runs x words) with the table, whose
-  entries are laid out on the table's pattern with row and column offsets,
-  each block shifted by its own mean diagonal (`_batch_generator`);
-  `evolve` is its batch of one. A batch whose generators and trajectories
-  would not fit in the memory the process may allocate raises
-  `MemoryBudgetError` before any of them is built, and one whose step
-  matrices would not fit raises before those are built.
+  on the words some run holds, and are stepped together in the fewest
+  equal batches whose block-diagonal generators hold at most
+  `fock.CHUNK_ELEMENTS` stored entries, the working set of one Taylor
+  term (`_batch_cut`): fig3b's ten u=2 draws at N=5, 3584 entries each,
+  form two batches of five, and at N=6, 17408 each, one batch a draw. A
+  batch's block-diagonal generator is one product of its runs' weights
+  (runs x words) with the table, whose entries are laid out on the
+  table's pattern with row and column offsets, each block shifted by its
+  own mean diagonal (`_batch_generator`); `evolve` is its batch of one. A
+  run whose generator and trajectory would not fit in the memory the
+  process may allocate raises `MemoryBudgetError` before any table is
+  built, and one whose step matrices would not fit raises before those
+  are built; a batch of several runs is cut smaller until it fits with
+  the step matrices it could take, so a group never fails because it was
+  batched.
 
 * "eigen": dense eigendecomposition with biorthogonal left/right pairs,
   |rho(t)> = R exp(-i diag(lambda) t) R^{-1} |rho(0)>, on the whole
@@ -91,7 +97,10 @@ of three exact paths that the input admits:
   and splits into two 2^{N-1} blocks, otherwise the full matrices are
   built. Each stack first goes to Cholesky; only a stack it rejects goes
   to `eigvalsh`, so a sample that is not positive definite still reports
-  its least eigenvalue, while one Cholesky accepts reports 0.
+  its least eigenvalue, while one Cholesky accepts reports 0. The index
+  tables of the kernel depend on the stored words alone, so the runs of
+  one `evolve_batches` batch, which share them, are checked by
+  `physicality_reports` on one `fock._DenseLayout`, each run alone.
 
 `check_physical_initial_state` runs the same routine on one state, held
 as a one-sample trajectory on its nonzero amplitudes, so no run path
@@ -116,6 +125,7 @@ from numpy.linalg import LinAlgError, cholesky, eigvalsh
 
 from .fock import (
     _PHASE_OF_POWER,
+    CHUNK_ELEMENTS,
     _DenseLayout,
     LiouvilleVector,
     MemoryBudgetError,
@@ -567,17 +577,21 @@ def evolve_batches(rho0, models, t_grid) -> Iterator[list[EvolutionResult]]:
     (`liouvillian.generator_table`) is built once, on the words of
     `model.model_words` that some run of the group holds, and every run's
     generator is its word weights times that table. The group is cut into
-    batches of at most `fock.row_chunks(count, T x block)` runs, and the
-    generators of a batch are propagated together as one block-diagonal
-    matrix (`_batch_generator`, `_propagate`). On the vector path a
-    physical state has ||f||_inf = 2^-N, its trace amplitude, so the shared
-    stop test passes only when each run's own would; on the step path every
-    block's identity has ||f||_inf near 1. A batch of one takes exactly the
-    steps of a run alone. The results of a batch are rows of one
-    (runs, T, block) array, and each result's `matvecs` counts the products
-    of its whole batch. A batch beyond the memory budget raises
-    `MemoryBudgetError` before anything of it is built, or, when its step
-    matrices tip it over, before those are built.
+    the fewest batches, of sizes that differ by at most one, whose
+    generators hold at most `fock.CHUNK_ELEMENTS` stored entries
+    (`_batch_cut`), and the generators of a batch are propagated together
+    as one block-diagonal matrix (`_batch_generator`, `_propagate`). On
+    the vector path a physical state has ||f||_inf = 2^-N, its trace
+    amplitude, so the shared stop test passes only when each run's own
+    would; on the step path every block's identity has ||f||_inf near 1. A
+    batch of one takes exactly the steps of a run alone. The results of a
+    batch are rows of one (runs, T, block) array, and each result's
+    `matvecs` counts the products of its whole batch. A run beyond the memory budget raises
+    `MemoryBudgetError` before the group's table is built, or, when its
+    step matrices tip it over, before those are built. A batch of several
+    runs is made smaller until it fits with the step matrices it could
+    take, one per distinct interval, so runs that fit one at a time never
+    fail for being batched.
     """
     t_grid = _check_time_grid(t_grid)
     models = list(models)
@@ -592,13 +606,39 @@ def evolve_batches(rho0, models, t_grid) -> Iterator[list[EvolutionResult]]:
         tag = "taylor-sector" if sectors else "taylor-degree" if degree else "taylor"
         weights, hamiltonian, jumps = _group_words(list(group))
         masks = 1 + len(hamiltonian)
-        table = None
-        for rows in row_chunks(len(weights), t_grid.size * indices.size):
-            theta = weights[rows]
-            _check_budget(n, len(theta), masks, t_grid.size, indices.size)
-            if table is None:
-                table = generator_table(hamiltonian, jumps, n, indices)
-            yield _evolve_batch(v0, table, theta, masks, t_grid, gamma, tag)
+        _check_budget(n, 1, masks, t_grid.size, indices.size)
+        table = generator_table(hamiltonian, jumps, n, indices)
+        # a batch of several runs is sized as if it stepped by matrices, one per
+        # distinct interval, so that only a run that does not fit alone raises
+        dts = np.diff(t_grid if gamma is None else t_grid / gamma, prepend=0.0)
+        steps = np.unique(dts[dts > 0]).size
+        budget = (n, masks, t_grid.size, indices.size, steps)
+        cut = _batch_cut(len(weights), int(table.indptr[-1]), lambda runs: runs == 1 or _fits(runs, *budget))
+        for rows in cut:
+            yield _evolve_batch(v0, table, weights[rows], masks, t_grid, gamma, tag)
+
+
+def _fits(runs: int, n_sites: int, masks: int, n_samples: int, block: int, step_intervals: int) -> bool:
+    """Whether `_check_budget` passes a batch of `runs` runs."""
+    try:
+        _check_budget(n_sites, runs, masks, n_samples, block, step_intervals)
+    except MemoryBudgetError:
+        return False
+    return True
+
+
+def _batch_cut(runs: int, run_entries: int, fits) -> list[slice]:
+    """The runs of a group cut into the fewest consecutive batches, of sizes
+    that differ by at most one, whose block-diagonal generators hold at most
+    `fock.CHUNK_ELEMENTS` stored entries, run_entries a run, and whose
+    largest batch passes fits(size), the memory budget. That many entries
+    are the working set one Taylor term sweeps; a run beyond it is a batch
+    of its own, and fits(1) must hold, so the cut always ends."""
+    count = -(-runs // max(1, CHUNK_ELEMENTS // run_entries))
+    while not fits(-(-runs // count)):
+        count += 1
+    bounds = [k * runs // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _group_words(group: list[ModelParams]) -> tuple[np.ndarray, list, list]:
@@ -833,17 +873,20 @@ def _touched_positivity(part: np.ndarray, indices: np.ndarray, n_sites: int) -> 
     return worst_neg
 
 
-def _dense_positivity(values: np.ndarray, part: np.ndarray, indices: np.ndarray, n_sites: int) -> tuple[float, float]:
+def _dense_positivity(
+    values: np.ndarray, part: np.ndarray, indices: np.ndarray, n_sites: int, layout: _DenseLayout | None = None
+) -> tuple[float, float]:
     """(Hermiticity defect, max(0, -lambda_min)) over the samples values[k],
     of Hermitian part `part`, walked in chunks (`fock.row_chunks`). Each
     chunk's part is rebuilt by the `fock.dense_blocks` kernel from the
-    stored words alone, its index tables built once for the whole
-    trajectory: a chunk whose odd-degree amplitudes all vanish commutes with
-    the parity M and is checked on its two 2^{N-1} parity blocks, otherwise
-    on the full matrices. A sample Cholesky accepts counts as 0."""
+    stored words alone, by the index tables of `layout` (new when None),
+    built once for the whole trajectory or batch: a chunk whose odd-degree
+    amplitudes all vanish commutes with the parity M and is checked on its
+    two 2^{N-1} parity blocks, otherwise on the full matrices. A sample
+    Cholesky accepts counts as 0."""
     n = n_sites
     odd = (_bitcount(indices) & 1).astype(bool)
-    layout = _DenseLayout(indices, n)
+    layout = _DenseLayout(indices, n) if layout is None else layout
     worst_herm = 0.0
     worst_neg = 0.0
     for rows in row_chunks(len(values), 4 ** n):
@@ -855,9 +898,10 @@ def _dense_positivity(values: np.ndarray, part: np.ndarray, indices: np.ndarray,
     return worst_herm, worst_neg
 
 
-def _physicality(values: np.ndarray, indices: np.ndarray, n_sites: int) -> dict:
+def _physicality(values: np.ndarray, indices: np.ndarray, n_sites: int, layout: _DenseLayout | None = None) -> dict:
     """Worst-case trace, Hermiticity, and positivity deviations of the
-    samples values[k], held on the sorted basis indices `indices`.
+    samples values[k], held on the sorted basis indices `indices`; layout
+    is the `fock._DenseLayout` of indices, new when None.
 
     The trace and Hermiticity defects are array reductions over the stored
     amplitudes. Positivity is that of the Hermitian part of each sample,
@@ -881,7 +925,7 @@ def _physicality(values: np.ndarray, indices: np.ndarray, n_sites: int) -> dict:
     else:
         worst_neg = _touched_positivity(part, indices, n)
     if worst_neg is None:
-        worst_herm, worst_neg = _dense_positivity(values, part, indices, n)
+        worst_herm, worst_neg = _dense_positivity(values, part, indices, n, layout)
     else:
         worst_herm = _hermiticity_defect(values, part)
     # tr(rho) = 2^N c_0, as in `fock.vector_trace`
@@ -893,10 +937,23 @@ def _physicality(values: np.ndarray, indices: np.ndarray, n_sites: int) -> dict:
     }
 
 
-def physicality_report(result: EvolutionResult) -> dict:
+def physicality_report(result: EvolutionResult, layout: _DenseLayout | None = None) -> dict:
     """Worst-case trace, Hermiticity, and positivity deviations on a
-    trajectory, by the chunk routine `_physicality`."""
-    return _physicality(result.values, result.indices, result.n_sites)
+    trajectory, by the chunk routine `_physicality`; layout, the
+    `fock._DenseLayout` of result.indices, is shared by the runs of a batch
+    (`physicality_reports`)."""
+    return _physicality(result.values, result.indices, result.n_sites, layout)
+
+
+def physicality_reports(batch: list[EvolutionResult]) -> list[dict]:
+    """`physicality_report` of each run of one `evolve_batches` batch. The
+    runs share their indices, so the dense path's index tables are built
+    once for the batch, on the first run that takes it; each run is still
+    checked alone, since stacking the runs' samples would fill the dense
+    chunks beyond one trajectory and raise peak memory without speeding the
+    quadratic path."""
+    layout = _DenseLayout(batch[0].indices, batch[0].n_sites)
+    return [physicality_report(res, layout) for res in batch]
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -486,7 +486,8 @@ def vectorize_operator(op: OperatorSum) -> LiouvilleVector:
 
 
 # complex elements per working array of a kernel that walks a trajectory in
-# chunks of samples; from N = 8 on a chunk is one 4^N-long sample
+# chunks of samples; from N = 8 on a chunk is one 4^N-long sample. Also the
+# stored entries of a batch's generator in `dynamics.evolve_batches`
 CHUNK_ELEMENTS = 1 << 15
 
 
@@ -546,13 +547,21 @@ class _DenseLayout:
     """The index tables of `dense_blocks` for one set of stored words: the
     Pauli bits, the distinct X- and Z-masks, the +-1 rows and the placement
     table. They depend on the indices alone, so a trajectory walked in
-    chunks of samples builds them once, for each parity flag it meets."""
+    chunks of samples builds them once, for each parity flag it meets, and
+    so do the runs of one batch, which share their indices
+    (`dynamics.physicality_reports`). They are built, and the dense cap
+    checked, on the first `blocks` call, so a layout that no check uses
+    costs nothing."""
 
     def __init__(self, indices, n_sites: int):
-        _check_dense(n_sites)
+        self.indices = np.asarray(indices, dtype=np.int64)
         self.n_sites = n_sites
-        self.bits = _pauli_bits(np.asarray(indices, dtype=np.int64), n_sites)
         self._tables = {}
+
+    @cached_property
+    def bits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        _check_dense(self.n_sites)
+        return _pauli_bits(self.indices, self.n_sites)
 
     def _build(self, parity_blocks: bool):
         n_sites = self.n_sites

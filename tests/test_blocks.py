@@ -16,6 +16,7 @@ from lmem.dynamics import (
     MemoryBudgetError,
     _edge_labels,
     _Shifted,
+    _batch_cut,
     _batch_generator,
     _group_words,
     _hermitian_basis_generator,
@@ -31,12 +32,12 @@ from lmem.dynamics import (
 )
 from lmem.edge import purity_series
 from lmem.fock import (
+    CHUNK_ELEMENTS,
     _bitcount,
     _index_range,
     hermitian_powers,
     liouville_inner,
     reversal_signs,
-    row_chunks,
     vectorize_operator,
 )
 from lmem.liouvillian import build_liouvillian_direct, generator_table
@@ -590,34 +591,87 @@ class TestBatches:
     def test_batched_draws_match_solo_draws(self, n, u):
         # on fig3b's time grid; on coarser grids (steps of 0.5 at u=2) a solo
         # run's own rounding reaches ~2e-14 of x2's maximum, against the
-        # eigen expansion, and the batch is no further from it
+        # eigen expansion, and the batch is no further from it. Ten draws, as
+        # fig3b makes: at N=5, u=2 a draw's generator holds 3584 entries, so
+        # the group is cut into two batches of five
         t = np.linspace(0.0, 5.0, 21)
         rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1))
-        models = [random_perturbed_params(n, u=u, rng_seed=s) for s in range(3)]
+        models = [random_perturbed_params(n, u=u, rng_seed=s) for s in range(10)]
         batches = list(evolve_batches(rho0, models, t))
-        assert [len(b) for b in batches] == [3]
+        assert [len(b) for b in batches] == ([5, 5] if (n, u) == (5, 2.0) else [10])
         x1, x2 = ratio_observables(n)
-        for model, res in zip(models, batches[0]):
+        runs = [(batch, res) for batch in batches for res in batch]
+        for model, (batch, res) in zip(models, runs):
             solo = evolve(rho0, model, t)
             assert np.array_equal(res.indices, solo.indices) and res.method_tag == solo.method_tag
             # matvecs counts the products of the whole batch
-            assert res.matvecs == batches[0][0].matvecs > 0
+            assert res.matvecs == batch[0].matvecs > 0
             for X in (None, x1, x2):
                 got, want = (r.values if X is None else expectation_series(X, r) for r in (res, solo))
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_batches_split_by_block_and_chunk(self):
-        # runs that share the block and the time unit are batched in order,
-        # at most row_chunks(count, T x block) at a time
+        # runs that share the block and the time unit are batched in order
         n = 4
         rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1))
         models = [random_perturbed_params(n, u=u, rng_seed=s) for u, s in ((0.0, 1), (0.0, 2), (2.0, 1), (0.0, 3))]
         models.append(uniform(n))
         got = [[(r.method_tag, r.indices.size) for r in b] for b in evolve_batches(rho0, models, self.T)]
         assert got == [[("taylor-degree", 32)] * 2, [("taylor", 128)], [("taylor-degree", 32)], [("taylor-sector", 24)]]
-        t_long = np.linspace(0.0, 1.0, 301)  # 301 x 128 amplitudes exceed one chunk
-        sizes = [len(b) for b in evolve_batches(rho0, [models[2]] * 3, t_long)]
-        assert sizes == [len(range(3)[rows]) for rows in row_chunks(3, t_long.size * 128)] == [1, 1, 1]
+        # a group is cut into the fewest batches, of sizes that differ by at
+        # most one, whose generators hold at most CHUNK_ELEMENTS stored
+        # entries; a run beyond that is a batch of its own. fig3b's u=2 draws
+        # hold 3584 entries at N=5 and 17408 at N=6, its u=0 draws 226 at N=5
+        def sizes(runs, entries):
+            cut = _batch_cut(runs, entries, lambda size: True)
+            assert [b.start for b in cut] == [0] + [b.stop for b in cut[:-1]] and cut[-1].stop == runs
+            return [b.stop - b.start for b in cut]
+
+        assert sizes(10, 3584) == [5, 5]
+        assert sizes(10, 17408) == [1] * 10
+        assert sizes(10, 226) == [10]
+        assert sizes(7, 10000) == [2, 2, 3]
+        for runs in range(1, 13):
+            for entries in (1, 100, 3000, 5000, 9000, 16384, 16385, 40000):
+                got = sizes(runs, entries)
+                assert max(got) - min(got) <= 1
+                assert max(got) * entries <= CHUNK_ELEMENTS or max(got) == 1
+                # the fewest batches: one fewer would hold a batch beyond the chunk
+                fewer = -(-runs // (len(got) - 1)) if len(got) > 1 else None
+                assert fewer is None or fewer * entries > CHUNK_ELEMENTS
+        # the cut reads the generator's entries, not the trajectory's length:
+        # three u=2 draws at N=4 (704 entries each) over 301 samples are one batch
+        t_long = np.linspace(0.0, 1.0, 301)
+        assert [len(b) for b in evolve_batches(rho0, [models[2]] * 3, t_long)] == [3]
+
+    def test_group_beyond_the_budget_runs_in_smaller_batches(self, monkeypatch):
+        # ten N=5, u=2 draws form two batches of five; under a memory limit
+        # that holds four runs but not five, the group runs in batches of
+        # at most four, each run as it runs alone. A batch of several runs is
+        # sized with the step matrices it would hold, one 512 x 512 matrix a
+        # run on this grid of one distinct interval
+        import lmem.dynamics
+
+        n = 5
+        t = np.linspace(0.0, 5.0, 21)
+        rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1))
+        models = [random_perturbed_params(n, u=2.0, rng_seed=s) for s in range(10)]
+        _, hamiltonian, _ = _group_words(models)
+        block = 512
+        one_run = 64 * (1 + len(hamiltonian)) * block + 16 * t.size * block
+        steps = 8 * block * block
+        monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: 4 * (one_run + steps) + one_run)
+        batches = list(evolve_batches(rho0, models, t))
+        assert [len(b) for b in batches] == [3, 3, 4]
+        for model, res in zip(models, (res for batch in batches for res in batch)):
+            solo = evolve(rho0, model, t)
+            assert res.indices.size == block and np.array_equal(res.indices, solo.indices)
+            assert np.abs(res.values - solo.values).max() <= 1e-14 * np.abs(solo.values).max()
+        # a run that does not fit alone still raises, before any table is built
+        monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: one_run - 1)
+        monkeypatch.setattr(lmem.dynamics, "generator_table", lambda *args: pytest.fail("built the table"))
+        with pytest.raises(MemoryBudgetError, match="evolving 1 run"):
+            next(evolve_batches(rho0, models, t))
 
     def test_two_blocks_propagate_as_each_alone(self):
         # distinct blocks with distinct mean diagonals, stacked as one vector

@@ -341,15 +341,20 @@ def test_fig3b_checks_the_dense_cap_before_writing(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize(
-    "samples,expected",
-    [(5, [[32] * 3, [128] * 3]), (301, [[32] * 3, [128], [128], [128]])],
+    "samples,limit,expected",
+    [(5, None, [[32] * 3, [128] * 3]), (301, 3 * 2 ** 20, [[32] * 3, [128], [128], [128]])],
     ids=["one-batch-per-u", "one-draw-per-batch"],
 )
-def test_fig3b_propagates_one_batch_per_call(tmp_path, monkeypatch, samples, expected):
-    # at N=4 a u=0 draw runs on 32 basis states and a u=2 draw on 128; a
-    # batch holds at most CHUNK_ELEMENTS // (samples x block) draws
+def test_fig3b_propagates_one_batch_per_call(tmp_path, monkeypatch, samples, limit, expected):
+    # at N=4 a u=0 draw runs on 32 basis states and a u=2 draw on 128, whose
+    # generator holds 704 stored entries, so three draws of each u fit one
+    # batch of at most CHUNK_ELEMENTS entries. Over 301 samples (ten distinct
+    # intervals) a u=2 draw needs ~0.7 MB, and ~1.3 MB more for its step
+    # matrices: under a 3 MiB limit the u=2 draws run one per batch
     import lmem.dynamics
 
+    if limit is not None:
+        monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: limit)
     calls = []
     propagate = lmem.dynamics._propagate
 
@@ -362,6 +367,40 @@ def test_fig3b_propagates_one_batch_per_call(tmp_path, monkeypatch, samples, exp
     _run(tmp_path, overrides)
     assert calls == expected
     assert len(list((tmp_path / "out").glob("fig3b_u*_draw*.csv"))) == 6
+
+
+@pytest.mark.parametrize("n,batches", [(4, 1), (5, 2)])
+def test_fig3b_checks_share_one_dense_layout_per_batch(tmp_path, monkeypatch, n, batches):
+    # ten u=2 draws form one batch at N=4 and two at N=5; they take the dense
+    # positivity path, and the draws of a batch share their block, so their
+    # checks build the index tables once per batch, each report as its own
+    import lmem.cli
+    import lmem.dynamics
+    import lmem.fock
+    from lmem.dynamics import physicality_report
+
+    made, bits, checked = [], [], []
+    layout, pauli_bits, reports = lmem.dynamics._DenseLayout, lmem.fock._pauli_bits, lmem.cli.physicality_reports
+
+    class Counted(layout):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    def spy(batch):
+        checked.append((batch, reports(batch)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(lmem.dynamics, "_DenseLayout", Counted)
+    monkeypatch.setattr(lmem.fock, "_pauli_bits", lambda *args: bits.append(1) or pauli_bits(*args))
+    monkeypatch.setattr(lmem.cli, "physicality_reports", spy)
+    _run(tmp_path, {"experiment": "fig3b", "model": base_model(n), "time_grid": {"t_max": 5.0, "n_samples": 21},
+                    "n_draws": 10, "transverse_values": [2.0]})
+    assert len(checked) == len(made) == len(bits) == batches
+    monkeypatch.undo()
+    assert sum(len(batch) for batch, _ in checked) == 10
+    for batch, got in checked:
+        assert got == [physicality_report(res) for res in batch]  # bit for bit
 
 
 @pytest.mark.parametrize(
@@ -793,13 +832,13 @@ def test_operator_vector_beyond_the_budget_names_n_sites(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize(
     "limit,pattern",
-    [(10 ** 5, r"n_sites=4 over 5 samples.*; reduce n_sites$"), (2 ** 20, r"; reduce time_grid\.n_samples$")],
+    [(8 * 10 ** 4, r"n_sites=4 over 5 samples.*; reduce n_sites$"), (2 ** 20, r"; reduce time_grid\.n_samples$")],
 )
 def test_full_space_budget_names_setting(tmp_path, monkeypatch, capsys, limit, pattern):
     # at N=4 a u=2 draw runs on a block of 128 basis states, with a generator
-    # estimate of ~82 kB. Over 5 samples two draws form one batch, whose
-    # estimate of ~164 kB exceeds 10^5 bytes; 601 samples push one draw's
-    # trajectory past 1 MiB
+    # estimate of ~82 kB, beyond 8 x 10^4 bytes; 601 samples push one draw's
+    # trajectory past 1 MiB. Draws that fit one at a time run in smaller
+    # batches, so only a draw that does not fit alone raises
     import lmem.dynamics
 
     monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: limit)
