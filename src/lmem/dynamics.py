@@ -27,19 +27,19 @@ are cross-validated:
     the state itself, one scipy CSR product per term, holding three
     working vectors. fig3b's u=2 block takes this path.
 
-  The state is propagated on the smallest block, closed under all of the
-  model's symmetries, that it occupies. Every model commutes with the
-  conjugations rho -> sx_1 rho sx_1 and rho -> sx_N rho sx_N: b_1 and b_N
-  never enter H, the field is sx, and each jump operator is one Pauli
-  word. So L keeps the two signs of w^a under them, the edge labels
-  (`_edge_labels`); at fixed degree they are the edge-mode bits a_1 and
-  a_{2N}. Without a transverse field the Hamiltonian and every jump
-  operator are quadratic in the Majoranas, so L keeps the degree of each
-  monomial too; when the model also commutes with every parity pair, it
-  keeps the sector as well. The block is the union of the cells, (degree,
-  sector, edge labels) or (degree, edge labels) or edge labels alone, that
-  the initial amplitudes occupy, and the table is built on it alone; its
-  leak check guards that the block is closed. On the Hermitian basis
+  The state is propagated on the block its generator reaches from it
+  (`_closure`): its nonzero words and, until nothing new is reached, the
+  word w^a ^ m of each word w^a of the block and each Hamiltonian word w^m
+  that anticommutes with it, since [w^m, w^a] is 2 w^m w^a there and 0
+  elsewhere. Each jump operator is one Pauli word, so it acts on the
+  diagonal and reaches nothing. The block lies inside the cells the state
+  occupies of every symmetry the model keeps (the sx_1 and sx_N
+  conjugations of every model among them), and the method tag names the
+  symmetries (`_block_key`): the Majorana degree without a transverse
+  field, where H and every jump operator are quadratic in the Majoranas,
+  and the parity-pair sectors too when the model commutes with every
+  parity pair. The table is built on the block alone, and its leak check
+  guards that the block is closed. On the Hermitian basis
   h_a = i^{p_a} w^a (`fock.hermitian_powers`) the generator -i L is a real
   matrix, since L maps Hermitian operators to Hermitian ones, and the
   table holds it so: a Hermitian rho(0) propagates as one real vector and
@@ -139,12 +139,13 @@ from .fock import (
     hermitian_part,
     hermitian_powers,
     liouville_inner,
+    pauli_monomials,
     row_chunks,
     scatter_columns,
     site_count,
     vector_trace,
 )
-from .liouvillian import GeneratorTable, build_liouvillian_direct, generator_table
+from .liouvillian import GeneratorTable, anticommuting, build_liouvillian_direct, generator_table
 from .model import ModelParams, model_weights, model_words
 from .sectors import (
     SectorLabel,
@@ -369,10 +370,10 @@ def _step_intervals(gen: _Shifted, t_phys: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _propagate(gen: _Shifted, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
+def _propagate_by_vectors(gen: _Shifted, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
     """Write exp(A t) v0 to out[k] for each t_phys[k], A the block-diagonal
-    generator of `gen`, restored by its shifts; return the sparse products
-    A @ b.
+    generator of `gen`, restored by its shifts, by the Taylor terms of each
+    interval on the state; return the sparse products A @ b.
 
     The generator and v0 may be real or complex, and v0 one vector or a
     stack of columns, with the blocks' rows stacked along its first axis;
@@ -381,18 +382,9 @@ def _propagate(gen: _Shifted, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarra
     previous sample, so a repeated time costs nothing. Each block is shifted
     by its own mean diagonal, and the plan (m, s) of an interval comes from
     the 1-norm of the shifted block-diagonal matrix, so one block takes the
-    steps it would take alone. Small blocks step by one matrix per distinct
-    interval (`_propagate_by_steps`), large ones by Taylor terms on the
-    state (`_propagate_by_vectors`); `_step_intervals` chooses.
+    steps it would take alone. `_evolve_batch` takes this path for large
+    blocks, where `_step_intervals` returns None.
     """
-    intervals = _step_intervals(gen, t_phys)
-    if intervals is None:
-        return _propagate_by_vectors(gen, v0, t_phys, out)
-    return _propagate_by_steps(gen, v0, t_phys, out, intervals)
-
-
-def _propagate_by_vectors(gen: _Shifted, v0: np.ndarray, t_phys: np.ndarray, out: np.ndarray) -> int:
-    """`_propagate` by the Taylor terms of each interval on the state."""
     v = v0.astype(np.result_type(gen.matrix.dtype, v0.dtype))
     matvecs = 0
     for k, dt in enumerate(np.diff(t_phys, prepend=0.0)):
@@ -404,12 +396,14 @@ def _propagate_by_vectors(gen: _Shifted, v0: np.ndarray, t_phys: np.ndarray, out
 
 
 def _propagate_by_steps(gen: _Shifted, v0, t_phys, out, intervals: np.ndarray) -> int:
-    """`_propagate` by one step matrix per distinct interval dt, the blocks
-    of equal size n: the Taylor terms of dt run once on the stacked n x n
-    identities of the blocks, giving exp(A_b dt) for every block b as one
-    (blocks, n, n) array, and the state then moves from sample to sample by
-    one batched matmul. Returns the sparse products of those Taylor terms;
-    the matmuls are not counted."""
+    """`_propagate_by_vectors` by one step matrix per distinct interval dt
+    of `intervals`, those `_step_intervals` returns, the blocks of equal
+    size n: the Taylor terms of dt run once on the stacked n x n identities
+    of the blocks, giving exp(A_b dt) for every block b as one (blocks, n,
+    n) array, and the state then moves from sample to sample by one batched
+    matmul. The arguments and out are those of `_propagate_by_vectors`.
+    Returns the sparse products of those Taylor terms; the matmuls are not
+    counted."""
     dtype = np.result_type(gen.matrix.dtype, v0.dtype)
     count_blocks, n = len(gen.sizes), gen.sizes[0]
     eye = np.tile(np.eye(n, dtype=dtype), (count_blocks, 1))
@@ -427,39 +421,22 @@ def _propagate_by_steps(gen: _Shifted, v0, t_phys, out, intervals: np.ndarray) -
     return matvecs
 
 
-def _edge_labels(indices: np.ndarray, n_sites: int) -> np.ndarray:
-    """s_1 + 2 s_N for each basis index a, where s_1 (s_N) is 1 when w^a
-    changes sign under rho -> sx_1 rho sx_1 (sx_N rho sx_N).
-
-    sx_1 = w_1 and sx_N is proportional to w_1 ... w_{2N-1}, and conjugation
-    by a product F of k Majoranas multiplies w^a by (-1)^{k|a| - |a & F|}.
-    So s_1 = |a| + a_1 and s_N = a_{2N} (mod 2): at fixed degree the labels
-    are the two edge-mode bits.
-    """
-    m = 2 * n_sites
-    k = _bitcount(indices)
-    s1 = (k - (indices & 1)) & 1
-    sn = ((m - 1) * k - _bitcount(indices & ((1 << (m - 1)) - 1))) & 1
-    return s1 | (sn << 1)
-
-
-def _occupied_indices(v0: np.ndarray, n_sites: int, degree: bool, sectors: bool) -> np.ndarray:
-    """Basis indices of the union of the cells v0 occupies. A cell is one
-    pair of edge labels (`_edge_labels`), within one Majorana degree when
-    `degree`, and within one parity-pair sector too when `sectors`."""
-    n = n_sites
-    idx = _index_range(2 * n)
-    cells = _edge_labels(idx, n)
-    if degree:
-        cells |= _bitcount(idx) << (2 * n)
-    if sectors:
-        # bit 2j - 1 of a ^ (a >> 1) is 1 where a_{2j} != a_{2j+1}, i.e. p_j = -1;
-        # shifted past the edge labels, below the degree
-        pair_bits = sum(1 << (2 * j - 1) for j in range(1, n))
-        cells |= ((idx ^ (idx >> 1)) & pair_bits) << 2
-    # a zero state keeps one cell, so the block is never empty
-    occupied = cells[np.flatnonzero(v0)] if v0.any() else cells[:1]
-    return np.flatnonzero(np.isin(cells, occupied))
+def _closure(v0: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Sorted basis indices of the block that the generator reaches from
+    v0: its nonzero words (the empty word when it has none, so the block
+    is never empty) and, repeatedly, c ^ m for each word c of the block
+    and each Hamiltonian mask m of `masks` whose word anticommutes with
+    w^c (`liouvillian.anticommuting`). A jump word is one Pauli word and
+    acts on the diagonal, so it reaches nothing new."""
+    block = np.flatnonzero(v0) if v0.any() else np.zeros(1, dtype=np.int64)
+    new = block
+    while new.size:
+        reached = np.unique((new ^ masks[:, None])[anticommuting(masks, new)])
+        pos = np.searchsorted(block, reached)
+        fresh = block[pos.clip(max=block.size - 1)] != reached
+        new = reached[fresh]
+        block = np.insert(block, pos[fresh], new)
+    return block
 
 
 def _hermitian_basis_generator(matrix: sp.csr_matrix, indices: np.ndarray) -> sp.csr_matrix:
@@ -541,12 +518,12 @@ def evolve(
     positive, absolute otherwise. rho0 may be a dense matrix, a
     LiouvilleVector, an OperatorSum or a raw amplitude vector; it is not
     checked for physicality (`check_physical_initial_state` does that).
-    method "expm" (default) is the exact propagator on the block of the
-    cells rho0 occupies (`evolve_batches` with a batch of one), tagged
-    "taylor-sector" when the cells are (degree, sector) pairs,
-    "taylor-degree" when they are degrees and "taylor" when only the edge
-    labels cut the space; "eigen" is the eigen-expansion oracle on the
-    whole space.
+    method "expm" (default) is the exact propagator on the block the
+    generator reaches from rho0 (`evolve_batches` with a batch of one),
+    tagged by the symmetries the model keeps: "taylor-sector" when it keeps
+    the Majorana degree and the parity-pair sectors, "taylor-degree" when
+    it keeps the degree alone and "taylor" otherwise; "eigen" is the
+    eigen-expansion oracle on the whole space.
     """
     if method not in ("expm", "eigen"):
         raise ValueError(f"unknown evolution method {method!r}; use 'expm' or 'eigen'")
@@ -562,7 +539,8 @@ def evolve(
 
 
 def _block_key(params: ModelParams) -> tuple:
-    """(degree, sectors, gamma): the cells a run is cut into and the unit of
+    """(degree, sectors, gamma): whether the model keeps the Majorana degree
+    and the parity-pair sectors, which name its method tag, and the unit of
     its times; runs with equal keys share their block and physical times."""
     degree = params.conserves_degree()
     return degree, degree and params.preserves_sectors(), params.homogeneous_gamma()
@@ -572,15 +550,20 @@ def evolve_batches(rho0, models, t_grid) -> Iterator[list[EvolutionResult]]:
     """`evolve` of one initial state under each of `models` by "expm",
     yielded in order as lists of results, one batch at a time.
 
-    Consecutive models whose runs share the block and the physical times
-    (`_block_key`) form a group. The group's generator table
-    (`liouvillian.generator_table`) is built once, on the words of
-    `model.model_words` that some run of the group holds, and every run's
-    generator is its word weights times that table. The group is cut into
-    the fewest batches, of sizes that differ by at most one, whose
-    generators hold at most `fock.CHUNK_ELEMENTS` stored entries
-    (`_batch_cut`), and the generators of a batch are propagated together
-    as one block-diagonal matrix (`_batch_generator`, `_propagate`). On
+    Consecutive models that keep the same symmetries and share the
+    physical times (`_block_key`) form a group, and the symmetries name the
+    method tag. The group's block is the closure of rho0's nonzero words
+    under the Hamiltonian words of `model.model_words` that some run of the
+    group holds (`_closure`): a word w^m joins w^a to w^a ^ m where it
+    anticommutes with w^a, and a jump word joins nothing. The group's
+    generator table (`liouvillian.generator_table`) is built once, on that
+    block and those words, and every run's generator is its word weights
+    times that table; the table's leak check guards that the block is
+    closed. The group is cut into the fewest batches, of sizes that differ
+    by at most one, whose generators hold at most `fock.CHUNK_ELEMENTS`
+    stored entries (`_batch_cut`), and the generators of a batch are
+    propagated together as one block-diagonal matrix (`_batch_generator`),
+    by step matrices or by vectors as `_step_intervals` decides. On
     the vector path a physical state has ||f||_inf = 2^-N, its trace
     amplitude, so the shared stop test passes only when each run's own
     would; on the step path every block's identity has ||f||_inf near 1. A
@@ -602,9 +585,9 @@ def evolve_batches(rho0, models, t_grid) -> Iterator[list[EvolutionResult]]:
         raise ValueError("evolve_batches needs models of one site count")
     v0, _ = as_amplitudes(rho0, n)
     for (degree, sectors, gamma), group in groupby(models, key=_block_key):
-        indices = _occupied_indices(v0, n, degree, sectors)
         tag = "taylor-sector" if sectors else "taylor-degree" if degree else "taylor"
         weights, hamiltonian, jumps = _group_words(list(group))
+        indices = _closure(v0, pauli_monomials(hamiltonian, n)[0])
         masks = 1 + len(hamiltonian)
         _check_budget(n, 1, masks, t_grid.size, indices.size)
         table = generator_table(hamiltonian, jumps, n, indices)
@@ -675,7 +658,11 @@ def _evolve_batch(v0, table: GeneratorTable, theta, masks: int, t_grid, gamma, t
     parts = values.view(np.float64).reshape(values.shape + (2,))
     out = parts.swapaxes(0, 1)
     x0 = np.concatenate([x0] * len(theta))
-    matvecs = _propagate(gen, x0, t_phys, out if x0.ndim == 2 else out[..., 0])
+    out = out if x0.ndim == 2 else out[..., 0]
+    if intervals is None:
+        matvecs = _propagate_by_vectors(gen, x0, t_phys, out)
+    else:
+        matvecs = _propagate_by_steps(gen, x0, t_phys, out, intervals)
     # c_a = i (x_re + i x_im) = -x_im + i x_re where w^a is anti-Hermitian
     turned = parts[..., anti, :]
     parts[..., anti, 0] = 0.0 - turned[..., 1]

@@ -134,6 +134,12 @@ class GeneratorTable:
         return self.weights @ theta.T
 
 
+def anticommuting(masks: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(masks, words) booleans: whether w^m anticommutes with w^a, by
+    w^m w^a = (-1)^{|m||a| - |m & a|} w^a w^m."""
+    return ((_bitcount(masks)[:, None] * _bitcount(words) + _bitcount(masks[:, None] & words)) & 1) == 1
+
+
 def generator_table(hamiltonian, jumps, n_sites: int, cols) -> GeneratorTable:
     """`GeneratorTable` of H = sum_k theta_k h_k and the jump operators
     sqrt(theta_l) l for Hermitian PauliStrings h_k (hamiltonian, none the
@@ -141,10 +147,9 @@ def generator_table(hamiltonian, jumps, n_sites: int, cols) -> GeneratorTable:
     maps into itself; the words are vectorized by `fock.pauli_monomials`.
 
     Each word is Hermitian and squares to 1, so it commutes or anticommutes
-    with each monomial, w^m w^a = (-1)^{|m||a| - |m & a|} w^a w^m. A
-    Hamiltonian word h = i^p w^m therefore sends w^a to
-    [h, w^a] = 2 i^p w^m w^a only where it anticommutes, an entry at the
-    combined mask m alone, and a jump word adds
+    with each monomial (`anticommuting`). A Hamiltonian word h = i^p w^m
+    therefore sends w^a to [h, w^a] = 2 i^p w^m w^a only where it
+    anticommutes, an entry at the combined mask m alone, and a jump word adds
     l w^a l - w^a = -2 w^a there, on the diagonal. On the Hermitian basis,
     as in `dynamics._hermitian_basis_generator`, the entry of h at row
     r = c ^ m is 2 s i^{3 + p + p_c - p_r} with s the sign of w^m w^c, and
@@ -155,15 +160,9 @@ def generator_table(hamiltonian, jumps, n_sites: int, cols) -> GeneratorTable:
     hamiltonian = list(hamiltonian)
     basis = np.asarray(cols, dtype=np.int64)
     size = basis.size
-    degree = _bitcount(basis)
-
-    def anticommuting(words):
-        masks, powers = pauli_monomials(words, n_sites)
-        anti = ((_bitcount(masks)[:, None] * degree + _bitcount(masks[:, None] & basis)) & 1) == 1
-        return masks, powers, anti
-
-    h_masks, h_powers, h_anti = anticommuting(hamiltonian)
-    _, _, j_anti = anticommuting(list(jumps))
+    h_masks, h_powers = pauli_monomials(hamiltonian, n_sites)
+    h_anti = anticommuting(h_masks, basis)
+    j_anti = anticommuting(pauli_monomials(list(jumps), n_sites)[0], basis)
     # row r holds the partner r ^ m for the diagonal (m = 0) and each
     # Hamiltonian mask m that anticommutes with it, in ascending order
     partners = basis[:, None] ^ np.concatenate([[0], h_masks])

@@ -1,6 +1,7 @@
-"""Block propagation: degree and sector cells, the restricted assembly, the
-real generator on the Hermitian basis, and compact trajectories, each
-against the full-space construction or a dense oracle."""
+"""Block propagation: the block the generator reaches and the symmetry cells
+it lies in, the restricted assembly, the real generator on the Hermitian
+basis, and compact trajectories, each against the full-space construction
+or a dense oracle."""
 
 from dataclasses import replace
 from functools import lru_cache
@@ -14,14 +15,11 @@ from lmem.cli import edge_occupied_state, nonproduct_initial_state, product_init
 from lmem.dynamics import (
     _UNIT_ROUNDOFF,
     MemoryBudgetError,
-    _edge_labels,
     _Shifted,
     _batch_cut,
     _batch_generator,
     _group_words,
     _hermitian_basis_generator,
-    _occupied_indices,
-    _propagate,
     _propagate_by_vectors,
     _step_intervals,
     _taylor_plan,
@@ -82,7 +80,9 @@ def edge_signs(n):
 
 
 def cells(n, degree, sectors):
-    """Cell code of every basis index, as `_occupied_indices` groups them."""
+    """Cell code of every basis index: its edge signs, within its Majorana
+    degree when `degree`, and within its parity-pair sector too when
+    `sectors`, by brute force over the Pauli words."""
     codes = edge_signs(n) @ [1, 2]
     if degree:
         codes = codes + 4 * degrees(n)
@@ -90,6 +90,12 @@ def cells(n, degree, sectors):
         pattern = (1 - sector_eigenvalues(_index_range(2 * n), n)) // 2
         codes = codes * 2 ** (n - 1) + pattern @ (1 << np.arange(n - 1))
     return codes
+
+
+def occupied(v, n, degree, sectors):
+    """Basis indices of the union of the cells of `cells` that v occupies."""
+    codes = cells(n, degree, sectors)
+    return np.flatnonzero(np.isin(codes, codes[np.flatnonzero(v)]))
 
 
 def random_closed_set(rng, n, sectors):
@@ -117,23 +123,8 @@ class TestDegreeConservation:
         off = degrees(n)[rows] != degrees(n)[cols]
         assert np.abs(data[off]).max() > 1.0
 
-    def test_occupied_cells_hold_every_nonzero_amplitude(self):
-        n = 4
-        rng = np.random.default_rng(3)
-        v = np.zeros(4 ** n, dtype=complex)
-        v[rng.choice(4 ** n, size=5, replace=False)] = rng.normal(size=5)
-        for degree, sectors in ((False, False), (True, False), (True, True)):
-            idx = _occupied_indices(v, n, degree, sectors)
-            codes = cells(n, degree, sectors)
-            assert np.array_equal(idx, np.flatnonzero(np.isin(codes, codes[np.flatnonzero(v)])))
-        assert _occupied_indices(np.zeros(4 ** n), n, True, True).tolist() == [0]
-
 
 class TestEdgeLabels:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_labels_are_the_commutation_signs_with_the_edge_spins(self, n):
-        np.testing.assert_array_equal(_edge_labels(_index_range(2 * n), n), edge_signs(n) @ [1, 2])
-
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("u", [0.0, 2.0])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -144,15 +135,62 @@ class TestEdgeLabels:
         assert rows.size and np.array_equal(labels[rows], labels[cols])
 
     def test_the_edge_labels_halve_the_transverse_block(self):
-        # the product state occupies two of the four label pairs
+        # the product state occupies two of the four label pairs, and the
+        # generator reaches 125 of their 128 words
         n = 4
         rho = vectorize_operator(product_initial_state(n, 0.5, 0.1))
         p = random_perturbed_params(n, u=2.0, rng_seed=0)
         res = evolve(rho, p, [0.0, 1.0])
-        assert res.method_tag == "taylor" and res.indices.size == 4 ** n // 2
+        assert res.method_tag == "taylor" and res.indices.size == 125
+        assert occupied(rho.amplitudes, n, False, False).size == 4 ** n // 2
         full = evolve(rho, p, [0.0, 1.0], method="eigen")
         off = np.setdiff1d(_index_range(2 * n), res.indices)
         assert np.abs(full.amplitudes[:, off]).max() < 1e-12
+
+
+def experiment_states(n):
+    """Amplitudes of the experiments' initial states: fig3a's product state
+    (fig3b's too), fig3a's nonproduct state and fig4-purity's edge state."""
+    states = (
+        product_initial_state(n, 0.5, 0.1),
+        nonproduct_initial_state(n, 0.5, 0.1, (0.05, 0.05)),
+        edge_occupied_state(n, 0.4, 0.3),
+    )
+    return [vectorize_operator(op).amplitudes for op in states]
+
+
+class TestClosure:
+    """The block `evolve` takes, the closure of the state's words under the
+    Hamiltonian words that anticommute with them, against the symmetry
+    cells the state occupies and the full-space generator and trajectory."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_block_lies_in_the_cells_and_holds_the_trajectory(self, n):
+        t = np.linspace(0.0, 2.0, 5)
+        models = [random_perturbed_params(n, u=u, rng_seed=10 * n + s) for u in (0.0, 2.0) for s in range(2)]
+        assert all(p.field_b.any() and p.bond_dissipation.any() for p in models)
+        for p in models + [uniform(n)]:
+            degree = p.conserves_degree()
+            sectors = degree and p.preserves_sectors()
+            L = build_liouvillian_direct(p).matrix
+            for v in experiment_states(n):
+                block = evolve(v, p, t).indices
+                assert np.isin(block, occupied(v, n, degree, sectors)).all()
+                assert np.isin(np.flatnonzero(v), block).all()
+                outside = np.setdiff1d(_index_range(2 * n), block)
+                # the generator maps the block into itself, entry by entry
+                assert not L[outside][:, block].toarray().any()
+                # the eigen expansion costs 2 s at N=5 and 90 s at N=6; there
+                # the same Taylor stepper runs unrestricted on -i L
+                if n <= 4:
+                    full = evolve(v, p, t, method="eigen").amplitudes
+                else:
+                    full = TestBlockPropagation.full_taylor(p, v, t)
+                assert np.abs(full[:, outside]).max() <= 1e-12 * np.abs(full).max()
+
+    def test_a_zero_state_keeps_the_empty_word(self):
+        res = evolve(np.zeros(4 ** 3), uniform(3), [0.0, 1.0])
+        assert res.indices.tolist() == [0] and not res.values.any()
 
 
 class TestRestrictedAssembly:
@@ -256,7 +294,7 @@ class TestGeneratorTable:
     @pytest.mark.parametrize("u", [0.0, 2.0])
     def test_table_generators_match_the_direct_build(self, n, u):
         rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1)).amplitudes
-        indices = _occupied_indices(rho0, n, u == 0.0, False)
+        indices = occupied(rho0, n, u == 0.0, False)
         group = table_group(n, u)
         # the zero-coupling draw alone holds one Hamiltonian word fewer
         for models in (group, group[3:4]):
@@ -378,7 +416,7 @@ class TestExpectationContraction:
 
 
 def plain_stop_propagate(A, v0, t_phys, out):
-    """`_propagate` as it was, computing ||f||_inf at every term."""
+    """`_propagate_by_vectors` as it was, computing ||f||_inf at every term."""
     dim = A.shape[0]
     mu = A.diagonal().sum() / dim
     A = (A - mu * sp.identity(dim, dtype=A.dtype, format="csr")).tocsr()
@@ -426,7 +464,7 @@ def test_cheap_stop_test_takes_the_same_decisions(name, p, v0):
 
 def propagate_both_ways(monkeypatch, run):
     """`run()` as it is and with `_step_intervals` forced to the vectors, and
-    the path each `_propagate` call took as it is: (as is, vectors, paths)."""
+    the path each batch took as it is: (as is, vectors, paths)."""
     import lmem.dynamics
 
     paths = []
@@ -470,7 +508,7 @@ def step_cases():
 
 
 class TestStepMatrices:
-    """The step path of `_propagate` against the vector stepper."""
+    """The step path against the vector stepper."""
 
     @pytest.mark.parametrize("name,p,v0,t", step_cases(), ids=[c[0] for c in step_cases()])
     def test_steps_match_the_vector_stepper(self, monkeypatch, name, p, v0, t):
@@ -532,8 +570,8 @@ class TestStepMatrices:
     "limit,samples,setting", [(10 ** 5, 3, "n_sites"), (2 ** 20, 301, "time_grid.n_samples")]
 )
 def test_full_space_budget_raises_before_building(monkeypatch, limit, samples, setting):
-    # at N=5 the u=2 product state lives on a block of 512 basis states: the
-    # estimate is ~0.4 MB for the generator (13 Hamiltonian words) and 16
+    # at N=5 the u=2 product state lives on a block of 509 basis states: the
+    # estimate is ~0.46 MB for the generator (13 Hamiltonian words) and 16
     # bytes per basis index and sample for the trajectory
     import lmem.dynamics
 
@@ -544,7 +582,7 @@ def test_full_space_budget_raises_before_building(monkeypatch, limit, samples, s
     monkeypatch.setattr(lmem.dynamics, "build_liouvillian_direct", refuse)
     p = random_perturbed_params(5, u=2.0, rng_seed=1)
     rho0 = vectorize_operator(product_initial_state(5, 0.5, 0.1))
-    with pytest.raises(MemoryBudgetError, match=f"block of 512 basis states at n_sites=5 over {samples} samples") as info:
+    with pytest.raises(MemoryBudgetError, match=f"block of 509 basis states at n_sites=5 over {samples} samples") as info:
         evolve(rho0, p, np.linspace(0.0, 1.0, samples))
     assert info.value.setting == setting
 
@@ -617,7 +655,7 @@ class TestBatches:
         models = [random_perturbed_params(n, u=u, rng_seed=s) for u, s in ((0.0, 1), (0.0, 2), (2.0, 1), (0.0, 3))]
         models.append(uniform(n))
         got = [[(r.method_tag, r.indices.size) for r in b] for b in evolve_batches(rho0, models, self.T)]
-        assert got == [[("taylor-degree", 32)] * 2, [("taylor", 128)], [("taylor-degree", 32)], [("taylor-sector", 24)]]
+        assert got == [[("taylor-degree", 32)] * 2, [("taylor", 125)], [("taylor-degree", 32)], [("taylor-sector", 22)]]
         # a group is cut into the fewest batches, of sizes that differ by at
         # most one, whose generators hold at most CHUNK_ELEMENTS stored
         # entries; a run beyond that is a batch of its own. fig3b's u=2 draws
@@ -648,7 +686,7 @@ class TestBatches:
         # ten N=5, u=2 draws form two batches of five; under a memory limit
         # that holds four runs but not five, the group runs in batches of
         # at most four, each run as it runs alone. A batch of several runs is
-        # sized with the step matrices it would hold, one 512 x 512 matrix a
+        # sized with the step matrices it would hold, one 509 x 509 matrix a
         # run on this grid of one distinct interval
         import lmem.dynamics
 
@@ -657,7 +695,7 @@ class TestBatches:
         rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1))
         models = [random_perturbed_params(n, u=2.0, rng_seed=s) for s in range(10)]
         _, hamiltonian, _ = _group_words(models)
-        block = 512
+        block = 509
         one_run = 64 * (1 + len(hamiltonian)) * block + 16 * t.size * block
         steps = 8 * block * block
         monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: 4 * (one_run + steps) + one_run)
@@ -683,7 +721,7 @@ class TestBatches:
             blocks.append(A.tocsr())
             vs.append(rng.normal(size=dim))
         out = np.empty((t.size, 15))
-        _propagate(shifted(*blocks), np.concatenate(vs), t, out)
+        _propagate_by_vectors(shifted(*blocks), np.concatenate(vs), t, out)
         for A, v, cols in zip(blocks, vs, (slice(0, 6), slice(6, 15))):
             want = np.array([expm_multiply(tk * A.toarray(), v) for tk in t])
             np.testing.assert_allclose(out[:, cols], want, rtol=0, atol=1e-14 * np.abs(want).max())

@@ -342,27 +342,28 @@ def test_fig3b_checks_the_dense_cap_before_writing(tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize(
     "samples,limit,expected",
-    [(5, None, [[32] * 3, [128] * 3]), (301, 3 * 2 ** 20, [[32] * 3, [128], [128], [128]])],
+    [(5, None, [[32] * 3, [125] * 3]), (301, 3 * 2 ** 20, [[32] * 3, [125], [125], [125]])],
     ids=["one-batch-per-u", "one-draw-per-batch"],
 )
 def test_fig3b_propagates_one_batch_per_call(tmp_path, monkeypatch, samples, limit, expected):
-    # at N=4 a u=0 draw runs on 32 basis states and a u=2 draw on 128, whose
-    # generator holds 704 stored entries, so three draws of each u fit one
+    # at N=4 a u=0 draw runs on 32 basis states and a u=2 draw on 125, whose
+    # generator holds 701 stored entries, so three draws of each u fit one
     # batch of at most CHUNK_ELEMENTS entries. Over 301 samples (ten distinct
-    # intervals) a u=2 draw needs ~0.7 MB, and ~1.3 MB more for its step
+    # intervals) a u=2 draw needs ~0.7 MB, and ~1.25 MB more for its step
     # matrices: under a 3 MiB limit the u=2 draws run one per batch
     import lmem.dynamics
 
     if limit is not None:
         monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: limit)
     calls = []
-    propagate = lmem.dynamics._propagate
+    for path in ("steps", "vectors"):
+        kernel = getattr(lmem.dynamics, f"_propagate_by_{path}")
 
-    def spy(gen, *args):
-        calls.append(list(gen.sizes))
-        return propagate(gen, *args)
+        def spy(gen, *args, kernel=kernel):
+            calls.append(list(gen.sizes))
+            return kernel(gen, *args)
 
-    monkeypatch.setattr(lmem.dynamics, "_propagate", spy)
+        monkeypatch.setattr(lmem.dynamics, f"_propagate_by_{path}", spy)
     overrides = {"experiment": "fig3b", "n_draws": 3, "time_grid": {"t_max": 1.0, "n_samples": samples}}
     _run(tmp_path, overrides)
     assert calls == expected
@@ -406,9 +407,9 @@ def test_fig3b_checks_share_one_dense_layout_per_batch(tmp_path, monkeypatch, n,
 @pytest.mark.parametrize(
     "overrides,expected",
     [
-        ({}, [("steps", 1, 24), ("steps", 1, 28)]),
-        (PURITY_N4, [("steps", 1, 14)]),
-        ({"experiment": "fig3b", "n_draws": 2, "transverse_values": [0.0, 2.0]}, [("steps", 2, 32), ("vectors", 2, 128)]),
+        ({}, [("steps", 1, 22), ("steps", 1, 26)]),
+        (PURITY_N4, [("steps", 1, 10)]),
+        ({"experiment": "fig3b", "n_draws": 2, "transverse_values": [0.0, 2.0]}, [("steps", 2, 32), ("vectors", 2, 125)]),
     ],
     ids=["fig3a", "fig4-purity", "fig3b"],
 )
@@ -428,6 +429,36 @@ def test_small_blocks_step_by_matrices(tmp_path, monkeypatch, overrides, expecte
         monkeypatch.setattr(lmem.dynamics, f"_propagate_by_{path}", spy)
     _run(tmp_path, overrides)
     assert calls == expected
+
+
+_SCAN_RUNS = {"fig3a": {}, "fig3b": {"experiment": "fig3b", "n_draws": 2, "transverse_values": [0.0, 2.0]},
+              "fig4-purity": PURITY_N4}
+
+
+@pytest.mark.parametrize(
+    "name,n", [(name, n) for name in _SCAN_RUNS for n in (4, 5, 6) if name != "fig3a" or n % 2 == 0]
+)
+def test_runs_scan_no_full_index_range(tmp_path, monkeypatch, name, n):
+    # a run's block is the closure of its initial state's words under the
+    # generator, so no run path lists all 4^N basis indices (fig3a takes
+    # even N only)
+    overrides = _SCAN_RUNS[name]
+    import lmem.fock
+
+    index_range = lmem.fock._index_range
+
+    def guarded(n_modes):
+        if n_modes == 2 * n:
+            raise AssertionError("the run path built the 4^N index range")
+        return index_range(n_modes)
+
+    modules = [m for k, m in sys.modules.items() if k == "lmem" or k.startswith("lmem.")]
+    bound = [m for m in modules if getattr(m, "_index_range", None) is index_range]
+    assert lmem.fock in bound
+    for module in bound:
+        monkeypatch.setattr(module, "_index_range", guarded)
+    model = _purity_model(n) if name == "fig4-purity" else base_model(n)
+    _run(tmp_path, {**overrides, "model": model})
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -832,11 +863,11 @@ def test_operator_vector_beyond_the_budget_names_n_sites(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize(
     "limit,pattern",
-    [(8 * 10 ** 4, r"n_sites=4 over 5 samples.*; reduce n_sites$"), (2 ** 20, r"; reduce time_grid\.n_samples$")],
+    [(7 * 10 ** 4, r"n_sites=4 over 5 samples.*; reduce n_sites$"), (2 ** 20, r"; reduce time_grid\.n_samples$")],
 )
 def test_full_space_budget_names_setting(tmp_path, monkeypatch, capsys, limit, pattern):
-    # at N=4 a u=2 draw runs on a block of 128 basis states, with a generator
-    # estimate of ~82 kB, beyond 8 x 10^4 bytes; 601 samples push one draw's
+    # at N=4 a u=2 draw runs on a block of 125 basis states, with a generator
+    # estimate of 80 kB, beyond 7 x 10^4 bytes; 601 samples push one draw's
     # trajectory past 1 MiB. Draws that fit one at a time run in smaller
     # batches, so only a draw that does not fit alone raises
     import lmem.dynamics

@@ -336,6 +336,7 @@ class TestPhysicality:
     def test_parity_breaking_trajectory_matches_reference(self, seed):
         n = 4
         res = evolve(mixed_up_state(n), random_perturbed_params(n, u=2.0, rng_seed=seed), np.linspace(0, 2, 9))
+        res = full_space(res)
         assert res.amplitudes[:, parity_values(n) < 0].any()  # the full-matrix path
         for seeded in (False, True):
             if seeded:
