@@ -270,7 +270,7 @@ class ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    """One CSV value as text: the reference for `write_csv`'s row templates."""
+    """One CSV value as text: the reference for `write_csv`'s columns."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -280,33 +280,32 @@ def _fmt(value) -> str:
     return f"{float(value):.16e}"
 
 
-def _row_template(types) -> str:
-    """The %-format template that writes a row of values of these types as
-    `_fmt` writes each value: %d reads a bool or integer, numpy's included,
-    as the Python int it converts to, and %e any other value as float(value)."""
-    specs = []
-    for t in types:
-        if issubclass(t, str):
-            specs.append("%s")
-        elif issubclass(t, (bool, np.bool_, int, np.integer)):
-            specs.append("%d")
-        else:
-            specs.append("%.16e")
-    return ",".join(specs) + "\n"
+def _column_text(column) -> list[str]:
+    """The cells of one column as `_fmt` writes each value. An ndarray of
+    bools, integers or floats is formatted by its dtype, %d or %.16e, once
+    per distinct value, a float's told apart by its float64 bit pattern so
+    that 0.0 and -0.0 stay distinct. Any other column is formatted value by
+    value."""
+    if not isinstance(column, np.ndarray) or column.dtype.kind not in "biuf":
+        return [_fmt(v) for v in column]
+    if column.dtype.kind == "f":
+        a = np.ascontiguousarray(column, dtype=np.float64)
+        spec, keys, values = "%.16e", a.view(np.int64).tolist(), a.tolist()
+    else:
+        spec, keys = "%d", column.tolist()
+        values = keys
+    text = {k: spec % v for k, v in dict(zip(keys, values)).items()}
+    return list(map(text.__getitem__, keys))
 
 
-def write_csv(path: Path, header, rows) -> None:
-    """Write header and rows, each value as `_fmt` formats it; each row is
-    one %-format of a template built once per tuple of value types."""
+def write_csv(path: Path, header, columns) -> None:
+    """Write header and one row per entry of the equally long columns, each
+    value as `_fmt` formats it (`_column_text`)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    templates = {}
+    cells = [_column_text(c) for c in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            types = tuple(map(type, row))
-            if types not in templates:
-                templates[types] = _row_template(types)
-            fh.write(templates[types] % tuple(row))
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def write_metadata(outdir: Path, config: ExperimentConfig, extra: dict) -> None:
@@ -464,7 +463,7 @@ def run_fig3a(config: ExperimentConfig, outdir: Path) -> dict:
         write_csv(
             outdir / f"fig3a_{tag}.csv",
             ["gamma_t" if res.time_unit == "1/gamma" else "t", "x1", "x2", "ratio"],
-            zip(tr.times, tr.x1, tr.x2, tr.values),
+            (tr.times, tr.x1, tr.x2, tr.values),
         )
         results[tag] = {
             "factorized": fac.factorized,
@@ -533,7 +532,7 @@ def run_fig3b(config: ExperimentConfig, outdir: Path) -> dict:
                     write_csv(
                         outdir / f"fig3b_u{u:g}_draw{k:02d}.csv",
                         ["t", "x1", "x2", "ratio"],
-                        zip(tr.times, tr.x1, tr.x2, tr.values),
+                        (tr.times, tr.x1, tr.x2, tr.values),
                     )
                     summary_rows.append((u, k, tr.values[0], tr.max_drift))
                     per_draw.setdefault(f"u={u:g}", []).append(
@@ -545,7 +544,7 @@ def run_fig3b(config: ExperimentConfig, outdir: Path) -> dict:
     write_csv(
         outdir / "fig3b_summary.csv",
         ["u", "draw", "ratio_initial", "max_drift"],
-        summary_rows,
+        zip(*summary_rows),
     )
     results = {
         "draws": per_draw,
@@ -573,7 +572,7 @@ def run_fig4_purity(config: ExperimentConfig, outdir: Path) -> dict:
     write_csv(
         outdir / "fig4_purity.csv",
         ["gamma_t" if res.time_unit == "1/gamma" else "t", "purity_exact", "purity_approx", "rel_error", "edge_correlation"],
-        zip(res.times, exact, approx, rel_errors, corr),
+        (res.times, exact, approx, rel_errors, corr),
     )
     # the first sample from which the truncation stays within 5%
     above = np.flatnonzero(~(rel_errors < 0.05))
@@ -622,15 +621,21 @@ def run_fig4_spectrum(config: ExperimentConfig, outdir: Path) -> dict:
             "choose a sector with shorter broken-chain segments"
         ) from exc
 
-    rows = []
-    for pt in points:
-        lam = sorted_spectrum(pt.eigenvalues)
-        for i, ev in enumerate(lam):
-            rows.append((pt.gamma, i, ev.real, ev.imag, pt.min_gap, pt.condition_number, pt.exceptional))
+    # one row per eigenvalue, the points' spectra stacked in scan order
+    lam = np.array([sorted_spectrum(pt.eigenvalues) for pt in points])
+    size = lam.shape[1]
     write_csv(
         outdir / "fig4_spectrum.csv",
         ["gamma", "index", "re", "im", "min_gap", "eigvec_cond", "ep_flag"],
-        rows,
+        (
+            np.repeat([pt.gamma for pt in points], size),
+            np.tile(np.arange(size), len(points)),
+            lam.real.ravel(),
+            lam.imag.ravel(),
+            np.repeat([pt.min_gap for pt in points], size),
+            np.repeat([pt.condition_number for pt in points], size),
+            np.repeat([pt.exceptional for pt in points], size),
+        ),
     )
     flagged = [pt.gamma for pt in points if pt.exceptional]
     results = {
@@ -677,11 +682,11 @@ def run_sector_census(config: ExperimentConfig, outdir: Path) -> dict:
                 ) from exc
             for i, ev in enumerate(sorted_spectrum(lam)):
                 spectra_rows.append((lab.to_string(), i, ev.real, ev.imag))
-    write_csv(outdir / "sector_census.csv", ["label", "dimension", "n_segments", "segments"], rows)
+    write_csv(outdir / "sector_census.csv", ["label", "dimension", "n_segments", "segments"], zip(*rows))
     if spectra_rows:
         write_csv(
             outdir / "sector_spectra.csv", ["label", "index", "re", "im"],
-            spectra_rows,
+            zip(*spectra_rows),
         )
     results = {
         "n_sectors": len(rows),

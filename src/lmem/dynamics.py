@@ -45,8 +45,8 @@ are cross-validated:
   table holds it so: a Hermitian rho(0) propagates as one real vector and
   any other as two real columns. The result keeps the block's amplitudes only
   (`EvolutionResult.values`); the observables gather the columns they
-  need, and `EvolutionResult.amplitudes` rebuilds the 4^N array for
-  oracles and tests.
+  need, and `EvolutionResult.amplitudes` rebuilds the 4^N array,
+  read-only, for oracles and tests.
 
   `evolve_batches` runs one initial state under many models, as fig3b's
   seeded draws: the runs that share a block share one table, built once
@@ -59,10 +59,11 @@ are cross-validated:
   (runs x words) with the table, whose entries are laid out on the
   table's pattern with row and column offsets, each block shifted by its
   own mean diagonal (`_batch_generator`); `evolve` is its batch of one. A
-  run whose generator and trajectory would not fit in the memory the
-  process may allocate raises `MemoryBudgetError` before any table is
-  built, and one whose step matrices would not fit raises before those
-  are built; a batch of several runs is cut smaller until it fits with
+  closure layer whose temporaries would not fit in the memory the process
+  may allocate raises `MemoryBudgetError` before they are allocated, a
+  run whose generator and trajectory would not fit raises before any
+  table is built, and one whose step matrices would not fit raises before
+  those are built; a batch of several runs is cut smaller until it fits with
   the step matrices it could take, so a group never fails because it was
   batched.
 
@@ -161,8 +162,8 @@ class EvolutionResult:
 
     values[k, i] is the amplitude of w^{indices[i]} at times[k]; every
     other amplitude is zero at every sample. `amplitudes` is the full
-    (T, 4^N) array for oracles and tests: values itself when the block is
-    the whole space, otherwise a new array on each access.
+    (T, 4^N) array for oracles and tests, read-only: a view of values when
+    the block is the whole space, otherwise a new array on each access.
     """
 
     n_sites: int
@@ -178,7 +179,9 @@ class EvolutionResult:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        return scatter_columns(self.values, self.indices, self.n_sites)
+        out = scatter_columns(self.values, self.indices, self.n_sites).view()
+        out.flags.writeable = False
+        return out
 
     def state(self, k: int) -> LiouvilleVector:
         return LiouvilleVector(self.n_sites, scatter_columns(self.values[k], self.indices, self.n_sites))
@@ -421,16 +424,38 @@ def _propagate_by_steps(gen: _Shifted, v0, t_phys, out, intervals: np.ndarray) -
     return matvecs
 
 
-def _closure(v0: np.ndarray, masks: np.ndarray) -> np.ndarray:
+# bytes a closure layer holds per (Hamiltonian word, frontier word) pair:
+# the reached words and the anticommutation test's int64 bit counts peak at
+# about 33 (tracemalloc), rounded up
+_CLOSURE_PAIR_BYTES = 40
+
+
+def _closure(v0: np.ndarray, masks: np.ndarray, n_sites: int) -> np.ndarray:
     """Sorted basis indices of the block that the generator reaches from
     v0: its nonzero words (the empty word when it has none, so the block
     is never empty) and, repeatedly, c ^ m for each word c of the block
     and each Hamiltonian mask m of `masks` whose word anticommutes with
     w^c (`liouvillian.anticommuting`). A jump word is one Pauli word and
-    acts on the diagonal, so it reaches nothing new."""
+    acts on the diagonal, so it reaches nothing new.
+
+    A layer whose temporaries, `_CLOSURE_PAIR_BYTES` per (mask, frontier
+    word) pair, exceed `fock._memory_limit` raises MemoryBudgetError naming
+    n_sites before they are allocated. That is below `_check_budget`'s 64
+    bytes per (mask, block word) pair, so no run that the budget accepts
+    fails here."""
+    limit = _memory_limit()
     block = np.flatnonzero(v0) if v0.any() else np.zeros(1, dtype=np.int64)
     new = block
     while new.size:
+        need = _CLOSURE_PAIR_BYTES * masks.size * new.size
+        if need > limit:
+            mib = 2 ** 20
+            raise MemoryBudgetError(
+                f"closing the block at n_sites={n_sites}: a layer of {new.size} basis states under "
+                f"{masks.size} Hamiltonian words needs about {need // mib} MiB, more than the "
+                f"{limit // mib} MiB this process may allocate",
+                "n_sites",
+            )
         reached = np.unique((new ^ masks[:, None])[anticommuting(masks, new)])
         pos = np.searchsorted(block, reached)
         fresh = block[pos.clip(max=block.size - 1)] != reached
@@ -570,7 +595,7 @@ def evolve_batches(rho0, models, t_grid) -> Iterator[list[EvolutionResult]]:
     batch of one takes exactly the steps of a run alone. The results of a
     batch are rows of one (runs, T, block) array, and each result's
     `matvecs` counts the products of its whole batch. A run beyond the memory budget raises
-    `MemoryBudgetError` before the group's table is built, or, when its
+    `MemoryBudgetError` in its closure (`_closure`), before the group's table is built, or, when its
     step matrices tip it over, before those are built. A batch of several
     runs is made smaller until it fits with the step matrices it could
     take, one per distinct interval, so runs that fit one at a time never
@@ -587,7 +612,7 @@ def evolve_batches(rho0, models, t_grid) -> Iterator[list[EvolutionResult]]:
     for (degree, sectors, gamma), group in groupby(models, key=_block_key):
         tag = "taylor-sector" if sectors else "taylor-degree" if degree else "taylor"
         weights, hamiltonian, jumps = _group_words(list(group))
-        indices = _closure(v0, pauli_monomials(hamiltonian, n)[0])
+        indices = _closure(v0, pauli_monomials(hamiltonian, n)[0], n)
         masks = 1 + len(hamiltonian)
         _check_budget(n, 1, masks, t_grid.size, indices.size)
         table = generator_table(hamiltonian, jumps, n, indices)

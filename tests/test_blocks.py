@@ -13,6 +13,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from lmem.cli import edge_occupied_state, nonproduct_initial_state, product_initial_state, ratio_observables
 from lmem.dynamics import (
+    _CLOSURE_PAIR_BYTES,
     _UNIT_ROUNDOFF,
     MemoryBudgetError,
     _Shifted,
@@ -585,6 +586,62 @@ def test_full_space_budget_raises_before_building(monkeypatch, limit, samples, s
     with pytest.raises(MemoryBudgetError, match=f"block of 509 basis states at n_sites=5 over {samples} samples") as info:
         evolve(rho0, p, np.linspace(0.0, 1.0, samples))
     assert info.value.setting == setting
+
+
+def test_closure_budget_raises_before_allocating_a_layer(monkeypatch):
+    # fig3b's u=2 product state at N=5: each closure layer pairs its frontier
+    # words with each of the 12 Hamiltonian words; the largest layer decides
+    import lmem.dynamics
+    from lmem.liouvillian import anticommuting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("passed the closure")
+
+    frontiers = []
+
+    def spy(masks, words):
+        frontiers.append(words.size)
+        return anticommuting(masks, words)
+
+    n = 5
+    p = random_perturbed_params(n, u=2.0, rng_seed=1)
+    rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1))
+    t = np.linspace(0.0, 1.0, 3)
+    hamiltonian = _group_words([p])[1]
+    assert len(hamiltonian) == 12
+    monkeypatch.setattr(lmem.dynamics, "anticommuting", spy)
+    monkeypatch.setattr(lmem.dynamics, "_check_budget", refuse)
+    with pytest.raises(AssertionError, match="passed the closure"):
+        evolve(rho0, p, t)
+    assert frontiers[0] == np.count_nonzero(rho0.amplitudes) and max(frontiers) > frontiers[0]
+    for frontier in (frontiers[0], max(frontiers)):
+        layer = _CLOSURE_PAIR_BYTES * len(hamiltonian) * frontier
+        monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: layer - 1)
+        with pytest.raises(MemoryBudgetError, match=f"closing the block at n_sites=5: a layer of {frontier} ") as info:
+            evolve(rho0, p, t)
+        assert info.value.setting == "n_sites"
+    monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: layer)
+    with pytest.raises(AssertionError, match="passed the closure"):
+        evolve(rho0, p, t)
+
+
+def test_closure_budget_accepts_what_the_run_budget_accepts(monkeypatch):
+    # under a limit of exactly the run's own estimate (generator and
+    # trajectory, on the vector path) no closure layer is refused
+    import lmem.dynamics
+
+    n = 5
+    p = random_perturbed_params(n, u=2.0, rng_seed=1)
+    rho0 = vectorize_operator(product_initial_state(n, 0.5, 0.1))
+    t = np.linspace(0.0, 1.0, 3)
+    block = evolve(rho0, p, t).indices.size
+    held = 64 * (len(_group_words([p])[1]) + 1) * block + 16 * t.size * block
+    monkeypatch.setattr(lmem.dynamics, "_step_intervals", lambda gen, t_phys: None)
+    monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: held)
+    assert evolve(rho0, p, t).indices.size == block
+    monkeypatch.setattr(lmem.dynamics, "_memory_limit", lambda: held - 1)
+    with pytest.raises(MemoryBudgetError, match=f"block of {block} basis states"):
+        evolve(rho0, p, t)
 
 
 def test_budget_counts_the_step_matrices(monkeypatch):

@@ -150,15 +150,21 @@ class TestConfig:
 def test_csv_formatting_round_trips_doubles(tmp_path):
     values = [np.pi, 1 / 3, 1e-300, -2.5e17]
     path = tmp_path / "x.csv"
-    write_csv(path, ["v"], [(v,) for v in values])
-    lines = path.read_text().splitlines()[1:]
-    assert [float(s) for s in lines] == values
+    for column in (values, np.array(values)):
+        write_csv(path, ["v"], [column])
+        lines = path.read_text().splitlines()[1:]
+        assert [float(s) for s in lines] == values
+
+
+def rendered(header, rows) -> str:
+    """The CSV text of rows, each value as `_fmt` formats it."""
+    from lmem.cli import _fmt
+
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
 
 
 def test_csv_rows_match_the_value_formatter(tmp_path):
     from fractions import Fraction
-
-    from lmem.cli import _fmt
 
     rows = [
         (True, np.True_, np.False_, 3, np.int64(-4), "label", np.str_("x"), 0.1, np.float64(-2.5e-17)),
@@ -166,10 +172,74 @@ def test_csv_rows_match_the_value_formatter(tmp_path):
         (1, 2, 3, 4, 5, "z", "w", -np.inf, np.float32(0.1)),
         (Fraction(1, 3), True, False, 1, 2, "f", "g", -0.0, 1e-300),  # any other number: float(value)
     ]
+    header = [f"c{k}" for k in range(9)]
     path = tmp_path / "x.csv"
-    write_csv(path, [f"c{k}" for k in range(9)], rows)
-    expected = ["c0,c1,c2,c3,c4,c5,c6,c7,c8"] + [",".join(_fmt(v) for v in row) for row in rows]
-    assert path.read_text() == "\n".join(expected) + "\n"
+    write_csv(path, header, zip(*rows))  # mixed-type tuple columns
+    assert path.read_text() == rendered(header, rows)
+
+
+def test_csv_array_columns_match_the_value_formatter(tmp_path):
+    floats = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -2.5e17, 0.1, 0.0, -0.0]
+    columns = [
+        np.array([True, False] * 5),
+        np.arange(-5, 5, dtype=np.int32),
+        np.arange(10, dtype=np.int64) * -(2 ** 40),
+        np.array([2 ** 64 - 1] * 10, dtype=np.uint64),
+        np.array(floats, dtype=np.float32),
+        np.array(floats),
+        np.array(floats)[::-1],  # not contiguous
+        np.array(list("abcdefghij")),  # np.str_ values
+    ]
+    header = [f"c{k}" for k in range(len(columns))]
+    path = tmp_path / "x.csv"
+    write_csv(path, header, columns)
+    assert path.read_text() == rendered(header, zip(*columns))
+    lines = path.read_text().splitlines()
+    assert lines[1].split(",")[5] == "0.0000000000000000e+00"
+    assert lines[2].split(",")[5] == "-0.0000000000000000e+00"
+
+
+def test_csv_repeated_values_match_the_value_formatter(tmp_path):
+    # 4096 rows holding few distinct values, as a composed spectrum does
+    rng = np.random.default_rng(5)
+    pool = np.concatenate([rng.normal(size=13), [0.0, -0.0, np.nan]])
+    columns = [pool[rng.integers(pool.size, size=4096)], np.tile(np.arange(512), 8), np.repeat(pool[:8], 512)]
+    path = tmp_path / "x.csv"
+    write_csv(path, ["a", "b", "c"], columns)
+    assert path.read_text() == rendered(["a", "b", "c"], zip(*columns))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_spectrum_csvs_match_the_value_formatter(tmp_path, n):
+    from lmem.dynamics import exceptional_point_scan
+    from lmem.model import ModelParams
+    from lmem.sectors import SectorLabel, all_sector_labels, compose_segment_spectra, sorted_spectrum
+
+    model = {"n_sites": n, "couplings": [2.0] * (n - 1), "dephasing_rates": [1.0] * n}
+    label = "+-" + "+" * (n - 3)
+    scan = {"gamma_min": 0.5, "gamma_max": 4.0, "n_points": 8}
+    run_experiment(ExperimentConfig({"experiment": "fig4-spectrum", "model": model, "gamma_scan": scan,
+                                     "sector": label, "output_dir": str(tmp_path / "spectrum")}))
+    run_experiment(ExperimentConfig({"experiment": "sector-census", "model": model, "with_spectra": True,
+                                     "output_dir": str(tmp_path / "census")}))
+
+    params = ModelParams.from_dict(model)
+    points = exceptional_point_scan(params, np.linspace(0.5, 4.0, 8), SectorLabel.from_string(label))
+    rows = [
+        (pt.gamma, i, ev.real, ev.imag, pt.min_gap, pt.condition_number, pt.exceptional)
+        for pt in points
+        for i, ev in enumerate(sorted_spectrum(pt.eigenvalues))
+    ]
+    header = ["gamma", "index", "re", "im", "min_gap", "eigvec_cond", "ep_flag"]
+    assert (tmp_path / "spectrum" / "fig4_spectrum.csv").read_text() == rendered(header, rows)
+    assert len(rows) == 8 * 2 ** (n + 1)
+
+    rows = [
+        (lab.to_string(), i, ev.real, ev.imag)
+        for lab in all_sector_labels(n)
+        for i, ev in enumerate(sorted_spectrum(compose_segment_spectra(lab, params)[0]))
+    ]
+    assert (tmp_path / "census" / "sector_spectra.csv").read_text() == rendered(["label", "index", "re", "im"], rows)
 
 
 def test_fig3a_end_to_end(tmp_path):

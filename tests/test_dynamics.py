@@ -306,14 +306,37 @@ def basis_projector(index, n):
 
 
 def full_space(res):
-    """The same trajectory stored on all 4^N indices, so res.amplitudes is
-    its value array and may be edited in place."""
-    return replace(res, indices=np.arange(4 ** res.n_sites), values=res.amplitudes)
+    """The same trajectory stored on all 4^N indices, so res.values holds
+    every amplitude and may be edited in place."""
+    return replace(res, indices=np.arange(4 ** res.n_sites), values=res.amplitudes.copy())
 
 
 def mixed_up_state(n):
     """Half |0...0><0...0| plus half the maximally mixed state: positive definite."""
     return 0.5 * up_state(n) + 0.5 * np.eye(2 ** n) / 2 ** n
+
+
+def random_density_matrix(n, seed):
+    """A full-rank density matrix: every one of its 4^N amplitudes is nonzero."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("whole_space", [True, False])
+def test_amplitudes_are_read_only(whole_space):
+    # a write used to edit the trajectory on a whole-space block and to be
+    # lost silently on a smaller one
+    n = 3
+    rho0 = random_density_matrix(n, 0) if whole_space else up_state(n)
+    res = evolve(rho0, random_perturbed_params(n, u=2.0, rng_seed=0), np.linspace(0, 1, 3))
+    assert (res.indices.size == 4 ** n) == whole_space
+    before = res.values.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        res.amplitudes[1, 0] += 1.0
+    np.testing.assert_array_equal(res.values, before)
+    assert res.values.flags.writeable
 
 
 class TestPhysicality:
@@ -325,7 +348,7 @@ class TestPhysicality:
         clean = physicality_report(res)
         assert clean["max_negative_eigenvalue"] == 0.0
         # index 1 has odd popcount: the eigenvalue turns negative in the odd block
-        res.amplitudes[33] -= 0.2 * basis_projector(1, n)
+        res.values[33] -= 0.2 * basis_projector(1, n)
         assert not res.amplitudes[:, parity_values(n) < 0].any()  # the parity-block path
         ref = reference_report(res)
         got = physicality_report(res)
@@ -340,7 +363,7 @@ class TestPhysicality:
         assert res.amplitudes[:, parity_values(n) < 0].any()  # the full-matrix path
         for seeded in (False, True):
             if seeded:
-                res.amplitudes[4] -= 0.3 * basis_projector(0, n)
+                res.values[4] -= 0.3 * basis_projector(0, n)
             ref = reference_report(res)
             got = physicality_report(res)
             assert got["max_trace_deviation"] == ref["max_trace_deviation"]
@@ -354,8 +377,8 @@ class TestPhysicality:
         res = full_space(res)
         chunks = row_chunks(len(res), 4 ** n)
         assert len(chunks) == 3 and chunks[1].start < 11 < chunks[1].stop
-        res.amplitudes[11, 0] += 1e-3
-        res.amplitudes[11, 0b1111] += 3e-4j  # degree 4: an imaginary part breaks Hermiticity
+        res.values[11, 0] += 1e-3
+        res.values[11, 0b1111] += 3e-4j  # degree 4: an imaginary part breaks Hermiticity
         got = physicality_report(res)
         v = res.amplitudes[11]
         assert got["max_trace_deviation"] == abs(2 ** n * v[0] - 1.0)
