@@ -58,7 +58,7 @@ from .edge import (
     purity_series,
     ratio_trace,
 )
-from .fock import LiouvilleVector, vectorize_operator
+from .fock import LiouvilleVector, _memory_limit, vectorize_operator
 from .model import ModelParams, random_perturbed_params
 from .pauli import OperatorSum, PauliString, SizeLimitError, _check_dense, parity_word
 from .sectors import (
@@ -67,7 +67,6 @@ from .sectors import (
     broken_chain_segments,
     compose_segment_spectra,
     enumerate_sector_basis,
-    sorted_spectrum,
 )
 from .verify import oracle_report
 
@@ -305,7 +304,7 @@ def write_csv(path: Path, header, columns) -> None:
     cells = [_column_text(c) for c in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_metadata(outdir: Path, config: ExperimentConfig, extra: dict) -> None:
@@ -392,6 +391,24 @@ def edge_occupied_state(n: int, zeta: float, amplitude: float) -> OperatorSum:
     ]
     bulk = m @ OperatorSum(n, [(amplitude, w) for w in words])
     return ((ident + bulk) @ (ident + m.scaled(zeta))).scaled(2.0 ** -n)
+
+
+# peak bytes per row of a spectrum CSV: the eigenvalues, the text cells and
+# the joined rows of `write_csv` (tracemalloc: ~490 for fig4-spectrum at
+# N=12 and 14, ~400 for sector-census at N=8)
+_SPECTRUM_ROW_BYTES = 512
+
+
+def _check_spectrum_rows(rows: int, settings: str) -> None:
+    """A spectrum CSV of `rows` rows, at `_SPECTRUM_ROW_BYTES` each, beyond
+    the memory the process may allocate raises a ConfigError naming the
+    settings to reduce, before the spectrum is computed."""
+    need, limit = rows * _SPECTRUM_ROW_BYTES, _memory_limit()
+    if need > limit:
+        raise ConfigError(
+            f"the {rows} spectrum rows need {need // 2 ** 20} MiB, more than the "
+            f"{limit // 2 ** 20} MiB this process may allocate; reduce {settings}"
+        )
 
 
 def _vectorized(op: OperatorSum) -> LiouvilleVector:
@@ -613,16 +630,11 @@ def run_fig4_spectrum(config: ExperimentConfig, outdir: Path) -> dict:
         sector = SectorLabel(tuple(p))
     gammas = config.gamma_values()
 
-    try:
-        points = exceptional_point_scan(params, gammas, sector)
-    except SizeLimitError as exc:
-        raise ConfigError(
-            f"sector={sector.to_string()!r} at n_sites={n}: {exc}; "
-            "choose a sector with shorter broken-chain segments"
-        ) from exc
+    _check_spectrum_rows(len(gammas) * 2 ** (n + 1), "n_sites or gamma_scan.n_points")
+    points = exceptional_point_scan(params, gammas, sector)
 
     # one row per eigenvalue, the points' spectra stacked in scan order
-    lam = np.array([sorted_spectrum(pt.eigenvalues) for pt in points])
+    lam = np.array([pt.eigenvalues for pt in points])
     size = lam.shape[1]
     write_csv(
         outdir / "fig4_spectrum.csv",
@@ -665,28 +677,24 @@ def run_sector_census(config: ExperimentConfig, outdir: Path) -> dict:
             "sector-census with_spectra needs the unperturbed model; set field_b, "
             "transverse_u and bond_dissipation to zero, or with_spectra to false"
         )
+    if config.with_spectra:
+        _check_spectrum_rows(4 ** n, "n_sites or set with_spectra to false")
+    labels = all_sector_labels(n)
     rows = []
-    spectra_rows = []
-    for lab in all_sector_labels(n):
+    for lab in labels:
         basis = enumerate_sector_basis(lab, n)
         segs = broken_chain_segments(lab)
         rows.append(
             (lab.to_string(), basis.size, len(segs), " ".join(f"{a}-{b}" for a, b in segs))
         )
-        if config.with_spectra:
-            try:
-                lam, _ = compose_segment_spectra(lab, params)
-            except SizeLimitError as exc:
-                raise ConfigError(
-                    f"with_spectra at n_sites={n}: {exc}; reduce n_sites or set with_spectra to false"
-                ) from exc
-            for i, ev in enumerate(sorted_spectrum(lam)):
-                spectra_rows.append((lab.to_string(), i, ev.real, ev.imag))
     write_csv(outdir / "sector_census.csv", ["label", "dimension", "n_segments", "segments"], zip(*rows))
-    if spectra_rows:
+    if config.with_spectra:
+        lam = np.array([compose_segment_spectra(lab, params).eigenvalues[0] for lab in labels])
+        size = lam.shape[1]
         write_csv(
             outdir / "sector_spectra.csv", ["label", "index", "re", "im"],
-            zip(*spectra_rows),
+            (np.repeat([lab.to_string() for lab in labels], size), np.tile(np.arange(size), len(labels)),
+             lam.real.ravel(), lam.imag.ravel()),
         )
     results = {
         "n_sectors": len(rows),

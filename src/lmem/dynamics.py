@@ -115,7 +115,7 @@ eigenvalues in the closed lower half plane, anti-conjugate pairing
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
@@ -184,7 +184,10 @@ class EvolutionResult:
         return out
 
     def state(self, k: int) -> LiouvilleVector:
-        return LiouvilleVector(self.n_sites, scatter_columns(self.values[k], self.indices, self.n_sites))
+        """Sample k, its amplitudes read-only as `amplitudes` are."""
+        out = scatter_columns(self.values[k], self.indices, self.n_sites).view()
+        out.flags.writeable = False
+        return LiouvilleVector(self.n_sites, out)
 
     def density_matrix(self, k: int) -> np.ndarray:
         return dense_blocks(self.values[k][None], self.indices, self.n_sites)[0, 0]
@@ -1044,70 +1047,28 @@ class ScanPoint:
     exceptional: bool
 
 
-_GAP_CHUNK = 1 << 20  # pair distances `_min_gap` holds at once
-
-
-def _min_gap(lam: np.ndarray) -> float:
-    """Smallest distance |lam[i] - lam[j]| over i != j; inf below two entries.
-
-    One sort finds an exact repeat, which makes the gap 0.0; a composed
-    segment spectrum always has one (each eigenvalue comes twice, for the
-    edge pair). A spectrum without repeats gets the exact minimum of
-    sqrt(dx^2 + dy^2) over all pairs, in chunks of rows.
-    """
-    if lam.size < 2:
-        return np.inf
-    x, y = lam.real, lam.imag
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    if np.any((xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])):
-        return 0.0
-    best = np.inf
-    step = max(1, _GAP_CHUNK // lam.size)
-    for start in range(0, lam.size, step):
-        rows = np.arange(start, min(start + step, lam.size))
-        dx = x[rows, None] - x
-        dy = y[rows, None] - y
-        d2 = dx * dx + dy * dy
-        d2[np.arange(rows.size), rows] = np.inf
-        best = min(best, float(d2.min()))
-    return float(np.sqrt(best))
-
-
-def _scan_point(params_base: ModelParams, g: float, sector: SectorLabel) -> ScanPoint:
-    """One gamma of `exceptional_point_scan`."""
-    p = replace(params_base, dephasing_rates=np.full(params_base.n_sites, g))
-    lam, cond = compose_segment_spectra(sector, p)
-    min_gap = _min_gap(lam)
-    return ScanPoint(
-        gamma=float(g),
-        eigenvalues=lam,
-        min_gap=min_gap,
-        condition_number=cond,
-        exceptional=bool(min_gap < EP_GAP_TOL and cond > EP_COND_THRESHOLD),
-    )
-
-
 def exceptional_point_scan(
     params_base: ModelParams, gamma_values, sector: SectorLabel
 ) -> list[ScanPoint]:
     """Sector-block spectra across a dissipation scan.
 
-    At each gamma, every site's dephasing rate is set to gamma and the
-    block spectrum and eigenvector condition number come from the
-    broken-chain segments (`sectors.compose_segment_spectra`); that form
+    At each gamma, every site's dephasing rate is set to gamma, and the
+    block spectrum comes from the rapidities of the broken-chain segments,
+    all gammas in one `sectors.compose_segment_spectra` call; that form
     holds for the unperturbed model only, and a perturbed params_base
-    raises ValueError. A point is flagged exceptional when two
-    eigenvalues coalesce within EP_GAP_TOL and the eigenvector matrix
-    condition number exceeds EP_COND_THRESHOLD; the condition number
-    distinguishes a defective coalescence from an ordinary degeneracy.
-
-    min_gap is the smallest distance between two entries of the spectrum,
-    so it is 0.0 whenever the composed spectrum repeats a value. Segment
-    spectra always do: each eigenvalue comes twice, for the decoupled edge
-    pair. The flag therefore rests on the condition number alone.
+    raises ValueError. min_gap is the smallest distance between two
+    rapidities of one segment and condition_number the product over the
+    segments of their eigenvector condition numbers. A point is flagged
+    exceptional when min_gap < EP_GAP_TOL and condition_number >
+    EP_COND_THRESHOLD: the condition number tells a defective coalescence
+    from the ordinary near-degeneracy of a long segment's edge mode.
     """
-    return [_scan_point(params_base, g, sector) for g in np.asarray(gamma_values, dtype=float)]
+    gammas = np.asarray(gamma_values, dtype=float)
+    if gammas.size == 0:
+        return []
+    lam, gap, cond = compose_segment_spectra(sector, params_base, gammas)
+    flags = (gap < EP_GAP_TOL) & (cond > EP_COND_THRESHOLD)
+    return [ScanPoint(*pt) for pt in zip(gammas.tolist(), lam, gap.tolist(), cond.tolist(), flags.tolist())]
 
 
 def isolated_pair_branches(J: float, gamma: float) -> np.ndarray:

@@ -18,17 +18,17 @@ which must equal the restriction of the third-quantized generator entry for
 entry; this single comparison exercises both Jordan-Wigner layers and every
 sign convention end to end.
 
-The experiments never build a block. `compose_segment_spectra` solves each
-segment's 2^L generator and composes the block spectrum and eigenvector
-condition number from them, so its cost grows with the longest segment, not
-with 4^N. The dense `restrict_liouvillian` of the third-quantized generator
-is its oracle in the tests and in `verify`.
+The experiments never build a block. `compose_segment_spectra` takes each
+segment's rapidities from one 2L x 2L matrix and composes the block
+spectrum from them, so its cost grows with 2^{N+1} sums, not with a 2^L eig
+per segment or with 4^N. The dense `restrict_liouvillian` of the
+third-quantized generator is its oracle in the tests and in `verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,7 +37,6 @@ from .fock import _index_range, site_count
 from .kappa import build_P_operator, kappa_all
 from .liouvillian import Superoperator
 from .model import ModelParams
-from .pauli import MajoranaMonomial, _check_dense, majorana_to_spin
 
 
 @dataclass(frozen=True)
@@ -208,60 +207,74 @@ def broken_chain_segments(label: SectorLabel) -> list[tuple[int, int]]:
     return segments
 
 
-def _chain_majoranas(length: int) -> tuple:
-    """The 2L Majorana matrices of an L-site chain, mode 1 first, in the
-    standard chain encoding of `majorana_to_spin`.
+class SegmentSpectra(NamedTuple):
+    """Sector spectra of a scan, one row per point (`compose_segment_spectra`)."""
 
-    The dense cap is checked on every call. The last two lengths stay
-    cached, which covers a scan of one sector (fig4-spectrum) and bounds
-    what a census keeps: 2L dense 2^L x 2^L matrices are 320 MiB at L=10.
+    eigenvalues: np.ndarray  # (points, 2^{N+1}): by segment, rapidity and sign
+    min_gap: np.ndarray  # (points,) smallest gap in one segment's rapidities
+    condition_number: np.ndarray  # (points,) product over the segments
+
+
+def _segment_matrix(couplings: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """A = h - h^T of a stack of segments, couplings (B, L-1), rates (B, L).
+
+    A segment's Kitaev form sum_m -2i J_m k_{2m} k_{2m+1} + sum_m i gamma_m
+    (i k_{2m-1} k_{2m} - 1) puts -+gamma_m on site m's modes and -+2i J_m
+    across bond m. A is returned as the real D A D^-1, D = diag(i^{m-1}) on
+    site m, with -2 J_m on both bond entries: a unitary diagonal D keeps the
+    eigenvalues and the eigenvector condition number, and a real eig takes
+    half the time."""
+    b, length = rates.shape
+    a = np.zeros((b, 2 * length, 2 * length))
+    site, bond = np.arange(length), np.arange(length - 1)
+    a[:, 2 * site, 2 * site + 1] = -rates
+    a[:, 2 * site + 1, 2 * site] = rates
+    a[:, 2 * bond + 1, 2 * bond + 2] = a[:, 2 * bond + 2, 2 * bond + 1] = -2 * couplings
+    return a
+
+
+def _rapidities(a: np.ndarray):
+    """(beta, gap, cond) of a stack of (B, 2L, 2L) segment matrices.
+
+    The 2L eigenvalues come in pairs +-beta_k; each is paired with its
+    nearest negative, closest pairs first, since a near-zero pair (the edge
+    mode of a long segment, +-1e-12) need not straddle any half-plane. The
+    pairs keep the eig order of their first member, and beta_k is that
+    member. gap is the smallest distance between two eigenvalues and cond
+    the 2-norm condition number of the unit-column eigenvector matrix.
     """
-    _check_dense(length)
-    return _cached_chain_majoranas(length)
-
-
-@lru_cache(maxsize=2)
-def _cached_chain_majoranas(length: int) -> tuple:
-    return tuple(
-        majorana_to_spin(MajoranaMonomial(2 * length, 1 << m)).to_matrix()
-        for m in range(2 * length)
-    )
-
-
-def _segment_generator(sites: tuple[int, int], params: ModelParams) -> np.ndarray:
-    """Generator of one broken-chain segment in its own 2^L Fock space.
-
-    The segment over sites s..e carries the local non-Hermitian Kitaev form
-    sum_m -2i J_m k_{2m} k_{2m+1} + sum_m i gamma_m (i k_{2m-1} k_{2m} - 1)
-    over its 2L local Majorana modes.
-    """
-    s, e = sites
-    L = e - s + 1
-    k = _chain_majoranas(L)  # k[0] is mode 1
-    dim = 2 ** L
-    mat = np.zeros((dim, dim), dtype=complex)
-    for m in range(1, L):  # internal bonds: global bond index s + m - 1
-        Jj = params.couplings[s + m - 2]
-        mat += -2j * Jj * (k[2 * m - 1] @ k[2 * m])
-    for m in range(1, L + 1):
-        gj = params.dephasing_rates[s + m - 2]
-        mat += 1j * gj * (1j * k[2 * m - 2] @ k[2 * m - 1] - np.eye(dim))
-    return mat
+    w, vecs = np.linalg.eig(a)
+    n = w.shape[1]
+    off = np.diag(np.full(n, np.inf))  # no eigenvalue is its own partner
+    dist = np.abs(w[:, :, None] - w[:, None, :]) + off
+    pair = np.abs(w[:, :, None] + w[:, None, :]) + off
+    rows = np.arange(w.shape[0])
+    first = np.empty((w.shape[0], n // 2), dtype=int)
+    for k in range(n // 2):
+        i, j = np.divmod(pair.reshape(w.shape[0], -1).argmin(axis=1), n)
+        first[:, k] = np.minimum(i, j)
+        for m in (i, j):
+            pair[rows, m, :] = pair[rows, :, m] = np.inf
+    first.sort(axis=1)
+    return np.take_along_axis(w, first, axis=1), dist.min(axis=(1, 2)), np.linalg.cond(vecs)
 
 
 def compose_segment_spectra(
-    label: SectorLabel, params: ModelParams
-) -> tuple[np.ndarray, float]:
-    """Eigenvalues and eigenvector condition number of one sector block.
+    label: SectorLabel, params: ModelParams, gammas=None
+) -> SegmentSpectra:
+    """Spectra of one sector block from its broken-chain segments, one point
+    per gamma (every site's rate set to it), or the model's own rates.
 
-    The block is the Kronecker sum of its broken-chain segment generators,
-    copied twice for the decoupled edge pair. Its eigenvalues are the sums
-    of one eigenvalue per segment, each repeated twice, and its unit-column
-    eigenvector matrix is the Kronecker product of the segments' with the
-    2x2 identity. The singular values of a Kronecker product are the
-    products of its factors', so the 2-norm condition number is the product
-    of the segment condition numbers. Each segment costs one dense eig of
-    size 2^L; the 4^N generator and the 2^{N+1} block are never built, and
+    A segment's generator sum_{a<b} h_ab k_a k_b + c is quadratic in its 2L
+    Majoranas, so its 2^L eigenvalues are c + sum_k +-beta_k, with +-beta_k
+    the eigenvalues of A = h - h^T (Prosen, New J. Phys. 10, 043026
+    (2008)). The block is the Kronecker sum of its segments, twice for the
+    edge pair: -i sum gamma + sum of +-beta_k over segments and rapidities,
+    each value twice, ordered by segment, rapidity index and sign pattern
+    (+ first, the first rapidity slowest). One `np.linalg.eig` per segment
+    length covers all points; min_gap is the smallest distance between two
+    eigenvalues of one segment's A, condition_number the product over
+    segments of their eigenvector condition numbers. The dense
     `restrict_liouvillian` of the third-quantized generator is the oracle.
     """
     if label.n_sites != params.n_sites:
@@ -271,13 +284,30 @@ def compose_segment_spectra(
             "sector spectra from segments need the unperturbed model; "
             "set field_b, transverse_u and bond_dissipation to zero"
         )
-    sums = np.zeros(1, dtype=complex)
-    cond = 1.0
-    for seg in broken_chain_segments(label):
-        lam, R = np.linalg.eig(_segment_generator(seg, params))
-        sums = (sums[:, None] + lam[None, :]).reshape(-1)
-        cond *= float(np.linalg.cond(R))
-    return np.repeat(sums, 2), cond
+    n = params.n_sites
+    own = np.asarray(params.dephasing_rates, dtype=float)[None]
+    rates = own if gammas is None else np.repeat(np.asarray(gammas, dtype=float)[:, None], n, axis=1)
+    points = rates.shape[0]
+    couplings = np.asarray(params.couplings, dtype=float)
+    segments = broken_chain_segments(label)
+    beta = {}
+    gap = np.full(points, np.inf)
+    cond = np.ones(points)
+    for length in sorted({e - s + 1 for s, e in segments}):
+        starts = [s for s, e in segments if e - s + 1 == length]
+        a = _segment_matrix(
+            np.concatenate([np.tile(couplings[s - 1 : s + length - 2], (points, 1)) for s in starts]),
+            np.concatenate([rates[:, s - 1 : s + length - 1] for s in starts]),
+        )
+        seg_beta, seg_gap, seg_cond = (x.reshape(len(starts), points, *x.shape[1:]) for x in _rapidities(a))
+        beta.update(zip(starts, seg_beta))
+        gap = np.minimum(gap, seg_gap.min(axis=0))
+        cond *= seg_cond.prod(axis=0)
+    sums = -1j * rates.sum(axis=1)[:, None]
+    for s, _ in segments:
+        for bk in beta[s].T:
+            sums = np.stack([sums + bk[:, None], sums - bk[:, None]], axis=2).reshape(points, -1)
+    return SegmentSpectra(np.repeat(sums, 2, axis=1), gap, cond)
 
 
 def spectral_order(values: np.ndarray) -> np.ndarray:

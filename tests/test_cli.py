@@ -213,7 +213,7 @@ def test_csv_repeated_values_match_the_value_formatter(tmp_path):
 def test_spectrum_csvs_match_the_value_formatter(tmp_path, n):
     from lmem.dynamics import exceptional_point_scan
     from lmem.model import ModelParams
-    from lmem.sectors import SectorLabel, all_sector_labels, compose_segment_spectra, sorted_spectrum
+    from lmem.sectors import SectorLabel, all_sector_labels, compose_segment_spectra
 
     model = {"n_sites": n, "couplings": [2.0] * (n - 1), "dephasing_rates": [1.0] * n}
     label = "+-" + "+" * (n - 3)
@@ -228,7 +228,7 @@ def test_spectrum_csvs_match_the_value_formatter(tmp_path, n):
     rows = [
         (pt.gamma, i, ev.real, ev.imag, pt.min_gap, pt.condition_number, pt.exceptional)
         for pt in points
-        for i, ev in enumerate(sorted_spectrum(pt.eigenvalues))
+        for i, ev in enumerate(pt.eigenvalues)
     ]
     header = ["gamma", "index", "re", "im", "min_gap", "eigvec_cond", "ep_flag"]
     assert (tmp_path / "spectrum" / "fig4_spectrum.csv").read_text() == rendered(header, rows)
@@ -237,7 +237,7 @@ def test_spectrum_csvs_match_the_value_formatter(tmp_path, n):
     rows = [
         (lab.to_string(), i, ev.real, ev.imag)
         for lab in all_sector_labels(n)
-        for i, ev in enumerate(sorted_spectrum(compose_segment_spectra(lab, params)[0]))
+        for i, ev in enumerate(compose_segment_spectra(lab, params).eigenvalues[0])
     ]
     assert (tmp_path / "census" / "sector_spectra.csv").read_text() == rendered(["label", "index", "re", "im"], rows)
 
@@ -353,6 +353,7 @@ def test_symbolic_initial_states_match_dense_forms(n):
 @pytest.mark.parametrize(
     "overrides, pattern",
     [
+        # the sector spectra come from 2L x 2L rapidity matrices, no 2^L one
         (
             {
                 "experiment": "fig4-spectrum",
@@ -360,12 +361,9 @@ def test_symbolic_initial_states_match_dense_forms(n):
                 "sector": "----",
                 "gamma_scan": {"gamma_min": 0.5, "gamma_max": 1.0, "n_points": 2},
             },
-            r"sector='----' at n_sites=5: .*LMEM_DENSE_LIMIT",
+            None,
         ),
-        (
-            {"experiment": "sector-census", "with_spectra": True},
-            r"with_spectra at n_sites=4: .*LMEM_DENSE_LIMIT",
-        ),
+        ({"experiment": "sector-census", "with_spectra": True}, None),
         # fig3a's states stay on the quadratic positivity path, which builds no 2^N matrix
         ({}, None),
         (
@@ -651,6 +649,65 @@ def test_fig4_spectrum_flags_ep(tmp_path):
     assert any(abs(g - 2.0) <= results["grid_step"] for g in results["flagged_gammas"])
 
 
+def test_shipped_spectrum_config_flags_only_the_exceptional_point(tmp_path):
+    from lmem.dynamics import EP_COND_THRESHOLD, EP_GAP_TOL
+
+    data = json.loads((Path(_src_dir()).parent / "configs" / "fig4-spectrum.json").read_text())
+    data["output_dir"] = str(tmp_path / "out")
+    results = run_experiment(ExperimentConfig(data))
+    assert results["flagged_gammas"] == [2.0]
+    table = np.loadtxt(tmp_path / "out" / "fig4_spectrum.csv", delimiter=",", skiprows=1)
+    gamma, gap, cond, flag = table[:, 0], table[:, 4], table[:, 5], table[:, 6]
+    assert np.array_equal(flag == 1, gamma == 2.0)
+    assert np.all((gap < EP_GAP_TOL) == (gamma == 2.0))
+    assert np.all((cond > EP_COND_THRESHOLD) == (gamma == 2.0))
+
+
+def test_spectrum_rows_do_not_depend_on_blas_threads(tmp_path):
+    # all-minus at N=10: rows follow the segments, rapidity indices and sign
+    # patterns, not the composed values, so one or two BLAS threads give the
+    # same rows
+    cfg = tmp_path / "cfg.json"
+    model = {"n_sites": 10, "couplings": [2.0] * 9, "dephasing_rates": [1.0] * 10}
+    cfg.write_text(json.dumps({"experiment": "fig4-spectrum", "model": model, "sector": "-" * 9,
+                               "gamma_scan": {"gamma_min": 0.5, "gamma_max": 4.0, "n_points": 8}}))
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = {k: v for k, v in _env().items() if k not in _THREAD_VARIABLES}
+        subprocess.run([sys.executable, "-m", "lmem.cli", "run", str(cfg), "--out", str(out)],
+                       check=True, env={**env, "OPENBLAS_NUM_THREADS": threads})
+        tables.append(np.loadtxt(out / "fig4_spectrum.csv", delimiter=",", skiprows=1))
+    a, b = tables
+    assert a.shape == b.shape == (8 * 2 ** 11, 7)
+    assert np.array_equal(a[:, [0, 1, 6]], b[:, [0, 1, 6]])  # gamma, index, ep_flag
+    assert np.abs(a[:, 2:4] - b[:, 2:4]).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "overrides, rows, settings",
+    [(SPECTRUM_N4, 3 * 32, "n_sites or gamma_scan.n_points"),
+     (CENSUS_N4, 4 ** 4, "n_sites or set with_spectra to false")],
+    ids=["fig4-spectrum", "sector-census"],
+)
+def test_spectrum_size_guard_names_setting(tmp_path, monkeypatch, capsys, overrides, rows, settings):
+    # the CSV rows are budgeted before any spectrum is computed or file written
+    import lmem.cli
+    import lmem.sectors
+
+    need = rows * lmem.cli._SPECTRUM_ROW_BYTES
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(tmp_path, **overrides)))
+    with monkeypatch.context() as m:
+        m.setattr(lmem.cli, "_memory_limit", lambda: need - 1)
+        _forbid(m, [lmem.sectors.compose_segment_spectra], "computed a spectrum")
+        assert main(["run", str(cfg_path)]) == 2
+        _assert_usage_error(capsys, rf"the {rows} spectrum rows need \d+ MiB, .*; reduce {settings}$")
+        assert list((tmp_path / "out").glob("*")) == []
+    monkeypatch.setattr(lmem.cli, "_memory_limit", lambda: need)
+    assert main(["run", str(cfg_path)]) == 0
+
+
 def test_sector_census(tmp_path):
     data = make_config(tmp_path, experiment="sector-census", with_spectra=True)
     results = run_experiment(ExperimentConfig(data))
@@ -819,8 +876,12 @@ def test_run_path_builds_no_generator_or_dense_block(tmp_path, monkeypatch, over
     import lmem.liouvillian
     import lmem.sectors
 
-    originals = [lmem.liouvillian.build_liouvillian_thirdq, lmem.sectors.restrict_liouvillian]
-    _forbid(monkeypatch, originals, "built the generator or a dense block")
+    import lmem.pauli
+
+    # majorana_to_spin built the 2^L segment matrices of the former engine
+    originals = [lmem.liouvillian.build_liouvillian_thirdq, lmem.sectors.restrict_liouvillian,
+                 lmem.pauli.majorana_to_spin]
+    _forbid(monkeypatch, originals, "built the generator, a dense block or a segment matrix")
     _run(tmp_path, overrides)
 
 

@@ -9,7 +9,6 @@ from lmem import dynamics
 from lmem.dynamics import (
     EP_COND_THRESHOLD,
     EP_GAP_TOL,
-    _min_gap,
     _taylor_plan,
     check_physical_initial_state,
     evolve,
@@ -326,8 +325,8 @@ def random_density_matrix(n, seed):
 
 @pytest.mark.parametrize("whole_space", [True, False])
 def test_amplitudes_are_read_only(whole_space):
-    # a write used to edit the trajectory on a whole-space block and to be
-    # lost silently on a smaller one
+    # a write through `amplitudes` or `state(k)` used to edit the trajectory
+    # on a whole-space block and to be lost silently on a smaller one
     n = 3
     rho0 = random_density_matrix(n, 0) if whole_space else up_state(n)
     res = evolve(rho0, random_perturbed_params(n, u=2.0, rng_seed=0), np.linspace(0, 1, 3))
@@ -335,8 +334,13 @@ def test_amplitudes_are_read_only(whole_space):
     before = res.values.copy()
     with pytest.raises(ValueError, match="read-only"):
         res.amplitudes[1, 0] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        res.state(1).amplitudes[0] += 1.0
     np.testing.assert_array_equal(res.values, before)
     assert res.values.flags.writeable
+    state = res.state(1).copy()
+    state.amplitudes[0] += 1.0  # a copy is the caller's to edit
+    np.testing.assert_array_equal(res.values, before)
 
 
 class TestPhysicality:
@@ -870,7 +874,7 @@ def test_exceptional_point_scan_rejects_perturbed_model():
 
 
 def _kdtree_min_gap(lam):
-    """The nearest-neighbour gap from a k-d tree, the oracle of `_min_gap`."""
+    """The nearest-neighbour gap of a point set from a k-d tree."""
     from scipy.spatial import cKDTree
 
     points = np.column_stack([lam.real, lam.imag])
@@ -878,40 +882,50 @@ def _kdtree_min_gap(lam):
     return float(dists[:, 1].min())
 
 
-def _random_spectra(seed, repeats):
-    rng = np.random.default_rng(seed)
-    for trial in range(40):
-        n = int(rng.integers(2, 300))
-        lam = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-6, 2)
-        if trial % 2:  # many shared real parts, so the sort must order by both
-            lam = np.round(lam.real, 1) + 1j * lam.imag
-        if repeats:
-            lam = rng.permutation(np.concatenate([lam, rng.choice(lam, int(rng.integers(1, n + 1)))]))
-        yield lam
+def _segment_eigensystems(sector, p):
+    """Eigenvalues and eigenvectors of each segment's A = h - h^T, one segment at a time."""
+    from lmem.sectors import broken_chain_segments
 
-
-@pytest.mark.parametrize("chunk", [dynamics._GAP_CHUNK, 64], ids=["default-chunk", "row-chunks"])
-def test_min_gap_matches_kdtree(monkeypatch, chunk):
-    monkeypatch.setattr(dynamics, "_GAP_CHUNK", chunk)
-    for lam in _random_spectra(11, repeats=True):
-        assert _min_gap(lam) == _kdtree_min_gap(lam) == 0.0
-    for lam in _random_spectra(12, repeats=False):
-        gap = _min_gap(lam)
-        assert gap > 0 and gap == _kdtree_min_gap(lam)
-    assert _min_gap(np.array([1.0 - 2.0j])) == np.inf
-    assert _min_gap(np.array([], dtype=complex)) == np.inf
+    out = []
+    for s, e in broken_chain_segments(sector):
+        L = e - s + 1
+        a = np.zeros((2 * L, 2 * L), dtype=complex)
+        for m in range(L):
+            a[2 * m, 2 * m + 1] = -p.dephasing_rates[s - 1 + m]
+        for m in range(L - 1):
+            a[2 * m + 1, 2 * m + 2] = -2j * p.couplings[s - 1 + m]
+        out.append(np.linalg.eig(a - a.T))
+    return out
 
 
 def test_scan_min_gap_and_flags_match_kdtree():
-    # the shipped fig4-spectrum sector at N=6, gamma = J on the grid; every
-    # composed spectrum repeats each eigenvalue (the edge pair), so the gap is 0
+    # the shipped fig4-spectrum config: sector +-+++ at N=6 and 36 gammas,
+    # gamma = J = 2 on the grid; min_gap is the k-d tree gap within one
+    # segment's rapidities, minimised over the segments, and only the
+    # exceptional point is flagged
     base = params(6, J=2.0, gamma=1.0)
-    points = exceptional_point_scan(base, np.linspace(0.5, 4.0, 8), SectorLabel.from_string("+-+++"))
+    sector = SectorLabel.from_string("+-+++")
+    points = exceptional_point_scan(base, np.linspace(0.5, 4.0, 36), sector)
     for pt in points:
-        gap = _kdtree_min_gap(pt.eigenvalues)
-        assert pt.min_gap == gap == 0.0
-        assert pt.exceptional == (gap < EP_GAP_TOL and pt.condition_number > EP_COND_THRESHOLD)
+        systems = _segment_eigensystems(sector, replace(base, dephasing_rates=np.full(6, pt.gamma)))
+        gap = min(_kdtree_min_gap(w) for w, _ in systems)
+        cond = np.prod([np.linalg.cond(R) for _, R in systems])
+        if pt.gamma != 2.0:  # at the EP both move by O(sqrt(eps)) under rounding
+            assert pt.min_gap == pytest.approx(gap, rel=1e-10)
+            assert pt.condition_number == pytest.approx(cond, rel=1e-10)
+        assert pt.exceptional == (pt.min_gap < EP_GAP_TOL and pt.condition_number > EP_COND_THRESHOLD)
     assert [pt.gamma for pt in points if pt.exceptional] == [2.0]
+
+
+@pytest.mark.parametrize("n", [10, 14])
+def test_all_minus_edge_mode_is_not_flagged(n):
+    # the edge mode of one long segment sits at +-1e-12: the gap closes, but
+    # the eigenvectors stay well conditioned, so no gamma is flagged
+    points = exceptional_point_scan(params(n, J=2.0), np.linspace(0.5, 4.0, 8), SectorLabel((-1,) * (n - 1)))
+    assert not any(pt.exceptional for pt in points)
+    assert min(pt.min_gap for pt in points) < EP_GAP_TOL
+    assert max(pt.condition_number for pt in points) < 100
+    assert all(pt.eigenvalues.shape == (2 ** (n + 1),) for pt in points)
 
 
 def chunked_dense_positivity(values, indices, n):

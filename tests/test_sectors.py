@@ -1,11 +1,14 @@
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from lmem.dynamics import EP_COND_THRESHOLD, EP_GAP_TOL
 from lmem.kappa import build_P_operator
 from lmem.liouvillian import build_liouvillian_direct, build_liouvillian_thirdq
 from lmem.model import ModelParams, random_perturbed_params
+from lmem.pauli import MajoranaMonomial, majorana_to_spin
 from lmem.sectors import (
     SectorCommutationError,
     SectorLabel,
@@ -43,6 +46,63 @@ def params(n, J=1.0, gamma=0.5):
     return ModelParams(
         n_sites=n, couplings=np.full(n - 1, float(J)), dephasing_rates=np.full(n, float(gamma))
     )
+
+
+# the 2^L segment oracle for the rapidity engine of `compose_segment_spectra`
+
+
+@lru_cache(maxsize=2)
+def chain_majoranas(length):
+    """The 2L Majorana matrices of an L-site chain, mode 1 first, in the
+    standard chain encoding of `majorana_to_spin`."""
+    return tuple(
+        majorana_to_spin(MajoranaMonomial(2 * length, 1 << m)).to_matrix() for m in range(2 * length)
+    )
+
+
+def segment_generator(sites, p):
+    """Generator of one broken-chain segment in its own 2^L Fock space:
+    sum_m -2i J_m k_{2m} k_{2m+1} + sum_m i gamma_m (i k_{2m-1} k_{2m} - 1)
+    over its 2L local Majorana modes."""
+    s, e = sites
+    L = e - s + 1
+    k = chain_majoranas(L)  # k[0] is mode 1
+    dim = 2 ** L
+    mat = np.zeros((dim, dim), dtype=complex)
+    for m in range(1, L):  # internal bonds: global bond index s + m - 1
+        mat += -2j * p.couplings[s + m - 2] * (k[2 * m - 1] @ k[2 * m])
+    for m in range(1, L + 1):
+        mat += 1j * p.dephasing_rates[s + m - 2] * (1j * k[2 * m - 2] @ k[2 * m - 1] - np.eye(dim))
+    return mat
+
+
+def oracle_spectrum(label, p):
+    """Block eigenvalues as Kronecker sums of the segment generators'
+    eigenvalues, each twice for the edge pair."""
+    sums = np.zeros(1, dtype=complex)
+    for seg in broken_chain_segments(label):
+        sums = (sums[:, None] + np.linalg.eigvals(segment_generator(seg, p))[None, :]).reshape(-1)
+    return np.repeat(sums, 2)
+
+
+def oracle_rapidity_columns(label, p):
+    """(min_gap, condition number) from A = h - h^T read off each 2^L
+    segment generator, h_ab = tr(k_b k_a G) / 2^L for a < b: the smallest
+    k-d tree gap within one segment's eigenvalues and the product of the
+    eigenvector condition numbers."""
+    from scipy.spatial import cKDTree
+
+    gap, cond = np.inf, 1.0
+    for s, e in broken_chain_segments(label):
+        L = e - s + 1
+        k, G = chain_majoranas(L), segment_generator((s, e), p)
+        h = np.array([[np.trace(k[b] @ k[a] @ G) / 2 ** L if a < b else 0 for b in range(2 * L)]
+                      for a in range(2 * L)])
+        w, R = np.linalg.eig(h - h.T)
+        points = np.column_stack([w.real, w.imag])
+        gap = min(gap, float(cKDTree(points).query(points, k=2)[0][:, 1].min()))
+        cond *= np.linalg.cond(R)
+    return gap, cond
 
 
 class TestEnumeration:
@@ -209,44 +269,59 @@ class TestBrokenChains:
     def test_segment_spectra_compose_to_block(self, label_str):
         lab = SectorLabel.from_string(label_str)
         p, L = random_chain(lab.n_sites)
-        predicted, cond = compose_segment_spectra(lab, p)
-        actual, R = np.linalg.eig(restrict_liouvillian(L, lab).matrix)
+        (predicted,), (gap,), (cond,) = compose_segment_spectra(lab, p)
+        actual = np.linalg.eigvals(restrict_liouvillian(L, lab).matrix)
         assert_same_spectrum(predicted, actual, tol=1e-8)
-        assert cond == pytest.approx(np.linalg.cond(R), rel=1e-10)
+        want_gap, want_cond = oracle_rapidity_columns(lab, p)
+        assert gap == pytest.approx(want_gap, rel=1e-10)
+        assert cond == pytest.approx(want_cond, rel=1e-10)
 
-    def test_dense_cap_holds_after_a_cached_call(self, monkeypatch):
-        from lmem.pauli import SizeLimitError
-        from lmem.sectors import _chain_majoranas
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_rapidities_match_the_segment_oracle(self, length):
+        # a segment over sites 1..L, cut from a last singleton, at random
+        # couplings and rates: the model's own rates and a two-gamma scan
+        lab = SectorLabel((-1,) * (length - 1) + (1,))
+        for seed in range(3):
+            rng = np.random.default_rng(10 * length + seed)
+            p = ModelParams(length + 1, rng.uniform(0.2, 2.5, length), rng.uniform(0.1, 2.0, length + 1))
+            gammas = rng.uniform(0.1, 3.0, 2)
+            scan = compose_segment_spectra(lab, p, gammas)
+            own = compose_segment_spectra(lab, p)
+            for lam, gap, cond, q in zip(
+                (*scan.eigenvalues, *own.eigenvalues),
+                (*scan.min_gap, *own.min_gap),
+                (*scan.condition_number, *own.condition_number),
+                [replace(p, dephasing_rates=np.full(length + 1, g)) for g in gammas] + [p],
+            ):
+                want = oracle_spectrum(lab, q)
+                assert_same_spectrum(lam, want, tol=1e-12 * np.abs(want).max())
+                want_gap, want_cond = oracle_rapidity_columns(lab, q)
+                assert gap == pytest.approx(want_gap, rel=1e-10)
+                assert cond == pytest.approx(want_cond, rel=1e-10)
 
-        lab = SectorLabel.from_string("--")
-        p = params(3)
-        compose_segment_spectra(lab, p)  # caches the length-3 matrices
-        _chain_majoranas(3)
-        monkeypatch.setenv("LMEM_DENSE_LIMIT", "2")
-        with pytest.raises(SizeLimitError):
-            _chain_majoranas(3)
-        with pytest.raises(SizeLimitError):
-            compose_segment_spectra(lab, p)
-
-    def test_segment_cache_keeps_two_lengths(self):
-        from lmem.sectors import _cached_chain_majoranas
-
-        _cached_chain_majoranas.cache_clear()
-        p = params(8)
-        for _ in range(3):  # the spectrum-n8 benchmark sector: lengths 1 and 2
-            compose_segment_spectra(SectorLabel.from_string("+-+++++"), p)
-        info = _cached_chain_majoranas.cache_info()
-        assert (info.misses, info.currsize, info.maxsize) == (2, 2, 2)
+    def test_rows_follow_segments_rapidities_and_signs(self):
+        # two segments: (1, 2) with rapidities b1, b2 and the singleton 3
+        # with b3; the sign of b1 varies slowest, and each value comes twice
+        lab = SectorLabel.from_string("-+")
+        p = ModelParams(3, [1.3, 0.0], [0.4, 0.9, 0.6])
+        lam = compose_segment_spectra(lab, p).eigenvalues[0]
+        assert np.array_equal(lam[0::2], lam[1::2])
+        signs = np.array([[1 - 2 * ((r >> k) & 1) for k in (2, 1, 0)] for r in range(8)])
+        beta, *_ = np.linalg.lstsq(signs, lam[0::2] + 1.9j, rcond=None)
+        assert np.abs(signs @ beta - 1.9j - lam[0::2]).max() < 1e-12
+        assert_same_spectrum(lam, oracle_spectrum(lab, p), tol=1e-12)
 
     def test_composed_condition_number_at_exceptional_point(self):
-        # the one coupled pair of +-+ merges its branches at gamma = J
+        # the one coupled pair of +-+ merges its two rapidities at gamma = J;
+        # on either side of it the segment is well conditioned
         lab = SectorLabel.from_string("+-+")
         p = params(4, J=2.0, gamma=2.0)
-        predicted, cond = compose_segment_spectra(lab, p)
-        actual, R = np.linalg.eig(restrict_liouvillian(build_liouvillian_thirdq(p), lab).matrix)
-        assert cond > 1e6
-        assert cond == pytest.approx(np.linalg.cond(R), rel=1e-6)
+        (predicted,), (gap,), (cond,) = compose_segment_spectra(lab, p)
+        actual = np.linalg.eigvals(restrict_liouvillian(build_liouvillian_thirdq(p), lab).matrix)
+        assert cond > EP_COND_THRESHOLD and gap < EP_GAP_TOL
         assert_same_spectrum(predicted, actual, tol=1e-6)
+        near = compose_segment_spectra(lab, p, [1.9, 2.1])
+        assert np.all(near.condition_number < 10) and np.all(near.min_gap > 1)
 
 
 def test_sorted_spectrum_orders_by_imag_then_real():
