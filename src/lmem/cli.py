@@ -288,13 +288,12 @@ def _column_text(column) -> list[str]:
     if not isinstance(column, np.ndarray) or column.dtype.kind not in "biuf":
         return [_fmt(v) for v in column]
     if column.dtype.kind == "f":
-        a = np.ascontiguousarray(column, dtype=np.float64)
-        spec, keys, values = "%.16e", a.view(np.int64).tolist(), a.tolist()
+        keys, inverse = np.unique(np.ascontiguousarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
+        text = ["%.16e" % v for v in keys.view(np.float64).tolist()]
     else:
-        spec, keys = "%d", column.tolist()
-        values = keys
-    text = {k: spec % v for k, v in dict(zip(keys, values)).items()}
-    return list(map(text.__getitem__, keys))
+        keys, inverse = np.unique(column, return_inverse=True)
+        text = ["%d" % v for v in keys.tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def write_csv(path: Path, header, columns) -> None:
